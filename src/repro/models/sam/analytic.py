@@ -48,6 +48,19 @@ DEFAULT_SCORE_WEIGHTS: dict[str, float] = {
     "area": 0.10,
 }
 
+#: Width of the exterior ring :meth:`AnalyticMaskHead.score_mask` compares
+#: the mask interior against (``contrast`` term).
+RING_WIDTH = 3
+#: Erode/dilate iterations of the ``stability`` term.
+STABILITY_ITERATIONS = 2
+#: Open/close radius of the box hypotheses' morphological cleanup.
+CLEAN_RADIUS = 1
+#: Margin a box decode keeps around its padded box.  Every box hypothesis
+#: lies inside the padded box, so scoring it inside a window grown by the
+#: farthest morphology reach is bit-identical to scoring it on the full
+#: frame; widen this with any of the radii above or the masks drift.
+BOX_HALO = max(RING_WIDTH, STABILITY_ITERATIONS, CLEAN_RADIUS)
+
 
 @dataclass(frozen=True)
 class AnalyticContext:
@@ -160,8 +173,15 @@ class AnalyticMaskHead:
 
     # -- scoring --------------------------------------------------------------
 
-    def score_mask(self, ctx: AnalyticContext, mask: np.ndarray) -> tuple[float, dict[str, float]]:
-        """Quality terms + weighted predicted-IoU score for a mask."""
+    def score_mask(
+        self, ctx: AnalyticContext, mask: np.ndarray, *, frame_pixels: int | None = None
+    ) -> tuple[float, dict[str, float]]:
+        """Quality terms + weighted predicted-IoU score for a mask.
+
+        ``area`` is the mask's fraction of ``frame_pixels`` (default: the
+        mask's own size); a caller scoring inside a window of ``ctx`` passes
+        the full frame's pixel count so the term matches a full-frame score.
+        """
         m = np.asarray(mask, dtype=bool)
         n = int(m.sum())
         if n == 0:
@@ -171,18 +191,18 @@ class AnalyticMaskHead:
         if boundary.any() and ctx.grad_p95 > 1e-9:
             edge = float(np.clip(ctx.grad_mag[boundary].mean() / ctx.grad_p95, 0.0, 1.0))
         inside_mean = float(ctx.smooth[m].mean())
-        ring = binary_dilation(m, iterations=3) & ~m
+        ring = binary_dilation(m, iterations=RING_WIDTH) & ~m
         contrast = 0.0
         if ring.any():
             contrast = float(np.clip(abs(inside_mean - float(ctx.smooth[ring].mean())) / 0.25, 0.0, 1.0))
         std_in = float(ctx.smooth[m].std())
         homogeneity = float(np.exp(-((std_in / 0.10) ** 2)))
         terms = {
-            "stability": stability_score(m),
+            "stability": stability_score(m, iterations=STABILITY_ITERATIONS),
             "edge": edge,
             "contrast": contrast,
             "homogeneity": homogeneity,
-            "area": float(n / m.size),
+            "area": float(n / (m.size if frame_pixels is None else frame_pixels)),
         }
         score = float(sum(self.score_weights[k] * terms[k] for k in self.score_weights))
         return score, terms
@@ -192,6 +212,11 @@ class AnalyticMaskHead:
         return MaskHypothesis(mask=mask, kind=kind, score=score, terms=terms)
 
     # -- band masks -----------------------------------------------------------
+
+    def _clean(self, mask: np.ndarray) -> np.ndarray:
+        return clean_mask(
+            mask, open_radius=CLEAN_RADIUS, close_radius=CLEAN_RADIUS, min_area=self.min_component_area
+        )
 
     def _band_mask(
         self,
@@ -212,49 +237,62 @@ class AnalyticMaskHead:
         band = np.abs(ctx.smooth - m) <= kk * s
         if within is not None:
             band &= within
-        return clean_mask(band, open_radius=1, close_radius=1, min_area=self.min_component_area)
+        return self._clean(band)
 
     # -- prompts ----------------------------------------------------------------
 
     def masks_from_box(self, ctx: AnalyticContext, box: np.ndarray) -> list[MaskHypothesis]:
-        """Bright / dark / region hypotheses for a box prompt."""
+        """Bright / dark / region hypotheses for a box prompt.
+
+        Every hypothesis lies inside the box padded by 6% + 2 px, so all of
+        them are built and scored on the padded box grown by
+        :data:`BOX_HALO` (clipped to the frame) and pasted into full-frame
+        masks.  A decode costs O(box), not O(frame), and is bit-identical
+        to one on the full frame: pixels past the window are zero either
+        way, gathered pixels keep their row-major order, and ``area`` is
+        still a fraction of the frame.
+        """
         h, w = ctx.image.shape
         b = clip_boxes(box, (h, w))[0]
         padded = pad_box(b, margin=0.06 * max(b[2] - b[0], b[3] - b[1]) + 2, image_shape=(h, w))
         x0, y0, x1, y1 = (int(padded[0]), int(padded[1]), int(np.ceil(padded[2])), int(np.ceil(padded[3])))
-        within = np.zeros((h, w), dtype=bool)
+        wy0, wy1 = max(y0 - BOX_HALO, 0), min(y1 + BOX_HALO, h)
+        wx0, wx1 = max(x0 - BOX_HALO, 0), min(x1 + BOX_HALO, w)
+        win = self.crop_context(ctx, (wy0, wy1, wx0, wx1))
+        # The padded box in window coordinates.
+        y0, y1, x0, x1 = y0 - wy0, y1 - wy0, x0 - wx0, x1 - wx0
+        within = np.zeros(win.image.shape, dtype=bool)
         within[y0:y1, x0:x1] = True
-        crop = ctx.smooth[y0:y1, x0:x1]
+        crop = win.smooth[y0:y1, x0:x1]
+
+        def _hyp(mask: np.ndarray, kind: str) -> MaskHypothesis:
+            score, terms = self.score_mask(win, mask, frame_pixels=h * w)
+            full = np.zeros((h, w), dtype=bool)
+            full[wy0:wy1, wx0:wx1] = mask
+            return MaskHypothesis(mask=full, kind=kind, score=score, terms=terms)
 
         hyps: list[MaskHypothesis] = []
         hi = np.percentile(crop, self.seed_quantile)
         lo = np.percentile(crop, 100.0 - self.seed_quantile)
-        bright_seed = within & (ctx.smooth >= hi)
-        dark_seed = within & (ctx.smooth <= lo)
-        hyps.append(self._hypothesis(ctx, self._band_mask(ctx, bright_seed, within=within), "bright"))
-        hyps.append(self._hypothesis(ctx, self._band_mask(ctx, dark_seed, within=within), "dark"))
+        bright_seed = within & (win.smooth >= hi)
+        dark_seed = within & (win.smooth <= lo)
+        hyps.append(_hyp(self._band_mask(win, bright_seed, within=within), "bright"))
+        hyps.append(_hyp(self._band_mask(win, dark_seed, within=within), "dark"))
 
         # Locally-bright structure: threshold the top-hat map inside the box.
         # Robust to the slow intensity drift / defocus that shifts absolute
         # values of thin structures (needle-like catalyst).
-        th_crop = ctx.tophat[y0:y1, x0:x1]
-        tau = max(0.45 * float(np.percentile(th_crop, 97)), 2.5 * ctx.noise_sigma)
-        local = within & (ctx.tophat > tau)
-        hyps.append(
-            self._hypothesis(
-                ctx,
-                clean_mask(local, open_radius=1, close_radius=1, min_area=self.min_component_area),
-                "local-bright",
-            )
-        )
+        th_crop = win.tophat[y0:y1, x0:x1]
+        tau = max(0.45 * float(np.percentile(th_crop, 97)), 2.5 * win.noise_sigma)
+        local = within & (win.tophat > tau)
+        hyps.append(_hyp(self._clean(local), "local-bright"))
 
         t = _otsu_threshold_float(crop)
         cy, cx = (y0 + y1) // 2, (x0 + x1) // 2
-        side_hi = ctx.smooth >= t
+        side_hi = win.smooth >= t
         region = side_hi if side_hi[cy, cx] else ~side_hi
         region = region & within
-        region = clean_mask(region, open_radius=1, close_radius=1, min_area=self.min_component_area)
-        hyps.append(self._hypothesis(ctx, region, "region"))
+        hyps.append(_hyp(self._clean(region), "region"))
 
         # Bright side of a (recursive) two-class split: when the box spans
         # the dark background the first Otsu cut separates background from
@@ -271,10 +309,10 @@ class AnalyticMaskHead:
                     sel = crop >= t_split
                     continue
             break
-        split = np.zeros((h, w), dtype=bool)
+        split = np.zeros(win.image.shape, dtype=bool)
         split[y0:y1, x0:x1] = sel
         split = clean_mask(split, open_radius=0, close_radius=0, min_area=self.min_component_area)
-        hyps.append(self._hypothesis(ctx, split, "bright-split"))
+        hyps.append(_hyp(split, "bright-split"))
         return hyps
 
     def masks_from_points(

@@ -1,13 +1,20 @@
 """Tests for the Zenesis pipeline (Mode A/B core)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.core.prompts import SpatialHints, TextPrompt
 from repro.core.results import SliceResult, VolumeResult
+from repro.data import make_sample
 from repro.errors import GroundingError, PromptError
 from repro.metrics.overlap import iou
+
+#: sha1 of the meanbox mask stack of ``make_sample("crystalline", seed=0,
+#: shape=(128, 128), n_slices=3)`` for "catalyst particles".
+MEANBOX_GOLDEN_SHA1 = "b19d1fd2c264b13db47bda0495ab96f3fff20fd8"
 
 
 class TestAdapt:
@@ -131,3 +138,13 @@ class TestSegmentVolume:
         result = pipeline.segment_volume(amorphous_sample.volume, "catalyst particles")
         gt_frac = amorphous_sample.catalyst_mask.mean()
         assert result.volume_fraction() == pytest.approx(gt_frac, abs=0.1)
+
+    def test_meanbox_masks_golden(self):
+        # Pins the exact Mode B output: a refactor that moves any mask pixel
+        # of this small crystalline volume fails here.  Refresh the digest
+        # only for a change that is meant to alter segmentation output.
+        vol = make_sample("crystalline", seed=0, shape=(128, 128), n_slices=3).volume.voxels
+        masks = ZenesisPipeline().segment_volume(vol, "catalyst particles", temporal_mode="meanbox").masks
+        assert masks.shape == vol.shape and masks.dtype == bool
+        digest = hashlib.sha1(np.ascontiguousarray(masks).tobytes()).hexdigest()
+        assert digest == MEANBOX_GOLDEN_SHA1

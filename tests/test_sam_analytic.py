@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.boxes import clip_boxes, pad_box
+from repro.core.masks import clean_mask, masks_iou
+from repro.data import make_sample
 from repro.data.synthesis.phantoms import disk_phantom, two_phase_phantom
 from repro.errors import PromptError
 from repro.models.sam.analytic import AnalyticMaskHead, _otsu_threshold_float
-from repro.core.masks import masks_iou
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +139,130 @@ class TestScoring:
         ctx = only_area.prepare(img)
         score, terms = only_area.score_mask(ctx, gt)
         assert score == pytest.approx(terms["area"])
+
+
+# -- windowed box decode vs a full-frame reference ------------------------------
+
+
+def _padded_box(ctx, box):
+    h, w = ctx.image.shape
+    b = clip_boxes(box, (h, w))[0]
+    padded = pad_box(b, margin=0.06 * max(b[2] - b[0], b[3] - b[1]) + 2, image_shape=(h, w))
+    return int(padded[0]), int(padded[1]), int(np.ceil(padded[2])), int(np.ceil(padded[3]))
+
+
+def _full_frame_masks_from_box(head, ctx, box):
+    """Box hypotheses built and scored on the whole frame (the reference)."""
+    h, w = ctx.image.shape
+    x0, y0, x1, y1 = _padded_box(ctx, box)
+    within = np.zeros((h, w), dtype=bool)
+    within[y0:y1, x0:x1] = True
+    crop = ctx.smooth[y0:y1, x0:x1]
+
+    def clean(m, radius=1):
+        return clean_mask(m, open_radius=radius, close_radius=radius, min_area=head.min_component_area)
+
+    masks = []
+    hi = np.percentile(crop, head.seed_quantile)
+    lo = np.percentile(crop, 100.0 - head.seed_quantile)
+    masks.append((head._band_mask(ctx, within & (ctx.smooth >= hi), within=within), "bright"))
+    masks.append((head._band_mask(ctx, within & (ctx.smooth <= lo), within=within), "dark"))
+    tau = max(0.45 * float(np.percentile(ctx.tophat[y0:y1, x0:x1], 97)), 2.5 * ctx.noise_sigma)
+    masks.append((clean(within & (ctx.tophat > tau)), "local-bright"))
+    t = _otsu_threshold_float(crop)
+    side_hi = ctx.smooth >= t
+    region = side_hi if side_hi[(y0 + y1) // 2, (x0 + x1) // 2] else ~side_hi
+    masks.append((clean(region & within), "region"))
+    sel = crop >= t
+    t_split = t
+    for _ in range(2):
+        if sel.mean() > 0.55 and sel.sum() > 100:
+            t2 = _otsu_threshold_float(crop[sel])
+            if t2 > t_split + 0.03:
+                t_split = t2
+                sel = crop >= t_split
+                continue
+        break
+    split = np.zeros((h, w), dtype=bool)
+    split[y0:y1, x0:x1] = sel
+    masks.append((clean(split, radius=0), "bright-split"))
+    return [(mask, kind, *head.score_mask(ctx, mask)) for mask, kind in masks]
+
+
+def _scene(shape, rng):
+    """Bright and dark disks of several sizes on a noisy mid-grey field."""
+    h, w = shape
+    img = np.full(shape, 0.45)
+    yy, xx = np.mgrid[0:h, 0:w]
+    for cy, cx, r, v in [(0.2, 0.25, 0.12, 0.85), (0.7, 0.3, 0.08, 0.1), (0.5, 0.75, 0.15, 0.8),
+                         (0.05, 0.9, 0.1, 0.75), (0.95, 0.05, 0.09, 0.9), (0.9, 0.85, 0.05, 0.2)]:
+        img[(yy - cy * h) ** 2 + (xx - cx * w) ** 2 <= (r * min(h, w)) ** 2] = v
+    return np.clip(img + rng.normal(scale=0.03, size=shape), 0, 1).astype(np.float32)
+
+
+def _boxes(h, w):
+    return [
+        # One per corner and one per edge: the halo is clipped by the frame.
+        (0, 0, 22, 18), (w - 22, 0, w, 18), (0, h - 18, 22, h), (w - 22, h - 18, w, h),
+        (w // 3, 0, w // 2, 14), (w // 3, h - 14, w // 2, h), (0, h // 3, 14, h // 2), (w - 14, h // 3, w, h // 2),
+        # Whole frame (window == frame), interior, fractional, 1-2 px boxes.
+        (0, 0, w, h), (w // 4, h // 4, 3 * w // 4, 3 * h // 4), (10.3, 12.7, 40.2, 33.9),
+        (w // 2, h // 2, w // 2 + 1, h // 2 + 1), (w // 2, h // 2, w // 2 + 2, h // 2 + 2),
+        (0, 0, 1, 1), (w - 2, h - 2, w, h),
+    ]
+
+
+def _assert_matches_reference(head, ctx, box):
+    got = head.masks_from_box(ctx, np.asarray(box, dtype=np.float64))
+    want = _full_frame_masks_from_box(head, ctx, np.asarray(box, dtype=np.float64))
+    assert [g.kind for g in got] == [k for _, k, _, _ in want]
+    for g, (mask, kind, score, terms) in zip(got, want):
+        assert g.mask.shape == ctx.image.shape and g.mask.dtype == bool
+        assert np.array_equal(g.mask, mask), (box, kind)
+        assert g.score == score, (box, kind)
+        assert g.terms == terms, (box, kind)
+
+
+class TestWindowedBoxDecode:
+    @pytest.mark.parametrize("shape", [(96, 96), (64, 112), (112, 64)])
+    def test_matches_full_frame(self, head, shape):
+        ctx = head.prepare(_scene(shape, np.random.default_rng(3)))
+        for box in _boxes(*shape):
+            _assert_matches_reference(head, ctx, box)
+
+    def test_dark_object_matches_full_frame(self, head, rng):
+        img, _ = disk_phantom((96, 96), radius=12, fg=0.15, bg=0.7, noise=0.02, rng=rng)
+        ctx = head.prepare(img)
+        for box in [(30, 30, 66, 66), (0, 0, 96, 96), (34, 34, 62, 62)]:
+            _assert_matches_reference(head, ctx, box)
+
+    def test_fibsem_slice_matches_full_frame(self, head):
+        img = make_sample("crystalline", seed=0, shape=(128, 128), n_slices=1).volume.voxels[0]
+        ctx = head.prepare(np.asarray(img, dtype=np.float32))
+        for box in [(5, 40, 37, 61), (70, 8, 124, 50), (0, 100, 40, 128), (20, 20, 108, 108)]:
+            _assert_matches_reference(head, ctx, box)
+
+    def test_masks_inside_padded_box(self, head):
+        shape = (64, 112)
+        ctx = head.prepare(_scene(shape, np.random.default_rng(5)))
+        for box in _boxes(*shape):
+            x0, y0, x1, y1 = _padded_box(ctx, np.asarray(box, dtype=np.float64))
+            for hyp in head.masks_from_box(ctx, np.asarray(box, dtype=np.float64)):
+                outside = hyp.mask.copy()
+                outside[y0:y1, x0:x1] = False
+                assert not outside.any(), (box, hyp.kind)
+
+    def test_area_is_fraction_of_frame(self, head):
+        shape = (64, 112)
+        ctx = head.prepare(_scene(shape, np.random.default_rng(9)))
+        for box in _boxes(*shape):
+            for hyp in head.masks_from_box(ctx, np.asarray(box, dtype=np.float64)):
+                assert hyp.terms["area"] == hyp.mask.sum() / (64 * 112)
+
+    def test_score_mask_frame_pixels(self, head, rng):
+        img, gt = disk_phantom((64, 64), radius=10, noise=0.02, rng=rng)
+        ctx = head.prepare(img)
+        _, full = head.score_mask(ctx, gt)
+        _, scaled = head.score_mask(ctx, gt, frame_pixels=4 * 64 * 64)
+        assert full["area"] == gt.sum() / (64 * 64)
+        assert scaled["area"] == gt.sum() / (4 * 64 * 64)
