@@ -12,13 +12,19 @@ This is the paper's core contribution wired together:
    (*grounded mask selection*), then unions the per-box masks and gates the
    union by the dilated high-relevance region.
 4. **Volumes**: per-slice detections pass through the temporal heuristic
-   (:mod:`repro.core.temporal`) before segmentation.
+   (:mod:`repro.core.temporal`) before segmentation.  Every per-slice volume
+   loop adapts slice z+1 on a background worker while slice z is grounded
+   and decoded (*adapt-ahead*): adaptation is NumPy/SciPy work that releases
+   the GIL, so it overlaps with the GIL-bound stages after it.
 
 Every stage is timed into a :class:`~repro.utils.timing.StageProfiler`.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +43,7 @@ from ..models.registry import build_dino, build_sam
 from ..models.sam.analytic import AnalyticMaskHead, MaskHypothesis
 from ..models.sam.model import Sam, SamPredictor
 from ..observability.metrics import get_registry
-from ..observability.trace import trace
+from ..observability.trace import Span, Tracer, get_tracer, trace
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.events import events_snapshot, record_event
 from ..resilience.faults import get_fault_plan
@@ -141,6 +147,74 @@ class ZenesisConfig:
         return float(np.clip(REFERENCE_PIXEL_NM / self.pixel_size_nm, 0.25, 4.0))
 
 
+def _with_next(items):
+    """Yield ``(item, next_item)`` pairs, reading one item ahead.
+
+    ``next_item`` is None after the last item, and also when reading it
+    failed: the error is raised where that item would have been yielded,
+    so a corrupt tile still fails at its own slice, after the slices
+    before it are done.
+    """
+    it = iter(items)
+    current = next(it, None)
+    while current is not None:
+        try:
+            upcoming = next(it, None)
+        except Exception:
+            yield current, None
+            raise
+        yield current, upcoming
+        current = upcoming
+
+
+class _AdaptAhead:
+    """One volume call's adapt-ahead worker and its in-flight results.
+
+    In-flight results are keyed like the ``pipeline.adapt`` cache entry
+    they compute.  A result is handed to the first :meth:`take` of its key;
+    :meth:`close` cancels or waits for whatever was never taken and joins
+    the worker, so no thread outlives the call.
+    """
+
+    def __init__(self, pipeline: "ZenesisPipeline") -> None:
+        self._pipeline = pipeline
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-adapt-ahead")
+        self._pending: dict[str, tuple[Future, Tracer | None, Span | None]] = {}
+        self._last_key: str | None = None
+
+    def submit(self, raw: np.ndarray, key: str) -> None:
+        # A key already in flight or just adapted would be computed twice;
+        # the propagation engine short-circuits a repeat of the previous
+        # slice without adapting it at all.
+        if key in self._pending or key == self._last_key:
+            return
+        tracer = get_tracer()
+        span = tracer.detached("pipeline.adapt") if tracer is not None else None
+        future = self._executor.submit(self._run, raw, key, tracer, span)
+        self._pending[key] = (future, tracer, span)
+
+    def _run(self, raw, key, tracer, span):
+        with tracer.parented(span) if tracer is not None else nullcontext():
+            return self._pipeline._adapt_body(raw, key)
+
+    def take(self, key: str):
+        """The in-flight ``(images, hit)`` for ``key``, or None if none was scheduled."""
+        self._last_key = key
+        entry = self._pending.pop(key, None)
+        if entry is None:
+            return None
+        future, tracer, span = entry
+        try:
+            return future.result()
+        finally:
+            if tracer is not None:
+                tracer.graft(span)
+
+    def close(self) -> None:
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        self._pending.clear()
+
+
 class ZenesisPipeline:
     """Text-prompted zero-shot segmentation of raw scientific images."""
 
@@ -178,44 +252,82 @@ class ZenesisPipeline:
             }
         )
         self._spatial_scale = cfg.spatial_scale()
+        # Adapt-ahead scopes by thread id: concurrent volume calls on one
+        # pipeline (the jobs runner memoises pipelines) each own theirs.
+        self._ahead: dict[int, _AdaptAhead] = {}
 
     # -- adaptation -----------------------------------------------------------
+
+    def _adapt_input(self, image) -> tuple[np.ndarray, str]:
+        """The raw 2-D slice to adapt and its ``pipeline.adapt`` cache key."""
+        raw = image.pixels if isinstance(image, ScientificImage) else np.asarray(image)
+        if raw.ndim == 3:
+            raw = raw.mean(axis=2)
+        return raw, combine_keys(array_content_key(raw), self._adapt_fp)
 
     def adapt(self, image) -> tuple[np.ndarray, np.ndarray]:
         """Run both adaptation branches; returns (detector_img, segmenter_img).
 
         Both branch outputs are cached per (raw content, adaptation knobs):
         re-segmenting a slice with a new prompt skips adaptation entirely.
+        Inside :meth:`adapt_ahead`, a slice :meth:`prefetch_adapt` already
+        scheduled is taken from the worker instead of adapted again.
         """
-        cfg = self.config
-        raw = image.pixels if isinstance(image, ScientificImage) else np.asarray(image)
-        if raw.ndim == 3:
-            raw = raw.mean(axis=2)
-        key = combine_keys(array_content_key(raw), self._adapt_fp)
+        raw, key = self._adapt_input(image)
         with trace("pipeline.adapt") as span:
-            cached = self.cache.get("pipeline.adapt", key)
-            if cached is not MISS:
-                span.set(cache="hit")
-                return cached
-            span.set(cache="miss")
-            with self.profiler.stage("adapt.normalize"):
-                base = robust_normalize(raw)
-            scale = self._spatial_scale
-            with self.profiler.stage("adapt.denoise"):
-                den = denoise_bilateral(
-                    base,
-                    sigma_spatial=cfg.denoise_sigma_spatial * scale,
-                    sigma_range=cfg.denoise_sigma_range,
-                )
-            if cfg.flatfield:
-                with self.profiler.stage("adapt.flatfield"):
-                    den = flatfield_correct(den, sigma=cfg.flatfield_sigma * scale)
-            with self.profiler.stage("adapt.detector_branch"):
-                det_img = clahe(den, tiles=cfg.clahe_tiles, clip_limit=cfg.clahe_clip)
-            with self.profiler.stage("adapt.segmenter_branch"):
-                seg_img = unsharp_mask(den, amount=cfg.unsharp_amount, sigma=cfg.unsharp_sigma * scale)
-            self.cache.put("pipeline.adapt", key, (det_img, seg_img))
-            return det_img, seg_img
+            ahead = self._ahead.get(threading.get_ident())
+            taken = ahead.take(key) if ahead is not None else None
+            images, hit = taken if taken is not None else self._adapt_body(raw, key)
+            span.set(cache="hit" if hit else "miss")
+            return images
+
+    def _adapt_body(self, raw: np.ndarray, key: str) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
+        """Cache lookup, else both branches computed and stored; returns (images, hit)."""
+        cfg = self.config
+        cached = self.cache.get("pipeline.adapt", key)
+        if cached is not MISS:
+            return cached, True
+        with self.profiler.stage("adapt.normalize"):
+            base = robust_normalize(raw)
+        scale = self._spatial_scale
+        with self.profiler.stage("adapt.denoise"):
+            den = denoise_bilateral(
+                base,
+                sigma_spatial=cfg.denoise_sigma_spatial * scale,
+                sigma_range=cfg.denoise_sigma_range,
+            )
+        if cfg.flatfield:
+            with self.profiler.stage("adapt.flatfield"):
+                den = flatfield_correct(den, sigma=cfg.flatfield_sigma * scale)
+        with self.profiler.stage("adapt.detector_branch"):
+            det_img = clahe(den, tiles=cfg.clahe_tiles, clip_limit=cfg.clahe_clip)
+        with self.profiler.stage("adapt.segmenter_branch"):
+            seg_img = unsharp_mask(den, amount=cfg.unsharp_amount, sigma=cfg.unsharp_sigma * scale)
+        self.cache.put("pipeline.adapt", key, (det_img, seg_img))
+        return (det_img, seg_img), False
+
+    @contextmanager
+    def adapt_ahead(self):
+        """Scope an adapt-ahead worker to one volume call on this thread.
+
+        Within the block :meth:`prefetch_adapt` runs the adaptation body on
+        one background thread.  On exit — normal return, deadline, injected
+        abort or grounding error alike — pending work is cancelled or
+        waited for, its results dropped and the worker joined.
+        """
+        tid = threading.get_ident()
+        ahead = self._ahead[tid] = _AdaptAhead(self)
+        try:
+            yield
+        finally:
+            del self._ahead[tid]
+            ahead.close()
+
+    def prefetch_adapt(self, image) -> None:
+        """Start adapting ``image`` on the worker; a no-op outside :meth:`adapt_ahead`."""
+        ahead = self._ahead.get(threading.get_ident())
+        if ahead is not None:
+            ahead.submit(*self._adapt_input(image))
 
     # -- grounding -------------------------------------------------------------
 
@@ -494,12 +606,14 @@ class ZenesisPipeline:
         # det_img here halves the peak memory of the adapted-slice store.
         seg_imgs: list[np.ndarray] = []
         detections: list[Detection] = []
-        with trace("volume.prepare", prompt=text, n_slices=n):
+        with trace("volume.prepare", prompt=text, n_slices=n), self.adapt_ahead():
             for z in range(n):
                 # Per-slice deadline check: a request whose budget expires
                 # mid-volume 504s at the next slice boundary instead of
                 # grinding through the remaining Z range first.
                 check_deadline(f"segment_volume (prepare slice {z})")
+                if z + 1 < n:
+                    self.prefetch_adapt(voxels[z + 1])
                 with trace("slice.prepare", slice=z):
                     det_img, seg_img = self.adapt(voxels[z])
                     detections.append(self.ground(det_img, text, slice_index=z))
@@ -755,10 +869,12 @@ class ZenesisPipeline:
         plan = get_fault_plan()
         registry = get_registry()
         per_slice_boxes: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        with trace("volume.stream_prepare", prompt=text, n_slices=n):
+        with trace("volume.stream_prepare", prompt=text, n_slices=n), self.adapt_ahead():
             prefetch = prefetcher_cls(stream)
-            for z, tile, _reason in prefetch:
+            for (z, tile, _reason), upcoming in _with_next(prefetch):
                 check_deadline(f"segment_volume_stream (prepare slice {z})")
+                if upcoming is not None:
+                    self.prefetch_adapt(upcoming[1])
                 with trace("slice.prepare", slice=z):
                     det_img, _seg_img = self.adapt(tile)
                     per_slice_boxes[z] = self.ground(det_img, text, slice_index=z).boxes
@@ -776,9 +892,9 @@ class ZenesisPipeline:
                 )
 
         coverage = [0.0] * n
-        with trace("volume.stream_segment", prompt=text, n_slices=n):
+        with trace("volume.stream_segment", prompt=text, n_slices=n), self.adapt_ahead():
             prefetch = prefetcher_cls(stream, skip=lambda z: z in done)
-            pending = iter(prefetch)
+            pending = _with_next(prefetch)
             for z in range(n):
                 check_deadline(f"segment_volume_stream (segment slice {z})")
                 if plan.active:
@@ -793,8 +909,10 @@ class ZenesisPipeline:
                             np.asarray(ckpt.load_slice(z), dtype=bool).mean()
                         )
                     else:
-                        pz, tile, _reason = next(pending)
+                        (pz, tile, _reason), upcoming = next(pending)
                         assert pz == z, f"prefetcher yielded slice {pz}, expected {z}"
+                        if upcoming is not None:
+                            self.prefetch_adapt(upcoming[1])
                         _det_img, seg_img = self.adapt(tile)
                         detection = self.ground(_det_img, text, slice_index=z)
                         mask, _per_box, _kinds = self.segment_with_boxes(
@@ -827,14 +945,17 @@ class ZenesisPipeline:
         coverage = [0.0] * n
         for z in range(start_z):
             coverage[z] = float(np.asarray(ckpt.load_slice(z), dtype=bool).mean())
-        with trace("volume.stream_propagate", prompt=text, n_slices=n):
+        with trace("volume.stream_propagate", prompt=text, n_slices=n), self.adapt_ahead():
+            tiles = _with_next(stream.fetch(z) for z in range(start_z, n))
             for z in range(start_z, n):
                 check_deadline(f"segment_volume_stream (propagate slice {z})")
                 if plan.active:
                     plan.crash_if("volume_crash", slice=z)
                     if plan.should_fire("volume_abort", slice=z):
                         raise PipelineError(f"injected volume_abort fault at slice {z}")
-                tile, reason = stream.fetch(z)
+                (tile, reason), upcoming = next(tiles)
+                if upcoming is not None:
+                    self.prefetch_adapt(upcoming[0])
                 with trace("slice.propagate", slice=z) as span:
                     mask, meta = engine.step(z, tile)
                     span.set(
@@ -892,12 +1013,14 @@ class ZenesisPipeline:
         plan = get_fault_plan()
         registry = get_registry()
         metas: dict[int, dict] = {}
-        with trace("volume.propagate", prompt=text, n_slices=n):
+        with trace("volume.propagate", prompt=text, n_slices=n), self.adapt_ahead():
             for z in range(start_z, n):
                 if plan.active:
                     plan.crash_if("volume_crash", slice=z)
                     if plan.should_fire("volume_abort", slice=z):
                         raise PipelineError(f"injected volume_abort fault at slice {z}")
+                if z + 1 < n:
+                    self.prefetch_adapt(voxels[z + 1])
                 with trace("slice.propagate", slice=z) as span:
                     mask, meta = engine.step(z, voxels[z])
                     span.set(

@@ -450,10 +450,13 @@ class JobRunner:
         # temporal context an uninterrupted run saw.
         detections = []
         span = tracer.begin("job.prepare", n_slices=n)
-        for z in range(n):
-            guard.check(f"segment_volume job (prepare slice {z})")
-            det_img, _ = pipeline.adapt(voxels[z])
-            detections.append(pipeline.ground(det_img, prompt, slice_index=z))
+        with pipeline.adapt_ahead():
+            for z in range(n):
+                guard.check(f"segment_volume job (prepare slice {z})")
+                if z + 1 < n:
+                    pipeline.prefetch_adapt(voxels[z + 1])
+                det_img, _ = pipeline.adapt(voxels[z])
+                detections.append(pipeline.ground(det_img, prompt, slice_index=z))
         per_slice_boxes = [d.boxes for d in detections]
         refinement = {"n_slices": n}
         if temporal:
@@ -671,15 +674,18 @@ class JobRunner:
         self._progress(job, worker_id, start_z, n, phase="propagate")
 
         span = tracer.begin("job.propagate", n_slices=n, start=start_z)
-        for z in range(start_z, n):
-            guard.check(f"segment_volume job (propagate slice {z})")
-            plan.crash_if("job_crash", slice=z)
-            mask, _ = engine.step(z, voxels[z])
-            masks[z] = mask
-            ckpt.save_slice(z, mask)
-            ckpt.save_state(STATE_NAME, engine.state.to_arrays())
-            get_registry().counter("repro_jobs_slices_total").inc()
-            self._progress(job, worker_id, z + 1, n, phase="propagate")
+        with pipeline.adapt_ahead():
+            for z in range(start_z, n):
+                guard.check(f"segment_volume job (propagate slice {z})")
+                plan.crash_if("job_crash", slice=z)
+                if z + 1 < n:
+                    pipeline.prefetch_adapt(voxels[z + 1])
+                mask, _ = engine.step(z, voxels[z])
+                masks[z] = mask
+                ckpt.save_slice(z, mask)
+                ckpt.save_state(STATE_NAME, engine.state.to_arrays())
+                get_registry().counter("repro_jobs_slices_total").inc()
+                self._progress(job, worker_id, z + 1, n, phase="propagate")
         tracer.finish(span)
         ckpt.finalize()
 

@@ -21,6 +21,10 @@ Design constraints:
   offsets and durations only.
 * **Thread-aware.**  The active-span stack is thread-local, so concurrent
   server requests each build their own subtree under the shared root.
+  Work a helper thread does *for* a span that opens later (adapt-ahead)
+  records under a :meth:`Tracer.detached` span the helper makes its
+  parent; the consumer then moves those spans into its own span with
+  :meth:`Tracer.graft`, so the tree reads as if it had done the work.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
@@ -141,6 +146,29 @@ class Tracer:
         if self.root.t1 is None:
             self.root.t1 = self._clock()
         return self
+
+    # -- cross-thread parenting -----------------------------------------------
+
+    def detached(self, name: str) -> Span:
+        """A span outside the tree, to parent another thread's spans."""
+        return Span(name, self._clock())
+
+    @contextmanager
+    def parented(self, span: Span):
+        """Open this thread's spans under ``span`` for the block."""
+        stack = self._stack()
+        stack.append(span)
+        try:
+            yield
+        finally:
+            span.t1 = self._clock()
+            stack.remove(span)
+
+    def graft(self, span: Span) -> None:
+        """Move the children of a finished detached ``span`` under the current span."""
+        parent = self.current
+        with self._lock:
+            parent.children.extend(span.children)
 
     # -- cross-process adoption ----------------------------------------------
 

@@ -9,6 +9,7 @@ from the scientific-python optimisation guide, every pipeline exposes its
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -88,10 +89,17 @@ class StageProfiler:
     Besides stage timings the profiler carries named integer *counters*
     (cache hits/misses/evictions, bytes per tier, …) so one object feeds
     both the timing table and the Fig. 8 dashboard's cache card.
+
+    Thread-safe: the adapt-ahead worker and concurrent jobs sharing one
+    pipeline record into the same profiler, so every update of a record or
+    counter happens under one lock.
     """
 
     records: dict[str, StageRecord] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
 
     @contextmanager
     def stage(self, name: str):
@@ -109,18 +117,21 @@ class StageProfiler:
             yield
         finally:
             dt = time.perf_counter() - t0
-            self.records.setdefault(name, StageRecord(name)).add(dt)
+            with self._lock:
+                self.records.setdefault(name, StageRecord(name)).add(dt)
             get_registry().histogram("repro_stage_seconds", stage=name).observe(dt)
             if tracer is not None:
                 tracer.finish(span)
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n``."""
-        self.counters[name] = self.counters.get(name, 0) + int(n)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + int(n)
 
     def set_counter(self, name: str, value: int) -> None:
         """Set counter ``name`` to an absolute value (gauges: bytes, entries)."""
-        self.counters[name] = int(value)
+        with self._lock:
+            self.counters[name] = int(value)
 
     def set_counters(self, values: dict[str, int]) -> None:
         """Bulk :meth:`set_counter` (e.g. a cache counter snapshot)."""
@@ -133,12 +144,13 @@ class StageProfiler:
 
     def merge(self, other: "StageProfiler") -> None:
         """Fold another profiler's records into this one (for Mode B workers)."""
-        for name, rec in other.records.items():
-            mine = self.records.setdefault(name, StageRecord(name))
-            mine.calls += rec.calls
-            mine.total_s += rec.total_s
-            mine.min_s = min(mine.min_s, rec.min_s)
-            mine.max_s = max(mine.max_s, rec.max_s)
+        with self._lock:
+            for name, rec in other.records.items():
+                mine = self.records.setdefault(name, StageRecord(name))
+                mine.calls += rec.calls
+                mine.total_s += rec.total_s
+                mine.min_s = min(mine.min_s, rec.min_s)
+                mine.max_s = max(mine.max_s, rec.max_s)
         for name, value in other.counters.items():
             self.count(name, value)
 

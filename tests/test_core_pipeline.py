@@ -1,20 +1,50 @@
 """Tests for the Zenesis pipeline (Mode A/B core)."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_mod
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.core.prompts import SpatialHints, TextPrompt
 from repro.core.results import SliceResult, VolumeResult
 from repro.data import make_sample
-from repro.errors import GroundingError, PromptError
+from repro.errors import DeadlineExceededError, GroundingError, PipelineError, PromptError
+from repro.io.lazy import ArrayLazyVolume
+from repro.jobs import runner as jobs_runner
+from repro.jobs.service import JobService
 from repro.metrics.overlap import iou
+from repro.resilience.policy import Deadline
+from repro.resilience.serving.lifecycle import request_scope
+
+PROMPT = "catalyst particles"
 
 #: sha1 of the meanbox mask stack of ``make_sample("crystalline", seed=0,
 #: shape=(128, 128), n_slices=3)`` for "catalyst particles".
 MEANBOX_GOLDEN_SHA1 = "b19d1fd2c264b13db47bda0495ab96f3fff20fd8"
+#: sha1 of the eager ``temporal_mode="propagate"`` mask stack of the same
+#: volume and prompt.
+PROPAGATE_GOLDEN_SHA1 = "d808f3f9f7c489ff88bf0be1fe683f8cbd1a78ff"
+GOLDEN = {"meanbox": MEANBOX_GOLDEN_SHA1, "propagate": PROPAGATE_GOLDEN_SHA1}
+
+
+def _golden_volume() -> np.ndarray:
+    return make_sample("crystalline", seed=0, shape=(128, 128), n_slices=3).volume.voxels
+
+
+def _sha1(masks: np.ndarray) -> str:
+    return hashlib.sha1(np.ascontiguousarray(masks).tobytes()).hexdigest()
+
+
+def _adapt_misses(pipeline: ZenesisPipeline) -> int:
+    ns = pipeline.cache.stats.namespaces.get("pipeline.adapt")
+    return 0 if ns is None else ns.misses
+
+
+def _adapt_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("repro-adapt-ahead")]
 
 
 class TestAdapt:
@@ -148,3 +178,173 @@ class TestSegmentVolume:
         assert masks.shape == vol.shape and masks.dtype == bool
         digest = hashlib.sha1(np.ascontiguousarray(masks).tobytes()).hexdigest()
         assert digest == MEANBOX_GOLDEN_SHA1
+
+    def test_propagate_masks_golden(self):
+        # The propagate counterpart of the meanbox golden above.
+        masks = ZenesisPipeline().segment_volume(_golden_volume(), PROMPT, temporal_mode="propagate").masks
+        assert _sha1(masks) == PROPAGATE_GOLDEN_SHA1
+
+    def test_propagate_stream_equals_eager(self, tmp_path):
+        vol = _golden_volume()
+        eager = ZenesisPipeline().segment_volume(vol, PROMPT, temporal_mode="propagate").masks
+        streamed = ZenesisPipeline().segment_volume_stream(
+            ArrayLazyVolume(vol), PROMPT, temporal_mode="propagate", checkpoint_dir=tmp_path / "ck"
+        )
+        assert np.array_equal(streamed.assemble_masks(), eager)
+
+
+class TestAdaptAhead:
+    """Slice z+1 is adapted on a worker while slice z is processed.
+
+    The worker runs the one adaptation body, so outputs, cache misses and
+    adaptation work per slice are exactly what a serial run has.
+    """
+
+    @pytest.mark.parametrize("mode", ["meanbox", "propagate"])
+    def test_cold_run_misses_adapt_once_per_slice(self, mode):
+        vol = _golden_volume()
+        pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode))
+        pipe.segment_volume(vol, PROMPT)
+        assert _adapt_misses(pipe) == vol.shape[0]
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_repeated_slices_add_no_adaptation(self, use_cache):
+        # The engine short-circuits slices 2 and 3 (verbatim repeats of
+        # slice 1) without adapting them, so neither may be scheduled.
+        vol = _golden_volume()
+        repeated = np.stack([vol[0], vol[1], vol[1], vol[1], vol[2]])
+        pipe = ZenesisPipeline(ZenesisConfig(temporal_mode="propagate", use_cache=use_cache))
+        result = pipe.segment_volume(repeated, PROMPT)
+        assert result.refinement_report["short_circuits"] == 2
+        assert _adapt_misses(pipe) == (3 if use_cache else 0)
+        assert pipe.profiler.records["adapt.denoise"].calls == 3
+
+    @pytest.mark.parametrize("mode", ["meanbox", "propagate"])
+    def test_uncached_run_adapts_each_slice_once(self, mode):
+        vol = _golden_volume()
+        cached = ZenesisPipeline(ZenesisConfig(temporal_mode=mode)).segment_volume(vol, PROMPT)
+        pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode, use_cache=False))
+        uncached = pipe.segment_volume(vol, PROMPT)
+        assert np.array_equal(uncached.masks, cached.masks)
+        assert pipe.profiler.records["adapt.denoise"].calls == vol.shape[0]
+
+    def test_adapt_outside_a_volume_call_is_serial(self, crystalline_sample):
+        pipe = ZenesisPipeline()
+        pipe.prefetch_adapt(crystalline_sample.volume.voxels[1])  # no scope: a no-op
+        assert not _adapt_threads()
+        det, seg = pipe.adapt(crystalline_sample.volume.voxels[1])
+        assert det.shape == seg.shape == (128, 128)
+        assert _adapt_misses(pipe) == 1
+
+
+class TestAdaptAheadCleanup:
+    """An aborted volume call leaves no worker thread and no in-flight result."""
+
+    @pytest.fixture
+    def scopes(self, monkeypatch):
+        created = []
+
+        class Recorded(pipeline_mod._AdaptAhead):
+            def __init__(self, pipeline):
+                super().__init__(pipeline)
+                created.append(self)
+
+        monkeypatch.setattr(pipeline_mod, "_AdaptAhead", Recorded)
+        return created
+
+    @staticmethod
+    def _assert_clean(pipe, scopes):
+        assert scopes, "the volume call opened no adapt-ahead scope"
+        assert not _adapt_threads()
+        assert pipe._ahead == {}
+        assert all(not scope._pending for scope in scopes)
+
+    @staticmethod
+    def _expire_after_slice(pipe, monkeypatch, z_last: int) -> Deadline:
+        """A deadline that runs out once slice ``z_last`` has been grounded."""
+        times = [0.0]
+        ground = pipe.ground
+
+        def grounded(*args, **kwargs):
+            det = ground(*args, **kwargs)
+            if kwargs.get("slice_index") == z_last:
+                times[0] = 5.0
+            return det
+
+        monkeypatch.setattr(pipe, "ground", grounded)
+        return Deadline(1.0, clock=lambda: times[0])
+
+    def test_volume_abort_then_golden(self, monkeypatch, scopes):
+        pipe = ZenesisPipeline(ZenesisConfig(temporal_mode="propagate"))
+        monkeypatch.setenv("REPRO_FAULTS", "volume_abort@slice=2")
+        with pytest.raises(PipelineError, match="volume_abort"):
+            pipe.segment_volume(_golden_volume(), PROMPT)
+        self._assert_clean(pipe, scopes)
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert _sha1(pipe.segment_volume(_golden_volume(), PROMPT).masks) == PROPAGATE_GOLDEN_SHA1
+
+    @pytest.mark.parametrize("mode", ["meanbox", "propagate"])
+    def test_expired_deadline_then_golden(self, mode, monkeypatch, scopes):
+        pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode))
+        # Propagation grounds slice 0 only; meanbox grounds every slice.
+        deadline = self._expire_after_slice(pipe, monkeypatch, 0 if mode == "propagate" else 1)
+        with request_scope(deadline):
+            with pytest.raises(DeadlineExceededError):
+                pipe.segment_volume(_golden_volume(), PROMPT)
+        self._assert_clean(pipe, scopes)
+        monkeypatch.undo()
+        assert _sha1(pipe.segment_volume(_golden_volume(), PROMPT).masks) == GOLDEN[mode]
+
+    def test_concurrent_calls_on_one_pipeline(self, monkeypatch, scopes):
+        """One call's abort and cleanup never touch another's in-flight work."""
+        pipe = ZenesisPipeline()
+        deadline = self._expire_after_slice(pipe, monkeypatch, 1)
+        out: dict[str, object] = {}
+
+        def aborted():
+            with request_scope(deadline):
+                try:
+                    pipe.segment_volume(_golden_volume(), PROMPT)
+                except DeadlineExceededError as exc:
+                    out["aborted"] = exc
+
+        def completed():
+            out["masks"] = pipe.segment_volume(_golden_volume(), PROMPT).masks
+
+        threads = [threading.Thread(target=aborted), threading.Thread(target=completed)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert isinstance(out.get("aborted"), DeadlineExceededError)
+        assert _sha1(out["masks"]) == MEANBOX_GOLDEN_SHA1
+        self._assert_clean(pipe, scopes)
+
+    @pytest.mark.parametrize("mode", ["meanbox", "propagate"])
+    def test_jobs_runner_memoised_pipeline(self, mode, tmp_path, monkeypatch, scopes):
+        """A job cancelled mid-volume, then a job on the same memoised pipeline."""
+        monkeypatch.setattr(jobs_runner, "_PIPELINE_MEMO", {})
+        svc = JobService(tmp_path / "jobs")
+        first = svc.submit_segment_volume(_golden_volume(), PROMPT, temporal_mode=mode)
+        second = svc.submit_segment_volume(_golden_volume(), PROMPT, temporal_mode=mode)
+        ground = ZenesisPipeline.ground
+
+        def grounded(pipe, *args, **kwargs):
+            # Cancel the first job once it has grounded slice 0: its guard
+            # stops it at the next slice, with slice 1 already in flight.
+            det = ground(pipe, *args, **kwargs)
+            rec = svc.store.get(first.job_id)
+            if not rec.cancel_requested and not rec.terminal:
+                rec.cancel_requested = True
+                svc.store.upsert(rec)
+            return det
+
+        monkeypatch.setattr(ZenesisPipeline, "ground", grounded)
+        assert svc.runner.run_until_idle() == 2
+        assert svc.result(first.job_id)["state"] == "cancelled"
+        res = svc.result(second.job_id)
+        assert res["state"] == "succeeded"
+        with np.load(res["result"]["masks_path"]) as bundle:
+            assert _sha1(bundle["masks"]) == GOLDEN[mode]
+        (pipe,) = jobs_runner._PIPELINE_MEMO.values()
+        self._assert_clean(pipe, scopes)

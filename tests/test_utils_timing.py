@@ -1,5 +1,7 @@
 """Tests for repro.utils.timing."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -126,6 +128,31 @@ class TestStageProfiler:
         assert prof.total() == pytest.approx(
             prof.records["a"].total_s + prof.records["b"].total_s
         )
+
+    def test_concurrent_stages_lose_no_calls(self):
+        # The adapt-ahead worker and its consumer record into one profiler
+        # at once; a tiny switch interval makes an unlocked ``calls += 1``
+        # lose updates reliably.
+        prof = StageProfiler()
+
+        def work():
+            for _ in range(10_000):
+                with prof.stage("x"):
+                    pass
+                prof.count("n")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(old)
+        assert prof.records["x"].calls == 20_000
+        assert prof.counters["n"] == 20_000
 
 
 class TestObservabilityHooks:
