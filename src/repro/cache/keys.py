@@ -32,25 +32,9 @@ def array_content_key(arr) -> str:
 
 
 def _canonical(obj):
-    """Reduce a config-like object to a deterministic, repr-stable form.
-
-    A dataclass may declare ``__fingerprint_exclude__`` (an iterable of
-    field names) to keep *output-invariant* knobs out of the fingerprint:
-    pure performance settings (batch sizes, tile hints) that change how
-    fast a result is computed but never its bytes.  Including them would
-    spuriously invalidate caches, checkpoints, and durable job identities
-    whenever someone tunes throughput.
-    """
+    """Reduce a config-like object to a deterministic, repr-stable form."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        exclude = frozenset(getattr(obj, "__fingerprint_exclude__", ()))
-        return (
-            type(obj).__name__,
-            [
-                (f.name, _canonical(getattr(obj, f.name)))
-                for f in fields(obj)
-                if f.name not in exclude
-            ],
-        )
+        return (type(obj).__name__, [(f.name, _canonical(getattr(obj, f.name))) for f in fields(obj)])
     if isinstance(obj, np.ndarray):
         return ("ndarray", array_content_key(obj))
     if isinstance(obj, dict):

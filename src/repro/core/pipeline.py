@@ -11,11 +11,12 @@ This is the paper's core contribution wired together:
    pipeline keeps the one most consistent with the text-grounded relevance
    (*grounded mask selection*), then unions the per-box masks and gates the
    union by the dilated high-relevance region.
-4. **Volumes**: per-slice detections pass through the temporal heuristic
-   (:mod:`repro.core.temporal`) before segmentation.  Every per-slice volume
-   loop adapts slice z+1 on a background worker while slice z is grounded
-   and decoded (*adapt-ahead*): adaptation is NumPy/SciPy work that releases
-   the GIL, so it overlaps with the GIL-bound stages after it.
+4. **Volumes**: one per-slice loop (:mod:`repro.core.driver`) runs the
+   temporal engine — the paper's sliding-window box heuristic
+   (:mod:`repro.core.temporal`) or mask propagation — and adapts slice z+1
+   on a background worker while slice z is grounded and decoded
+   (*adapt-ahead*): adaptation is NumPy/SciPy work that releases the GIL,
+   so it overlaps with the GIL-bound stages after it.
 
 Every stage is timed into a :class:`~repro.utils.timing.StageProfiler`.
 """
@@ -44,16 +45,15 @@ from ..models.sam.analytic import AnalyticMaskHead, MaskHypothesis
 from ..models.sam.model import Sam, SamPredictor
 from ..observability.metrics import get_registry
 from ..observability.trace import Span, Tracer, get_tracer, trace
-from ..resilience.checkpoint import CheckpointManager
 from ..resilience.events import events_snapshot, record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.policy import RetryPolicy
-from ..resilience.serving.lifecycle import check_deadline
 from ..utils.timing import StageProfiler
+from .driver import ENGINES, PHASES, drive_volume
 from .prompts import SpatialHints, TextPrompt
-from .propagation import PropagationConfig, PropagationEngine, resume_propagation
+from .propagation import PropagationConfig
 from .results import SliceResult, StreamResult, VolumeResult
-from .temporal import RefinementReport, TemporalConfig, refine_box_sequences
+from .temporal import TemporalConfig, refine_box_sequences  # noqa: F401 - re-exported
 
 __all__ = ["REFERENCE_PIXEL_NM", "ZenesisConfig", "ZenesisPipeline"]
 
@@ -66,17 +66,7 @@ REFERENCE_PIXEL_NM = 5.0
 
 @dataclass(frozen=True)
 class ZenesisConfig:
-    """End-to-end pipeline configuration.
-
-    ``__fingerprint_exclude__`` lists pure performance knobs — settings
-    whose value never changes a single output byte (batched and serial
-    encoding are bit-identical by construction, pinned in
-    ``tests/test_sam_encode_batch.py``).  They are left out of
-    :func:`~repro.cache.config_fingerprint` so retuning throughput does
-    not invalidate caches, checkpoints, or durable job identities.
-    """
-
-    __fingerprint_exclude__ = frozenset({"encode_batch_size"})
+    """End-to-end pipeline configuration."""
 
     dino_name: str = "swin_t"
     sam_name: str = "vit_t"
@@ -108,10 +98,6 @@ class ZenesisConfig:
     seed: int = 0
     strict_grounding: bool = False  # raise GroundingError when nothing grounds
     use_cache: bool = True  # content-addressed inference cache (--no-cache)
-    # Volume pre-encode: upcoming slices are pushed through the batched ViT
-    # encoder in chunks of this size (warming the sam.image cache) before the
-    # per-slice decode loop; <= 1 disables batching.
-    encode_batch_size: int = 8
     # Strict-mode grounding recovery: before raising GroundingError, retry
     # with both thresholds multiplied by grounding_relax per attempt.
     grounding_retries: int = 2
@@ -127,7 +113,7 @@ class ZenesisConfig:
     pixel_size_nm: float | None = None
 
     def __post_init__(self):
-        if self.temporal_mode not in ("meanbox", "propagate"):
+        if self.temporal_mode not in ENGINES:
             raise PipelineError(
                 f"temporal_mode must be 'meanbox' or 'propagate', got {self.temporal_mode!r}"
             )
@@ -145,26 +131,6 @@ class ZenesisConfig:
         if self.pixel_size_nm is None:
             return 1.0
         return float(np.clip(REFERENCE_PIXEL_NM / self.pixel_size_nm, 0.25, 4.0))
-
-
-def _with_next(items):
-    """Yield ``(item, next_item)`` pairs, reading one item ahead.
-
-    ``next_item`` is None after the last item, and also when reading it
-    failed: the error is raised where that item would have been yielded,
-    so a corrupt tile still fails at its own slice, after the slices
-    before it are done.
-    """
-    it = iter(items)
-    current = next(it, None)
-    while current is not None:
-        try:
-            upcoming = next(it, None)
-        except Exception:
-            yield current, None
-            raise
-        yield current, upcoming
-        current = upcoming
 
 
 class _AdaptAhead:
@@ -559,7 +525,7 @@ class ZenesisPipeline:
         the paper's sliding-window heuristic; ``"propagate"`` grounds only
         keyframes and propagates per-object memory masks in between (the
         ``temporal`` flag is ignored there — propagation *is* the temporal
-        model).
+        model).  Both run in :func:`~repro.core.driver.drive_volume`.
 
         With ``checkpoint_dir`` set, every completed slice mask is persisted
         (atomic manifest + ``.npy`` shards); ``resume=True`` then reloads
@@ -567,164 +533,70 @@ class ZenesisPipeline:
         re-segmenting them.  The checkpoint is fingerprinted by (volume
         content, prompt, config, temporal flag/mode) so stale checkpoints
         from a different job raise :class:`~repro.errors.CheckpointError`.
-        Adaptation and grounding are re-run on resume — temporal refinement
-        needs every slice's boxes, and both stages are deterministic (and
-        cached) — so resumed masks are bit-identical to an uninterrupted run.
-        In propagate mode the per-object memory state is itself shard-
-        checkpointed, so resume replays from the last completed slice with
-        the exact memory an uninterrupted run had there.
+        Meanbox re-runs adaptation and grounding on resume (the refinement
+        needs every slice's boxes); propagate restores its per-object memory
+        from a state shard.  Either way resumed masks are bit-identical.
         """
+        from ..io.lazy import ArrayLazyVolume
+
         text = prompt.text if isinstance(prompt, TextPrompt) else str(prompt)
         voxels = volume.voxels if isinstance(volume, ScientificVolume) else np.asarray(volume)
         if voxels.ndim != 3:
             raise GroundingError(f"segment_volume expects a 3-D volume, got shape {voxels.shape}")
         mode = temporal_mode if temporal_mode is not None else self.config.temporal_mode
-        if mode not in ("meanbox", "propagate"):
-            raise PipelineError(f"temporal_mode must be 'meanbox' or 'propagate', got {mode!r}")
-        if mode == "propagate":
-            return self._segment_volume_propagate(voxels, text, checkpoint_dir, resume)
-        n = voxels.shape[0]
-
-        ckpt: CheckpointManager | None = None
-        done: set[int] = set()
-        if checkpoint_dir is not None:
-            fingerprint = combine_keys(
-                array_content_key(voxels),
-                repr(text),
-                config_fingerprint(self.config),
-                f"temporal={bool(temporal)}",
-            )
-            ckpt = CheckpointManager(
-                checkpoint_dir, fingerprint=fingerprint, n_slices=n, meta={"prompt": text}
-            )
-            done = ckpt.load(resume=resume)
-            if done:
-                record_event("checkpoint.resumed_slices", len(done))
-        plan = get_fault_plan()
-
-        # Only the segmenter-branch image is needed after grounding; dropping
-        # det_img here halves the peak memory of the adapted-slice store.
-        seg_imgs: list[np.ndarray] = []
-        detections: list[Detection] = []
-        with trace("volume.prepare", prompt=text, n_slices=n), self.adapt_ahead():
-            for z in range(n):
-                # Per-slice deadline check: a request whose budget expires
-                # mid-volume 504s at the next slice boundary instead of
-                # grinding through the remaining Z range first.
-                check_deadline(f"segment_volume (prepare slice {z})")
-                if z + 1 < n:
-                    self.prefetch_adapt(voxels[z + 1])
-                with trace("slice.prepare", slice=z):
-                    det_img, seg_img = self.adapt(voxels[z])
-                    detections.append(self.ground(det_img, text, slice_index=z))
-                    seg_imgs.append(seg_img)
-
-        report = RefinementReport(n_slices=n)
-        per_slice_boxes = [d.boxes for d in detections]
-        if temporal:
-            with self.profiler.stage("temporal.refine"):
-                per_slice_boxes, report = refine_box_sequences(
-                    per_slice_boxes, self.config.temporal, image_shape=voxels.shape[1:]
-                )
-
-        # Pre-encode the slices the decode loop is about to visit through the
-        # batched ViT path: the embeddings land in the content-addressed
-        # sam.image cache (memory + disk tiers), so every set_image below —
-        # and any later re-prompt on the same slices — is a pure hit.  A
-        # no-op when caching is off (nowhere to park the embeddings) or the
-        # batch size disables it.
-        batch = self.config.encode_batch_size
-        if batch > 1 and self.cache.enabled:
-            pending = [z for z in range(n) if z not in done]
-            if pending:
-                with trace("volume.preencode", n_slices=len(pending)):
-                    with self.profiler.stage("sam.preencode"):
-                        for start in range(0, len(pending), batch):
-                            chunk = pending[start : start + batch]
-                            self.predictor.precompute_images([seg_imgs[z] for z in chunk])
-
-        slice_results: list[SliceResult] = []
         masks = np.zeros(voxels.shape, dtype=bool)
-        registry = get_registry()
-        with trace("volume.segment", prompt=text, n_slices=n):
-            for z in range(n):
-                check_deadline(f"segment_volume (segment slice {z})")
-                if plan.active:
-                    plan.crash_if("volume_crash", slice=z)
-                    if plan.should_fire("volume_abort", slice=z):
-                        raise PipelineError(f"injected volume_abort fault at slice {z}")
-                with trace("slice.segment", slice=z) as span:
-                    if ckpt is not None and z in done:
-                        span.set(resumed=True)
-                        registry.counter("repro_pipeline_resumed_slices_total").inc()
-                        mask = np.asarray(ckpt.load_slice(z), dtype=bool)
-                        masks[z] = mask
-                        slice_results.append(
-                            SliceResult(
-                                mask=mask,
-                                detection=detections[z],
-                                per_box_masks=(),
-                                per_box_kinds=(),
-                                prompt=text,
-                                profiler=self.profiler,
-                                metadata={"slice": z, "resumed": True},
-                            )
-                        )
-                        continue
-                    mask, per_box, kinds = self.segment_with_boxes(
-                        seg_imgs[z], detections[z], per_slice_boxes[z]
-                    )
-                    masks[z] = mask
-                    registry.counter("repro_pipeline_slices_total").inc()
-                    if ckpt is not None:
-                        ckpt.save_slice(z, mask)
-                    slice_results.append(
-                        SliceResult(
-                            mask=mask,
-                            detection=detections[z],
-                            per_box_masks=tuple(per_box),
-                            per_box_kinds=tuple(kinds),
-                            prompt=text,
-                            profiler=self.profiler,
-                            metadata={"slice": z},
-                        )
-                    )
-        if ckpt is not None:
-            ckpt.finalize()
+        infos: list[dict] = [{} for _ in range(voxels.shape[0])]
+
+        def keep(z: int, mask: np.ndarray, info: dict) -> None:
+            masks[z] = mask
+            infos[z] = info
+
+        run = drive_volume(
+            self,
+            ArrayLazyVolume(voxels),
+            text,
+            mode=mode,
+            temporal=temporal,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
+            on_slice=keep,
+        )
         self.profiler.set_counters(self.cache.counters())
         self.profiler.set_counters(events_snapshot())
         return VolumeResult(
             masks=masks,
-            slice_results=tuple(slice_results),
+            slice_results=tuple(
+                self._slice_result(z, masks[z], info, text, mode, run.last_detection)
+                for z, info in enumerate(infos)
+            ),
             prompt=text,
-            refinement_report=report.as_dict(),
+            refinement_report=run.report,
             profiler=self.profiler,
         )
 
-    # -- streaming (out-of-core) ---------------------------------------------------
-
-    def _stream_fingerprint(self, volume, text: str, extra: str) -> str:
-        """Checkpoint identity for a streamed volume: one hashing IO pass.
-
-        Corrupt tiles contribute a structural marker instead of bytes, so a
-        volume with a torn tail still has a *stable* identity across resume
-        attempts (the alternative — refusing to fingerprint — would make
-        exactly the damaged volumes the ones that cannot resume).
-        """
-        from hashlib import sha1
-
-        from ..errors import CorruptTileError
-
-        h = sha1()
-        h.update(repr((tuple(volume.shape), str(volume.dtype))).encode())
-        for z in range(volume.n_tiles):
-            try:
-                h.update(volume.tile_bytes(z))
-            except CorruptTileError as exc:
-                h.update(f"corrupt:{z}:{exc.kind}".encode())
-        return combine_keys(
-            h.hexdigest(), repr(text), config_fingerprint(self.config), extra, "stream"
+    def _slice_result(self, z, mask, info, text, mode, last_detection) -> SliceResult:
+        """One eager slice's result from the driver's per-slice ``info``."""
+        if mode == "propagate" and info.get("resumed"):
+            metadata = {"slice": z, "resumed": True, "propagated": True}
+            return SliceResult(mask=mask, detection=None, prompt=text, metadata=metadata)
+        if mode == "propagate" and not info.get("grounded"):
+            metadata = {"propagated": True, "slice": z, "confidence": info.get("confidence")}
+            return SliceResult(mask=mask, detection=last_detection, prompt=text, metadata=metadata)
+        if mode == "propagate":
+            metadata = {"slice": z, "grounded": True, "reason": info.get("reason")}
+        else:
+            metadata = {"slice": z, "resumed": True} if info.get("resumed") else {"slice": z}
+        return SliceResult(
+            mask=mask,
+            detection=info.get("detection"),
+            per_box_masks=info.get("per_box_masks", ()),
+            per_box_kinds=info.get("per_box_kinds", ()),
+            prompt=text,
+            profiler=self.profiler,
+            metadata=metadata,
         )
+
+    # -- streaming (out-of-core) ---------------------------------------------------
 
     def segment_volume_stream(
         self,
@@ -746,20 +618,17 @@ class ZenesisPipeline:
         materialized, and decoded tiles flow through a prefetch window
         bounded by ``policy.memory_budget_bytes``.
 
-        Clean data produces masks bit-identical to :meth:`segment_volume` on
-        the eagerly-loaded array: both paths run the same deterministic
-        adapt → ground → refine → decode per slice.  The meanbox engine
-        streams in two passes (boxes only are retained between them; pass 2
-        re-runs adaptation/grounding, which the content-addressed cache
-        serves when enabled) so temporal refinement sees every slice without
-        holding any.  Corrupt tiles follow ``policy.on_corrupt``: ``fail``
-        aborts, ``skip``/``degrade`` substitute data and record the slice in
-        the checkpoint manifest's degraded markers — the run *completes*.
+        This is the same one-pass driver as :meth:`segment_volume`, so clean
+        data produces bit-identical masks, and the checkpoints of the two
+        are interchangeable.  Corrupt tiles follow ``policy.on_corrupt``:
+        ``fail`` aborts after the slices before the corrupt one are
+        checkpointed, ``skip``/``degrade`` substitute data and record the
+        slice in the checkpoint manifest's degraded markers — the run
+        *completes*.
 
-        ``on_slice(z, phase, total)`` fires per slice (phases ``prepare`` /
-        ``segment`` / ``propagate``) — the jobs runner's progress hook.
+        ``on_slice(z, phase, total)`` fires per slice once it is
+        checkpointed; ``phase`` is ``segment`` (meanbox) or ``propagate``.
         """
-        from ..io.integrity import IngestPolicy, Prefetcher, TileStream
         from ..io.lazy import LazyVolume, open_lazy_volume
 
         if checkpoint_dir is None:
@@ -768,319 +637,43 @@ class ZenesisPipeline:
                 "live as checkpoint shards, not in memory"
             )
         text = prompt.text if isinstance(prompt, TextPrompt) else str(prompt)
+        mode = temporal_mode if temporal_mode is not None else self.config.temporal_mode
         owns_volume = not isinstance(source, LazyVolume)
         volume = open_lazy_volume(source) if owns_volume else source
         try:
-            return self._segment_volume_stream(
+            n = volume.n_tiles
+            coverage = [0.0] * n
+
+            def note(z: int, mask: np.ndarray, info: dict) -> None:
+                coverage[z] = float(mask.mean())
+                if on_slice is not None:
+                    on_slice(z, PHASES[mode], n)
+
+            run = drive_volume(
+                self,
                 volume,
                 text,
+                mode=mode,
                 temporal=temporal,
-                temporal_mode=temporal_mode,
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
-                policy=policy if policy is not None else IngestPolicy(),
-                on_slice=on_slice,
-                prefetcher_cls=Prefetcher,
-                stream_cls=TileStream,
+                meta={"source": volume.source_path},
+                policy=policy,
+                on_slice=note,
             )
         finally:
             if owns_volume:
                 volume.close()
-
-    def _segment_volume_stream(
-        self,
-        volume,
-        text: str,
-        *,
-        temporal: bool,
-        temporal_mode: str | None,
-        checkpoint_dir: Path | str,
-        resume: bool,
-        policy,
-        on_slice,
-        prefetcher_cls,
-        stream_cls,
-    ) -> StreamResult:
-        mode = temporal_mode if temporal_mode is not None else self.config.temporal_mode
-        if mode not in ("meanbox", "propagate"):
-            raise PipelineError(f"temporal_mode must be 'meanbox' or 'propagate', got {mode!r}")
-        n = volume.n_tiles
-        stream = stream_cls(volume, policy)
-        extra = "temporal_mode=propagate" if mode == "propagate" else f"temporal={bool(temporal)}"
-        with trace("volume.stream_fingerprint", n_slices=n):
-            fingerprint = self._stream_fingerprint(volume, text, extra)
-        ckpt = CheckpointManager(
-            checkpoint_dir,
-            fingerprint=fingerprint,
-            n_slices=n,
-            meta={"prompt": text, "stream": True, "source": volume.source_path},
-        )
-        done = ckpt.load(resume=resume)
-        if done:
-            record_event("checkpoint.resumed_slices", len(done))
-        registry = get_registry()
-        if mode == "propagate":
-            coverage = self._stream_propagate(volume, stream, text, ckpt, on_slice)
-            report = {"mode": "propagation", "temporal_mode": "propagate"}
-        else:
-            coverage, report = self._stream_meanbox(
-                volume, stream, text, ckpt, done, temporal, on_slice, prefetcher_cls
-            )
-        # Tiles the policy substituted this run; prior runs' markers are in
-        # the manifest meta already (merged by ckpt.load).
-        for z, reason in stream.degraded.items():
-            if z not in ckpt.degraded:
-                ckpt.mark_degraded(z, reason)
-        ckpt.finalize()
-        registry.gauge("repro_io_stream_degraded_slices").set(len(ckpt.degraded))
         self.profiler.set_counters(self.cache.counters())
         self.profiler.set_counters(events_snapshot())
         return StreamResult(
             n_slices=n,
             slice_shape=volume.tile_shape,
-            checkpoint_dir=str(ckpt.root),
+            checkpoint_dir=str(run.checkpoint.root),
             prompt=text,
             per_slice_coverage=tuple(coverage),
-            degraded=ckpt.degraded,
-            refinement_report=report if isinstance(report, dict) else report.as_dict(),
-            io_stats={
-                "n_tiles": n,
-                "tile_nbytes": volume.tile_nbytes,
-                "degraded": len(ckpt.degraded),
-                "quarantined": list(stream.quarantined),
-                "source": volume.source_path,
-                "meta": {k: v for k, v in volume.meta.items()},
-            },
-            profiler=self.profiler,
-        )
-
-    def _stream_meanbox(
-        self, volume, stream, text, ckpt, done, temporal, on_slice, prefetcher_cls
-    ):
-        """Two-pass streaming meanbox: boxes survive between passes, tiles don't.
-
-        Pass 1 grounds every slice and keeps only its boxes (a few hundred
-        bytes each).  Pass 2 re-fetches each tile, re-runs adaptation and
-        grounding (deterministic; cache-served when enabled) and decodes with
-        the refined boxes.  Identical per-slice computation to the eager
-        path — hence bit-identical masks — at O(prefetch window) memory.
-        """
-        n = volume.n_tiles
-        plan = get_fault_plan()
-        registry = get_registry()
-        per_slice_boxes: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        with trace("volume.stream_prepare", prompt=text, n_slices=n), self.adapt_ahead():
-            prefetch = prefetcher_cls(stream)
-            for (z, tile, _reason), upcoming in _with_next(prefetch):
-                check_deadline(f"segment_volume_stream (prepare slice {z})")
-                if upcoming is not None:
-                    self.prefetch_adapt(upcoming[1])
-                with trace("slice.prepare", slice=z):
-                    det_img, _seg_img = self.adapt(tile)
-                    per_slice_boxes[z] = self.ground(det_img, text, slice_index=z).boxes
-                if on_slice is not None:
-                    on_slice(z, "prepare", n)
-            registry.gauge("repro_io_stream_max_resident_bytes").set(
-                prefetch.max_resident_bytes
-            )
-
-        report = RefinementReport(n_slices=n)
-        if temporal:
-            with self.profiler.stage("temporal.refine"):
-                per_slice_boxes, report = refine_box_sequences(
-                    per_slice_boxes, self.config.temporal, image_shape=volume.tile_shape
-                )
-
-        coverage = [0.0] * n
-        with trace("volume.stream_segment", prompt=text, n_slices=n), self.adapt_ahead():
-            prefetch = prefetcher_cls(stream, skip=lambda z: z in done)
-            pending = _with_next(prefetch)
-            for z in range(n):
-                check_deadline(f"segment_volume_stream (segment slice {z})")
-                if plan.active:
-                    plan.crash_if("volume_crash", slice=z)
-                    if plan.should_fire("volume_abort", slice=z):
-                        raise PipelineError(f"injected volume_abort fault at slice {z}")
-                with trace("slice.segment", slice=z) as span:
-                    if z in done:
-                        span.set(resumed=True)
-                        registry.counter("repro_pipeline_resumed_slices_total").inc()
-                        coverage[z] = float(
-                            np.asarray(ckpt.load_slice(z), dtype=bool).mean()
-                        )
-                    else:
-                        (pz, tile, _reason), upcoming = next(pending)
-                        assert pz == z, f"prefetcher yielded slice {pz}, expected {z}"
-                        if upcoming is not None:
-                            self.prefetch_adapt(upcoming[1])
-                        _det_img, seg_img = self.adapt(tile)
-                        detection = self.ground(_det_img, text, slice_index=z)
-                        mask, _per_box, _kinds = self.segment_with_boxes(
-                            seg_img, detection, per_slice_boxes[z]
-                        )
-                        coverage[z] = float(mask.mean())
-                        registry.counter("repro_pipeline_slices_total").inc()
-                        if z in stream.degraded:
-                            ckpt.mark_degraded(z, stream.degraded[z])
-                        ckpt.save_slice(z, mask)
-                if on_slice is not None:
-                    on_slice(z, "segment", n)
-            gauge = registry.gauge("repro_io_stream_max_resident_bytes")
-            gauge.set(max(gauge.value, prefetch.max_resident_bytes))
-        return coverage, report
-
-    def _stream_propagate(self, volume, stream, text, ckpt, on_slice):
-        """One-pass streaming propagation: the engine is the only state."""
-        from .propagation import STATE_NAME
-
-        n = volume.n_tiles
-        engine = PropagationEngine(self, text, config=self.config.propagation)
-        start_z = 0
-        if ckpt.completed:
-            start_z = resume_propagation(ckpt, engine, None)
-            if start_z:
-                record_event("checkpoint.resumed_slices", start_z)
-        plan = get_fault_plan()
-        registry = get_registry()
-        coverage = [0.0] * n
-        for z in range(start_z):
-            coverage[z] = float(np.asarray(ckpt.load_slice(z), dtype=bool).mean())
-        with trace("volume.stream_propagate", prompt=text, n_slices=n), self.adapt_ahead():
-            tiles = _with_next(stream.fetch(z) for z in range(start_z, n))
-            for z in range(start_z, n):
-                check_deadline(f"segment_volume_stream (propagate slice {z})")
-                if plan.active:
-                    plan.crash_if("volume_crash", slice=z)
-                    if plan.should_fire("volume_abort", slice=z):
-                        raise PipelineError(f"injected volume_abort fault at slice {z}")
-                (tile, reason), upcoming = next(tiles)
-                if upcoming is not None:
-                    self.prefetch_adapt(upcoming[0])
-                with trace("slice.propagate", slice=z) as span:
-                    mask, meta = engine.step(z, tile)
-                    span.set(
-                        grounded=bool(meta.get("grounded", False)),
-                        n_objects=int(meta.get("n_objects", 0)),
-                    )
-                coverage[z] = float(mask.mean())
-                registry.counter("repro_pipeline_slices_total").inc()
-                if reason is not None:
-                    ckpt.mark_degraded(z, reason)
-                ckpt.save_slice(z, mask)
-                ckpt.save_state(STATE_NAME, engine.state.to_arrays())
-                if on_slice is not None:
-                    on_slice(z, "propagate", n)
-        return coverage
-
-    def _segment_volume_propagate(
-        self,
-        voxels: np.ndarray,
-        text: str,
-        checkpoint_dir: Path | str | None,
-        resume: bool,
-    ) -> VolumeResult:
-        """Memory-conditioned Mode B: keyframe grounding + mask propagation.
-
-        Forward streaming from slice 0; each completed slice persists its
-        mask shard *then* the serialized propagation memory, so a kill at
-        any instant resumes bit-identically (at most one slice recomputed).
-        """
-        from .propagation import STATE_NAME
-
-        n = voxels.shape[0]
-        engine = PropagationEngine(self, text, config=self.config.propagation)
-        masks = np.zeros(voxels.shape, dtype=bool)
-        ckpt: CheckpointManager | None = None
-        start_z = 0
-        if checkpoint_dir is not None:
-            fingerprint = combine_keys(
-                array_content_key(voxels),
-                repr(text),
-                config_fingerprint(self.config),
-                "temporal_mode=propagate",
-            )
-            ckpt = CheckpointManager(
-                checkpoint_dir,
-                fingerprint=fingerprint,
-                n_slices=n,
-                meta={"prompt": text, "temporal_mode": "propagate"},
-            )
-            ckpt.load(resume=resume)
-            if resume:
-                start_z = resume_propagation(ckpt, engine, masks)
-                if start_z:
-                    record_event("checkpoint.resumed_slices", start_z)
-        plan = get_fault_plan()
-        registry = get_registry()
-        metas: dict[int, dict] = {}
-        with trace("volume.propagate", prompt=text, n_slices=n), self.adapt_ahead():
-            for z in range(start_z, n):
-                if plan.active:
-                    plan.crash_if("volume_crash", slice=z)
-                    if plan.should_fire("volume_abort", slice=z):
-                        raise PipelineError(f"injected volume_abort fault at slice {z}")
-                if z + 1 < n:
-                    self.prefetch_adapt(voxels[z + 1])
-                with trace("slice.propagate", slice=z) as span:
-                    mask, meta = engine.step(z, voxels[z])
-                    span.set(
-                        grounded=bool(meta.get("grounded", False)),
-                        n_objects=int(meta.get("n_objects", 0)),
-                    )
-                masks[z] = mask
-                metas[z] = meta
-                registry.counter("repro_pipeline_slices_total").inc()
-                if ckpt is not None:
-                    ckpt.save_slice(z, mask)
-                    ckpt.save_state(STATE_NAME, engine.state.to_arrays())
-        if ckpt is not None:
-            ckpt.finalize()
-
-        slice_results: list[SliceResult] = []
-        last_detection = engine.last_detection
-        for z in range(n):
-            meta = metas.get(z)
-            if meta is None:  # restored from checkpoint
-                slice_results.append(
-                    SliceResult(
-                        mask=masks[z],
-                        detection=None,
-                        prompt=text,
-                        metadata={"slice": z, "resumed": True, "propagated": True},
-                    )
-                )
-            elif meta.get("grounded"):
-                slice_results.append(
-                    SliceResult(
-                        mask=masks[z],
-                        detection=meta.get("detection"),
-                        per_box_masks=meta.get("per_box_masks", ()),
-                        per_box_kinds=meta.get("per_box_kinds", ()),
-                        prompt=text,
-                        profiler=self.profiler,
-                        metadata={"slice": z, "grounded": True, "reason": meta.get("reason")},
-                    )
-                )
-            else:
-                slice_results.append(
-                    SliceResult(
-                        mask=masks[z],
-                        detection=last_detection,
-                        prompt=text,
-                        metadata={
-                            "propagated": True,
-                            "slice": z,
-                            "confidence": meta.get("confidence"),
-                        },
-                    )
-                )
-        self.profiler.set_counters(self.cache.counters())
-        self.profiler.set_counters(events_snapshot())
-        report = {"mode": "propagation", "temporal_mode": "propagate", **engine.state.stats()}
-        return VolumeResult(
-            masks=masks,
-            slice_results=tuple(slice_results),
-            prompt=text,
-            refinement_report=report,
+            degraded=run.degraded,
+            refinement_report=run.report,
+            io_stats=run.io_stats(),
             profiler=self.profiler,
         )

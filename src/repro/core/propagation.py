@@ -633,33 +633,25 @@ class PropagationEngine:
         return union
 
 
-def resume_propagation(ckpt, engine: PropagationEngine, masks: np.ndarray | None) -> int:
-    """Restore ``engine.state`` and completed masks from a checkpoint.
+def resume_propagation(ckpt, engine: PropagationEngine) -> int:
+    """Restore ``engine.state`` from a checkpoint; returns the first slice to compute.
 
-    Returns the first slice index still to be computed (0 when the
-    checkpoint has no usable propagation state).  A usable state requires
-    every mask shard up to ``state.z`` — the state shard is written *after*
-    the slice shard, so a crash between the two leaves shards ahead of the
-    state, which are simply recomputed (deterministically, to identical
-    bytes).
-
-    ``masks=None`` (the streaming path) verifies the shards are readable
-    without materializing them — the masks stay on disk.
+    Returns 0 when the checkpoint has no usable propagation state.  A
+    usable state requires every mask shard up to ``state.z`` — the state
+    shard is written *after* the slice shard, so a crash between the two
+    leaves shards ahead of the state, which are simply recomputed
+    (deterministically, to identical bytes).  The restored prefix's masks
+    stay in the checkpoint; the caller reads them back.
     """
     arrays = ckpt.load_state(STATE_NAME)
     if arrays is None:
         return 0
     state = PropagationState.from_arrays(arrays)
     z_done = state.z
-    n = ckpt.n_slices if masks is None else masks.shape[0]
-    if z_done < 0 or z_done >= n:
+    if z_done < 0 or z_done >= ckpt.n_slices:
         return 0
     if any(z not in ckpt.completed for z in range(z_done + 1)):
         return 0
-    for z in range(z_done + 1):
-        shard = np.asarray(ckpt.load_slice(z), dtype=bool)
-        if masks is not None:
-            masks[z] = shard
     engine.state = state
     return z_done + 1
 

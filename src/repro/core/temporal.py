@@ -6,13 +6,16 @@ The paper's remedy: *compute mean width/height across a fallback window of
 adjacent slices; boxes exceeding a height or width factor are replaced by
 the average box of previous slices.*
 
-:func:`refine_box_sequences` implements exactly that rule over a list of
-per-slice box arrays, returning the corrected sequence plus a report of
-every replacement (slice index, offending box, replacement source).
+:class:`BoxRefiner` implements exactly that rule one slice at a time (it
+is causal: only previous slices feed it), and :func:`refine_box_sequences`
+runs it over a list of per-slice box arrays, returning the corrected
+sequence plus a report of every replacement (slice index, offending box,
+replacement source).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +23,13 @@ import numpy as np
 from ..errors import ValidationError
 from .boxes import as_boxes
 
-__all__ = ["TemporalConfig", "RefinementReport", "refine_box_sequences", "box_dimension_stats"]
+__all__ = [
+    "TemporalConfig",
+    "RefinementReport",
+    "BoxRefiner",
+    "refine_box_sequences",
+    "box_dimension_stats",
+]
 
 
 @dataclass(frozen=True)
@@ -95,47 +104,53 @@ def _window_mean_box(history: list[np.ndarray], window: int) -> np.ndarray | Non
     return np.concatenate(recent, axis=0).mean(axis=0)
 
 
-def refine_box_sequences(
-    per_slice_boxes: list[np.ndarray],
-    config: TemporalConfig | None = None,
-    *,
-    image_shape: tuple[int, int] | None = None,
-) -> tuple[list[np.ndarray], RefinementReport]:
-    """Apply the sliding-window outlier rule to a Z-ordered box sequence.
+class BoxRefiner:
+    """The sliding-window outlier rule, fed one slice at a time.
 
-    Each element of ``per_slice_boxes`` is an ``(N_z, 4)`` XYXY array (N_z
-    may vary, including 0).  A box whose width or height exceeds
-    ``size_factor`` times the corresponding window-maximum dimension is
-    replaced by the window-mean box (recentred on the outlier by default);
-    slices with *no* boxes inherit the window-mean box too
-    (a grounding failure is the extreme outlier).  The input history used
-    for statistics is the already-refined prefix, so a run of bad slices
-    does not poison its own correction.
+    The rule is causal (slice z's boxes depend only on slices 0..z), so a
+    volume loop refines each slice as it is grounded.  :meth:`step` maps one
+    slice's raw boxes to its refined boxes; ``report`` accumulates every
+    replacement.  Only the last ``window`` refined slices are kept.
     """
-    cfg = config or TemporalConfig()
-    report = RefinementReport(n_slices=len(per_slice_boxes))
-    refined: list[np.ndarray] = []
-    for z, raw in enumerate(per_slice_boxes):
+
+    def __init__(
+        self, config: TemporalConfig | None = None, *, image_shape: tuple[int, int] | None = None
+    ) -> None:
+        self.config = config or TemporalConfig()
+        self.image_shape = image_shape
+        self.report = RefinementReport()
+        self._recent: deque[np.ndarray] = deque(maxlen=self.config.window)
+        self._n_nonempty = 0  # non-empty refined slices so far (min_history)
+
+    def step(self, raw: np.ndarray) -> np.ndarray:
+        """Refine the next slice's boxes; see :func:`refine_box_sequences`."""
+        out = self._refine(raw)
+        self._recent.append(out)
+        self._n_nonempty += bool(len(out))
+        return out
+
+    def _refine(self, raw: np.ndarray) -> np.ndarray:
+        cfg, report, image_shape = self.config, self.report, self.image_shape
+        z = report.n_slices
+        report.n_slices += 1
+        history = list(self._recent)
         boxes = as_boxes(raw) if len(raw) else np.zeros((0, 4))
         report.n_boxes_in += len(boxes)
-        dims = _window_max_dims(refined, cfg.window)
-        mean_box = _window_mean_box(refined, cfg.window)
-        have_history = sum(1 for h in refined if len(h)) >= cfg.min_history
+        dims = _window_max_dims(history, cfg.window)
+        mean_box = _window_mean_box(history, cfg.window)
+        have_history = self._n_nonempty >= cfg.min_history
 
         if len(boxes) == 0:
             if have_history and mean_box is not None:
-                refined.append(mean_box[None, :].copy())
                 report.n_replaced += 1
                 report.replacements.append(
                     {"slice": z, "reason": "empty", "replacement": mean_box.tolist()}
                 )
-            else:
-                refined.append(boxes)
-            continue
+                return mean_box[None, :].copy()
+            return boxes
 
         if not have_history or dims is None or mean_box is None:
-            refined.append(boxes)
-            continue
+            return boxes
 
         max_w, max_h = dims
         out = boxes.copy()
@@ -189,5 +204,26 @@ def refine_box_sequences(
             # Replacing several outliers with the same fallback box creates
             # duplicates; collapse them.
             out = np.unique(out, axis=0)
-        refined.append(out)
-    return refined, report
+        return out
+
+
+def refine_box_sequences(
+    per_slice_boxes: list[np.ndarray],
+    config: TemporalConfig | None = None,
+    *,
+    image_shape: tuple[int, int] | None = None,
+) -> tuple[list[np.ndarray], RefinementReport]:
+    """Apply the sliding-window outlier rule to a Z-ordered box sequence.
+
+    Each element of ``per_slice_boxes`` is an ``(N_z, 4)`` XYXY array (N_z
+    may vary, including 0).  A box whose width or height exceeds
+    ``size_factor`` times the corresponding window-maximum dimension is
+    replaced by the window-mean box (recentred on the outlier by default);
+    slices with *no* boxes inherit the window-mean box too
+    (a grounding failure is the extreme outlier).  The input history used
+    for statistics is the already-refined prefix, so a run of bad slices
+    does not poison its own correction.
+    """
+    refiner = BoxRefiner(config, image_shape=image_shape)
+    refined = [refiner.step(raw) for raw in per_slice_boxes]
+    return refined, refiner.report

@@ -49,7 +49,6 @@ import numpy as np
 
 from ..errors import CorruptTileError, RetryExhaustedError, ValidationError
 from ..observability.metrics import get_registry
-from ..observability.trace import trace
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.policy import RetryPolicy
@@ -261,9 +260,9 @@ class TileStream:
             for z in range(volume.n_tiles, len(self._expected)):
                 self.degraded[z] = f"{self.policy.on_corrupt}:torn"
         self.quarantined: list[str] = []
-        # Substituted tiles are pinned so a later pass over the same stream
-        # (the two-pass streaming pipeline) sees identical bytes even when
-        # the failure that produced them was transient or injected-once.
+        # Substituted tiles are pinned so a later fetch of the same tile
+        # sees identical bytes even when the failure that produced them was
+        # transient or injected-once.
         # Bounded by the number of corrupt tiles, not the volume.
         self._substituted: dict[int, np.ndarray] = {}
         self._registry = get_registry()
@@ -320,17 +319,16 @@ class TileStream:
         if z in self._substituted:
             return self._substituted[z], self.degraded.get(z)
         start = time.perf_counter()
-        with trace("io.fetch_tile", slice=z):
-            try:
-                tile = self._retry.call(
-                    lambda attempt: self._read_verified(z),
-                    key=f"io-tile-{z}",
-                    on_retry=lambda attempt, exc: self._on_retry(z, attempt, exc),
-                )
-            except (CorruptTileError, RetryExhaustedError) as exc:
-                tile, reason = self._apply_policy(z, exc)
-            else:
-                reason = None
+        try:
+            tile = self._retry.call(
+                lambda attempt: self._read_verified(z),
+                key=f"io-tile-{z}",
+                on_retry=lambda attempt, exc: self._on_retry(z, attempt, exc),
+            )
+        except (CorruptTileError, RetryExhaustedError) as exc:
+            tile, reason = self._apply_policy(z, exc)
+        else:
+            reason = None
         self._registry.counter("repro_io_tiles_read_total").inc()
         self._registry.counter("repro_io_bytes_read_total").inc(int(tile.nbytes))
         self._registry.histogram("repro_io_tile_read_seconds").observe(

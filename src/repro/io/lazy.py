@@ -632,6 +632,11 @@ class ArrayLazyVolume(LazyVolume):
     def _read_tile_raw(self, z: int) -> np.ndarray:
         return np.array(self.array[z], copy=True)
 
+    def tile_bytes(self, z: int) -> bytes:
+        # The array's own bytes (byte order included): a volume fingerprint
+        # over them equals the array's array_content_key.
+        return np.ascontiguousarray(self.array[z]).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Dispatcher

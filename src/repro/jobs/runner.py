@@ -2,17 +2,18 @@
 
 A :class:`JobRunner` owns a small pool of worker *threads* inside the
 serving process.  Each worker loops: acquire a lease from the scheduler,
-execute the payload, report terminal state.  The heavy lifting of a
-``segment_volume`` payload fans out through the existing
-:func:`repro.parallel.pool.run_partitioned` process pool, one *round* of
-slices at a time, with every completed slice persisted through
-:class:`~repro.resilience.CheckpointManager` — so a worker (or the whole
-process) killed mid-job resumes from the last completed slice shard and the
-final masks are bit-identical to an uninterrupted run.
-
-Determinism note: the decode stage receives the *full-sequence* temporally
-refined boxes from the coordinating thread, so masks are independent of the
-worker count and of where a resume happened — unlike the halo-approximate
+execute the payload, report terminal state.  A ``segment_volume`` payload
+is an adapter around the one volume driver
+(:func:`repro.core.driver.drive_volume`): it opens the job's input (the
+``.npy`` snapshot, or the streamed source), hooks progress, and serialises
+the result.  The driver persists every completed slice through
+:class:`~repro.resilience.CheckpointManager`, so a worker (or the whole
+process) killed mid-job resumes from the last completed slice shard and
+the final masks are bit-identical to an uninterrupted run.  With
+``n_workers > 1`` meanbox decode fans out through the
+:func:`repro.parallel.pool.run_partitioned` process pool, one round of
+``n_workers`` slices at a time; masks are independent of the worker count
+and of where a resume happened — unlike the halo-approximate
 ``segment_volume_batch`` path, which trades exactness for block locality.
 
 Cancellation rides the request-deadline machinery: the runner binds a
@@ -21,9 +22,9 @@ every per-slice ``check_deadline`` (or explicit ``guard.check()``) raises
 :class:`~repro.errors.JobCancelledError` once the record's cancel flag is
 set — no thread is ever killed, work stops at the next slice boundary.
 
-Fault hooks: ``job_crash`` (REPRO_FAULTS) hard-exits the process at the
-start of a decode round (``slice=N`` matches the first slice of the round),
-the job-queue twin of ``volume_crash``.
+Fault hooks: ``job_crash@slice=N`` (REPRO_FAULTS) hard-exits the process as
+slice N of a volume job begins, before its tile is processed — the
+job-queue twin of ``volume_crash``, firing at the same point of the driver.
 """
 
 from __future__ import annotations
@@ -32,19 +33,17 @@ import os
 import threading
 import time
 import traceback
+from hashlib import sha1
 from typing import Callable
 
 import numpy as np
 
-from ..cache import array_content_key, combine_keys, config_fingerprint
+from ..cache import array_content_key, config_fingerprint
+from ..core.driver import PHASES, drive_volume
 from ..core.pipeline import ZenesisConfig, ZenesisPipeline
-from ..errors import DeadlineExceededError, JobCancelledError, JobError, ReproError
+from ..errors import DeadlineExceededError, FormatError, JobCancelledError, JobError, ReproError
 from ..observability.metrics import get_registry
 from ..observability.trace import Tracer, export_spans
-from ..parallel.pool import run_partitioned
-from ..parallel.scheduler import block_partition
-from ..parallel.sharedmem import SharedArraySpec, SharedNDArray
-from ..resilience.checkpoint import CheckpointManager
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.policy import Deadline
@@ -66,11 +65,11 @@ class JobGuard:
     budget.  The ownership check is what stops a stalled worker from
     finishing a job another replica already reclaimed and double-writing
     the result: the moment the record names a different owner, the next
-    ``check`` aborts the round with :class:`JobCancelledError`.
+    ``check`` aborts the run with :class:`JobCancelledError`.
 
     Cross-process visibility: checks re-read the shared journal at most
     every ``lease_check_s`` (rate-limited — a per-slice refresh would turn
-    every decode round into journal IO).
+    every slice into journal IO).
     """
 
     def __init__(
@@ -124,13 +123,8 @@ class JobGuard:
         return self._deadline.expired if self._deadline is not None else False
 
 
-# -- decode worker (module-level: picklable by reference under fork) -----------
-
-#: Per-process pipeline memo so the inline (single-partition) pool path does
-#: not rebuild models every round; forked children inherit it copy-on-write.
-#: Keyed by config_fingerprint, which deliberately excludes output-invariant
-#: perf knobs (ZenesisConfig.__fingerprint_exclude__): configs differing only
-#: there share one pipeline — same bytes out, only throughput differs.
+#: Per-process pipeline memo, so consecutive jobs with one config share the
+#: models and the adaptation / inference caches of one pipeline.
 _PIPELINE_MEMO: dict[str, ZenesisPipeline] = {}
 
 
@@ -141,39 +135,6 @@ def _memo_pipeline(config: ZenesisConfig) -> ZenesisPipeline:
         pipeline = ZenesisPipeline(config)
         _PIPELINE_MEMO[key] = pipeline
     return pipeline
-
-
-def _decode_round(
-    partition,
-    vol_spec: SharedArraySpec,
-    out_spec: SharedArraySpec,
-    z_list: tuple[int, ...],
-    boxes_by_index: tuple,
-    config: ZenesisConfig,
-    prompt: str,
-) -> dict:
-    """Pool worker: decode one round's owned slices into the shared mask array.
-
-    ``partition.owned`` indexes into ``z_list`` (the round's absolute slice
-    numbers).  Adaptation and grounding re-run per slice — deterministic and
-    served from the (fork-inherited) content-addressed cache — while the
-    temporally refined boxes come precomputed from the coordinator, keeping
-    masks independent of worker count and of resume boundaries.
-    """
-    pipeline = _memo_pipeline(config)
-    vol = SharedNDArray.attach(vol_spec)
-    out = SharedNDArray.attach(out_spec)
-    try:
-        for i in partition.owned:
-            z = int(z_list[i])
-            det_img, seg_img = pipeline.adapt(vol.array[z])
-            detection = pipeline.ground(det_img, prompt, slice_index=z)
-            mask, _, _ = pipeline.segment_with_boxes(seg_img, detection, boxes_by_index[i])
-            out.array[z] = mask
-        return {"worker": partition.worker, "n_slices": len(partition.owned)}
-    finally:
-        vol.close()
-        out.close()
 
 
 class JobRunner:
@@ -385,326 +346,106 @@ class JobRunner:
         guard: JobGuard,
         tracer: Tracer,
         *,
-        voxels: np.ndarray | None = None,
         config: ZenesisConfig | None = None,
         prompt: str | None = None,
     ) -> dict:
-        """Checkpointed, pool-decoded Mode B; resume is bit-identical.
+        """Checkpointed Mode B over the job's input; resume is bit-identical.
 
-        ``voxels``/``config``/``prompt`` let the zoo handler reuse this
-        payload with a preset-built config and a lazily decoded volume; when
-        omitted, everything comes from the job params (the plain
-        ``segment_volume`` contract, unchanged).
+        The input is the ``.npy`` snapshot of a submitted array, or with the
+        ``stream`` param an on-disk source whose masks stay on disk as
+        shards (the result names the directory instead of embedding an
+        array).  ``config``/``prompt`` let the zoo handler run a
+        preset-built config; when omitted, everything comes from the job
+        params.
         """
-        params = job.params
-        if voxels is None:
-            if not job.input_path:
-                raise JobError("segment_volume job has no input_path volume snapshot")
-            if params.get("stream"):
-                return self._run_segment_volume_stream(job, worker_id, guard, tracer)
-            try:
-                voxels = np.load(job.input_path, allow_pickle=False)
-            except (OSError, ValueError) as exc:
-                raise JobError(f"cannot read job input {job.input_path}: {exc}") from exc
-        if voxels.ndim != 3:
-            raise JobError(f"job input must be a 3-D volume, got shape {voxels.shape}")
-        prompt = str(params.get("prompt", "")) if prompt is None else str(prompt)
-        temporal = bool(params.get("temporal", True))
-        if config is not None:
-            temporal_mode = config.temporal_mode
-        else:
-            temporal_mode = str(params.get("temporal_mode", "meanbox"))
-        if temporal_mode == "propagate":
-            return self._run_segment_volume_propagate(
-                job, worker_id, guard, tracer, voxels, prompt, config=config
-            )
-        n_decode_workers = max(1, int(params.get("n_workers", 1)))
-        round_size = max(1, int(params.get("round_slices", 1)))
-        config = config if config is not None else ZenesisConfig()
-        pipeline = _memo_pipeline(config)
-        n = voxels.shape[0]
-        plan = get_fault_plan()
-
-        # Same fingerprint recipe as ZenesisPipeline.segment_volume, so the
-        # shards are interchangeable with the CLI --checkpoint-dir path.
-        fingerprint = combine_keys(
-            array_content_key(voxels),
-            repr(prompt),
-            config_fingerprint(config),
-            f"temporal={temporal}",
-        )
-        ckpt = CheckpointManager(
-            job.checkpoint_dir,
-            fingerprint=fingerprint,
-            n_slices=n,
-            meta={"job_id": job.job_id, "prompt": prompt},
-        )
-        done = ckpt.load(resume=True)
-        if done:
-            record_event("checkpoint.resumed_slices", len(done))
-            get_registry().counter("repro_jobs_resumed_slices_total").inc(len(done))
-        self._progress(job, worker_id, len(done), n, phase="prepare")
-
-        # Prepare: adapt + ground every slice (deterministic, cached), then
-        # refine boxes over the FULL sequence — resume must see the same
-        # temporal context an uninterrupted run saw.
-        detections = []
-        span = tracer.begin("job.prepare", n_slices=n)
-        with pipeline.adapt_ahead():
-            for z in range(n):
-                guard.check(f"segment_volume job (prepare slice {z})")
-                if z + 1 < n:
-                    pipeline.prefetch_adapt(voxels[z + 1])
-                det_img, _ = pipeline.adapt(voxels[z])
-                detections.append(pipeline.ground(det_img, prompt, slice_index=z))
-        per_slice_boxes = [d.boxes for d in detections]
-        refinement = {"n_slices": n}
-        if temporal:
-            from ..core.temporal import refine_box_sequences
-
-            per_slice_boxes, report = refine_box_sequences(
-                per_slice_boxes, config.temporal, image_shape=voxels.shape[1:]
-            )
-            refinement = report.as_dict()
-        tracer.finish(span)
-
-        masks = np.zeros(voxels.shape, dtype=bool)
-        for z in sorted(done):
-            masks[z] = np.asarray(ckpt.load_slice(z), dtype=bool)
-        remaining = [z for z in range(n) if z not in done]
-
-        # Pre-encode the remaining slices through the batched ViT path
-        # before forking decode workers: the sam.image entries land in the
-        # coordinator's cache, children inherit them copy-on-write, and the
-        # disk tier shares them with replica processes — so per-slice
-        # set_image in the rounds below never re-runs the encoder.
-        batch = config.encode_batch_size
-        if batch > 1 and pipeline.cache.enabled and remaining:
-            span = tracer.begin("job.preencode", n_slices=len(remaining))
-            for start in range(0, len(remaining), batch):
-                chunk = remaining[start : start + batch]
-                guard.check(f"segment_volume job (pre-encode at slice {chunk[0]})")
-                # adapt() is a cache hit after the prepare loop above.
-                seg_chunk = [pipeline.adapt(voxels[z])[1] for z in chunk]
-                pipeline.predictor.precompute_images(seg_chunk)
-            tracer.finish(span)
-
-        # Decode in rounds through the shared-memory process pool; the
-        # coordinator checkpoints every slice of a finished round, so a kill
-        # loses at most one round of work.
-        span = tracer.begin("job.decode", n_remaining=len(remaining))
-        with SharedNDArray.from_array(voxels) as vol_shm, SharedNDArray.create(
-            voxels.shape, np.bool_
-        ) as out_shm:
-            completed = len(done)
-            while remaining:
-                round_z = tuple(remaining[: n_decode_workers * round_size])
-                remaining = remaining[len(round_z) :]
-                guard.check(f"segment_volume job (round at slice {round_z[0]})")
-                plan.crash_if("job_crash", slice=round_z[0])
-                partitions = block_partition(len(round_z), n_decode_workers)
-                round_boxes = tuple(per_slice_boxes[z] for z in round_z)
-                run_partitioned(
-                    _decode_round,
-                    partitions,
-                    vol_shm.spec,
-                    out_shm.spec,
-                    round_z,
-                    round_boxes,
-                    config,
-                    prompt,
-                    timeout_s=guard.clamp(self.decode_timeout_s),
-                )
-                for z in round_z:
-                    mask = np.array(out_shm.array[z], dtype=bool, copy=True)
-                    masks[z] = mask
-                    ckpt.save_slice(z, mask)
-                    completed += 1
-                    get_registry().counter("repro_jobs_slices_total").inc()
-                self._progress(job, worker_id, completed, n, phase="decode")
-        tracer.finish(span)
-        ckpt.finalize()
-
-        out_path = self.store.result_path(job.job_id)
-        np.savez_compressed(out_path, masks=masks)
-        return {
-            "n_slices": n,
-            "volume_fraction": float(masks.mean()),
-            "per_slice_coverage": [float(m.mean()) for m in masks],
-            "refinement": refinement,
-            "resumed_slices": int(len(done)),
-            "masks_path": str(out_path),
-            "masks_key": array_content_key(masks),
-        }
-
-    def _run_segment_volume_stream(
-        self,
-        job: JobRecord,
-        worker_id: str,
-        guard: JobGuard,
-        tracer: Tracer,
-        *,
-        config: ZenesisConfig | None = None,
-        prompt: str | None = None,
-    ) -> dict:
-        """Streamed Mode B: the voxels are never fully resident.
-
-        The pipeline's own streaming engine does the work — its per-slice
-        ``check_deadline`` flows through the bound :class:`JobGuard` (cancel
-        and lease-loss stop the run at a slice boundary), and its checkpoint
-        shards under ``job.checkpoint_dir`` make SIGKILL/reclaim resume
-        bit-identical.  Masks stay on disk as shards; the result names the
-        directory instead of embedding an array.
-        """
-        from hashlib import sha1
-
-        from ..errors import FormatError
         from ..io.integrity import IngestPolicy
         from ..io.lazy import open_lazy_volume
 
         params = job.params
+        if not job.input_path:
+            raise JobError(f"{job.kind} job has no input_path volume snapshot")
         prompt = str(params.get("prompt", "")) if prompt is None else str(prompt)
-        temporal = bool(params.get("temporal", True))
-        if config is not None:
-            temporal_mode = config.temporal_mode
-        else:
-            temporal_mode = str(params.get("temporal_mode", "meanbox"))
-            config = ZenesisConfig(temporal_mode=temporal_mode)
-        policy = IngestPolicy(
-            on_corrupt=str(params.get("on_corrupt", "fail")),
-            memory_budget_bytes=max(
-                1, int(float(params.get("memory_budget_mb", 64.0)) * 1024 * 1024)
-            ),
-        )
-        pipeline = _memo_pipeline(config)
-        plan = get_fault_plan()
-
-        def on_slice(z: int, phase: str, total: int) -> None:
-            get_registry().counter("repro_jobs_slices_total").inc()
-            self._progress(job, worker_id, z + 1, total, phase=f"stream_{phase}")
-            plan.crash_if("job_crash", slice=z)
-
-        span = tracer.begin("job.stream", source=job.input_path)
+        if config is None:
+            config = ZenesisConfig(temporal_mode=str(params.get("temporal_mode", "meanbox")))
+        mode = config.temporal_mode
+        streamed = bool(params.get("stream"))
+        policy = None
+        if streamed:
+            policy = IngestPolicy(
+                on_corrupt=str(params.get("on_corrupt", "fail")),
+                memory_budget_bytes=max(
+                    1, int(float(params.get("memory_budget_mb", 64.0)) * 1024 * 1024)
+                ),
+            )
+        registry = get_registry()
+        span = tracer.begin("job.volume", source=job.input_path, temporal_mode=mode)
         try:
             with open_lazy_volume(job.input_path) as volume:
-                result = pipeline.segment_volume_stream(
+                n = volume.n_tiles
+                masks = None if streamed else np.zeros(volume.shape, dtype=bool)
+                coverage = [0.0] * n
+                shards = sha1()
+
+                def on_slice(z: int, mask: np.ndarray, info: dict) -> None:
+                    coverage[z] = float(mask.mean())
+                    if masks is None:
+                        shards.update(np.ascontiguousarray(mask, dtype=bool).tobytes())
+                    else:
+                        masks[z] = mask
+                    if not info.get("resumed"):
+                        registry.counter("repro_jobs_slices_total").inc()
+                    self._progress(job, worker_id, z + 1, n, phase=PHASES[mode])
+
+                run = drive_volume(
+                    _memo_pipeline(config),
                     volume,
                     prompt,
-                    temporal=temporal,
-                    temporal_mode=temporal_mode,
+                    mode=mode,
+                    temporal=bool(params.get("temporal", True)),
                     checkpoint_dir=job.checkpoint_dir,
                     resume=True,
+                    meta={"job_id": job.job_id, "source": volume.source_path},
                     policy=policy,
                     on_slice=on_slice,
+                    n_workers=max(1, int(params.get("n_workers", 1))),
+                    decode_timeout_s=self.decode_timeout_s,
+                    crash_fault="job_crash",
                 )
         except FormatError as exc:
-            raise JobError(f"cannot stream job input {job.input_path}: {exc}") from exc
+            raise JobError(f"cannot read job input {job.input_path}: {exc}") from exc
         finally:
             tracer.finish(span)
+        if run.resumed:
+            registry.counter("repro_jobs_resumed_slices_total").inc(run.resumed)
 
-        # Content-address the mask shards without materializing the stack.
-        h = sha1()
-        for _, mask in result.iter_masks():
-            h.update(np.ascontiguousarray(mask).tobytes())
-        coverage = list(result.per_slice_coverage)
-        return {
-            "n_slices": result.n_slices,
-            "stream": True,
-            "volume_fraction": float(sum(coverage) / max(len(coverage), 1)),
+        result = {
+            "n_slices": n,
+            "temporal_mode": mode,
             "per_slice_coverage": coverage,
-            "degraded": {str(z): r for z, r in sorted(result.degraded.items())},
-            "refinement": dict(result.refinement_report),
-            "io_stats": {
-                k: v for k, v in result.io_stats.items() if k != "meta"
-            },
-            "masks_dir": result.checkpoint_dir,
-            "masks_key": h.hexdigest(),
+            "refinement": run.report,
+            "resumed_slices": run.resumed,
         }
-
-    def _run_segment_volume_propagate(
-        self,
-        job: JobRecord,
-        worker_id: str,
-        guard: JobGuard,
-        tracer: Tracer,
-        voxels: np.ndarray,
-        prompt: str,
-        *,
-        config: ZenesisConfig | None = None,
-    ) -> dict:
-        """Memory-conditioned Mode B job: keyframe grounding + propagation.
-
-        Propagation is inherently sequential (each slice's prompts derive
-        from the previous slice's memory), so there is no decode pool here;
-        instead every slice persists its mask shard *and* the serialized
-        per-object memory, making SIGKILL/reclaim resume bit-identical.
-        Cancellation/lease-loss is honored at every slice boundary — the
-        engine calls ``check_deadline`` per step and the bound ``JobGuard``
-        duck-types the deadline.
-        """
-        from ..core.propagation import STATE_NAME, PropagationEngine, resume_propagation
-
-        if config is None:
-            config = ZenesisConfig(temporal_mode="propagate")
-        pipeline = _memo_pipeline(config)
-        n = voxels.shape[0]
-        plan = get_fault_plan()
-
-        # Same fingerprint recipe as ZenesisPipeline._segment_volume_propagate,
-        # so the shards are interchangeable with the CLI --checkpoint-dir path.
-        fingerprint = combine_keys(
-            array_content_key(voxels),
-            repr(prompt),
-            config_fingerprint(config),
-            "temporal_mode=propagate",
-        )
-        ckpt = CheckpointManager(
-            job.checkpoint_dir,
-            fingerprint=fingerprint,
-            n_slices=n,
-            meta={"job_id": job.job_id, "prompt": prompt, "temporal_mode": "propagate"},
-        )
-        ckpt.load(resume=True)
-        engine = PropagationEngine(pipeline, prompt, config=config.propagation)
-        masks = np.zeros(voxels.shape, dtype=bool)
-        start_z = resume_propagation(ckpt, engine, masks)
-        if start_z:
-            record_event("checkpoint.resumed_slices", start_z)
-            get_registry().counter("repro_jobs_resumed_slices_total").inc(start_z)
-        self._progress(job, worker_id, start_z, n, phase="propagate")
-
-        span = tracer.begin("job.propagate", n_slices=n, start=start_z)
-        with pipeline.adapt_ahead():
-            for z in range(start_z, n):
-                guard.check(f"segment_volume job (propagate slice {z})")
-                plan.crash_if("job_crash", slice=z)
-                if z + 1 < n:
-                    pipeline.prefetch_adapt(voxels[z + 1])
-                mask, _ = engine.step(z, voxels[z])
-                masks[z] = mask
-                ckpt.save_slice(z, mask)
-                ckpt.save_state(STATE_NAME, engine.state.to_arrays())
-                get_registry().counter("repro_jobs_slices_total").inc()
-                self._progress(job, worker_id, z + 1, n, phase="propagate")
-        tracer.finish(span)
-        ckpt.finalize()
-
+        if masks is None:
+            result.update(
+                stream=True,
+                volume_fraction=float(sum(coverage) / max(n, 1)),
+                degraded={str(z): r for z, r in sorted(run.degraded.items())},
+                io_stats={k: v for k, v in run.io_stats().items() if k != "meta"},
+                masks_dir=str(run.checkpoint.root),
+                masks_key=shards.hexdigest(),
+            )
+            return result
         out_path = self.store.result_path(job.job_id)
         np.savez_compressed(out_path, masks=masks)
-        return {
-            "n_slices": n,
-            "volume_fraction": float(masks.mean()),
-            "per_slice_coverage": [float(m.mean()) for m in masks],
-            "refinement": {"mode": "propagation", **engine.state.stats()},
-            "temporal_mode": "propagate",
-            "resumed_slices": int(start_z),
-            "masks_path": str(out_path),
-            "masks_key": array_content_key(masks),
-        }
+        result.update(
+            volume_fraction=float(masks.mean()),
+            masks_path=str(out_path),
+            masks_key=array_content_key(masks),
+        )
+        return result
 
     def _load_lazy_voxels(self, path: str) -> np.ndarray:
         """Materialize a snapshotted volume (tiff / npy / slice dir) eagerly."""
-        from ..errors import FormatError
         from ..io.lazy import open_lazy_volume
 
         try:
@@ -718,8 +459,8 @@ class JobRunner:
     ) -> dict:
         """One zoo job: a preset-built config in BEST or ENSEMBLE mode.
 
-        BEST reuses the plain segment-volume payloads (eager pool decode or
-        the streaming engine) with the preset's config and prompt; ENSEMBLE
+        BEST reuses the plain segment-volume payload with the preset's
+        config and prompt; ENSEMBLE
         runs the member grid with per-member checkpoint sub-directories, so
         every mode inherits the bit-identical SIGKILL-resume story.
         """
@@ -751,16 +492,9 @@ class JobRunner:
 
         if mode == "best":
             config = preset.build_config(pixel_size_nm=pixel_size_nm)
-            if params.get("stream"):
-                result = self._run_segment_volume_stream(
-                    job, worker_id, guard, tracer, config=config, prompt=preset.prompt
-                )
-            else:
-                voxels = self._load_lazy_voxels(job.input_path)
-                result = self._run_segment_volume(
-                    job, worker_id, guard, tracer,
-                    voxels=voxels, config=config, prompt=preset.prompt,
-                )
+            result = self._run_segment_volume(
+                job, worker_id, guard, tracer, config=config, prompt=preset.prompt
+            )
             result.update(zoo_fields)
             return result
 

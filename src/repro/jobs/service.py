@@ -100,7 +100,6 @@ class JobService:
         temporal: bool = True,
         temporal_mode: str = "meanbox",
         n_workers: int = 1,
-        round_slices: int = 1,
         deadline_s: float | None = None,
         priority: int = 0,
         max_attempts: int | None = None,
@@ -124,7 +123,6 @@ class JobService:
             "temporal": bool(temporal),
             "temporal_mode": str(temporal_mode),
             "n_workers": int(n_workers),
-            "round_slices": int(round_slices),
         }
         if deadline_s is not None:
             params["deadline_s"] = float(deadline_s)
@@ -156,8 +154,8 @@ class JobService:
         The volume is snapshotted by copying the source file (or slice
         directory) — plus its checksum sidecar, when present — into
         ``jobs/inputs/``; the runner opens it as a
-        :class:`~repro.io.LazyVolume` and streams it through checkpointed
-        decode rounds, so the voxels are never fully resident.  This is the
+        :class:`~repro.io.LazyVolume` and streams it slice by slice with
+        per-slice checkpoints, so the voxels are never fully resident.  This is the
         upload-by-path route for volumes too large to post through the API.
         """
         from ..io.integrity import sidecar_path

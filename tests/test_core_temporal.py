@@ -81,6 +81,14 @@ class TestRefine:
         refined, report = refine_box_sequences(boxes)
         assert len(refined[0]) == 0  # no history to fall back on
 
+    def test_min_history_counts_only_slices_with_boxes(self):
+        # One box-bearing slice before the outlier: with min_history=2 the
+        # leading empty slice must not count as history.
+        boxes = _seq(np.zeros((0, 4)), [[10, 10, 30, 30]], [[0, 0, 220, 220]])
+        refined, report = refine_box_sequences(boxes, TemporalConfig(min_history=2))
+        assert report.n_replaced == 0
+        assert np.array_equal(refined[2], boxes[2])
+
     def test_first_slice_never_replaced(self):
         boxes = _seq([[0, 0, 200, 200]], [[10, 10, 30, 30]])
         refined, report = refine_box_sequences(boxes)

@@ -215,21 +215,23 @@ class TestCorruptPolicies:
     ):
         # The loop reads one tile ahead to adapt it early; a tile that fails
         # to read must still fail at its own slice, after slice 1 is saved.
-        config = ZenesisConfig(temporal_mode="propagate")
-        ckpt = tmp_path / "ck"
-        monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=2&times=-1")
-        with pytest.raises(CorruptTileError):
-            ZenesisPipeline(config).segment_volume_stream(tiff_path, PROMPT, checkpoint_dir=ckpt)
-        assert sorted(p.name for p in ckpt.glob("slice_*.npy")) == [
-            "slice_00000.npy",
-            "slice_00001.npy",
-        ]
-        monkeypatch.delenv("REPRO_FAULTS")
-        resumed = ZenesisPipeline(config).segment_volume_stream(
-            tiff_path, PROMPT, checkpoint_dir=ckpt, resume=True
-        )
-        eager = ZenesisPipeline(config).segment_volume(stream_vol, PROMPT).masks
-        assert np.array_equal(_stream_masks(resumed), eager)
+        # Both engines run the one-pass driver, so both keep slices 0-1.
+        for mode in ("meanbox", "propagate"):
+            config = ZenesisConfig(temporal_mode=mode)
+            ckpt = tmp_path / f"ck-{mode}"
+            monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=2&times=-1")
+            with pytest.raises(CorruptTileError):
+                ZenesisPipeline(config).segment_volume_stream(tiff_path, PROMPT, checkpoint_dir=ckpt)
+            assert sorted(p.name for p in ckpt.glob("slice_*.npy")) == [
+                "slice_00000.npy",
+                "slice_00001.npy",
+            ]
+            monkeypatch.delenv("REPRO_FAULTS")
+            resumed = ZenesisPipeline(config).segment_volume_stream(
+                tiff_path, PROMPT, checkpoint_dir=ckpt, resume=True
+            )
+            eager = ZenesisPipeline(config).segment_volume(stream_vol, PROMPT).masks
+            assert np.array_equal(_stream_masks(resumed), eager)
 
     def test_degrade_completes_and_marks_manifest(self, tiff_path, tmp_path, monkeypatch):
         with open_lazy_volume(tiff_path) as lazy:

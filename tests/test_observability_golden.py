@@ -86,10 +86,22 @@ class TestGoldenTrace:
                 walk(child)
 
         walk(golden)
-        assert "volume.prepare" in names
-        assert "volume.segment" in names
-        assert names.count("slice.prepare") == 2
-        assert names.count("slice.segment") == 2
+        # One pass: each slice's adapt, ground, refine and decode nest under
+        # its own slice.segment span.
+        assert [c["name"] for c in golden["children"]] == ["volume.segment"]
+        slices = golden["children"][0]["children"]
+        assert [s["attrs"]["slice"] for s in slices] == [0, 1]
+        for s in slices:
+            assert s["name"] == "slice.segment"
+            assert [c["name"] for c in s["children"]] == [
+                "pipeline.adapt",
+                "pipeline.ground",
+                "temporal.refine",
+                "sam.set_image",
+                "sam.box_prompts",
+                "gate.relevance",
+            ]
+        assert names.count("slice.prepare") == 0
 
 
 def _walk_spans(node, out=None):

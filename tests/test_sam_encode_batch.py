@@ -1,11 +1,9 @@
-"""Batched slice encoding: bit-exactness, cache warming, pipeline wiring."""
+"""Batched slice encoding: bit-exactness and cache warming."""
 
 import numpy as np
 import pytest
 
 from repro.cache import MISS, CacheConfig, InferenceCache, array_content_key, combine_keys
-from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
-from repro.data import make_sample
 from repro.models.nn.embeddings import (
     clear_sincos_cache,
     sincos_position_embedding,
@@ -178,50 +176,6 @@ class TestTierKeySegregation:
         with precision("fast"):
             assert dino._config_fp() != exact_fp
         assert dino._config_fp() == exact_fp
-
-
-class TestPipelinePreencode:
-    def test_volume_masks_identical_with_and_without_preencode(self):
-        vol = make_sample("crystalline", shape=(64, 64), n_slices=3).volume.voxels
-        base = ZenesisPipeline(ZenesisConfig(encode_batch_size=1))
-        pre = ZenesisPipeline(ZenesisConfig(encode_batch_size=8))
-        a = base.segment_volume(vol, "catalyst particles")
-        b = pre.segment_volume(vol, "catalyst particles")
-        assert np.array_equal(a.masks, b.masks)
-
-    def test_preencode_stage_profiled(self):
-        vol = make_sample("crystalline", shape=(64, 64), n_slices=2).volume.voxels
-        pipeline = ZenesisPipeline(ZenesisConfig(encode_batch_size=4))
-        pipeline.segment_volume(vol, "catalyst particles")
-        assert "sam.preencode" in pipeline.profiler.records
-
-    def test_preencode_makes_set_image_a_pure_hit(self):
-        vol = make_sample("crystalline", shape=(64, 64), n_slices=2).volume.voxels
-        pipeline = ZenesisPipeline(ZenesisConfig(encode_batch_size=4))
-        encoder = pipeline.sam.image_encoder
-        batch_calls, serial_calls = [], []
-        original_batch = encoder.encode_batch
-
-        def counting_batch(images):
-            batch_calls.append(len(images))
-            return original_batch(images)
-
-        encoder.encode_batch = counting_batch
-        # The serial __call__ path only runs on a sam.image miss inside
-        # set_image; after pre-encode there must be none.
-        real_call = ImageEncoderViT.__call__
-
-        def counting_serial(self_, image):
-            serial_calls.append(1)
-            return real_call(self_, image)
-
-        try:
-            ImageEncoderViT.__call__ = counting_serial
-            pipeline.segment_volume(vol, "catalyst particles")
-        finally:
-            ImageEncoderViT.__call__ = real_call
-        assert sum(batch_calls) == 2
-        assert serial_calls == []
 
 
 class TestSincosCache:

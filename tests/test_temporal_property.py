@@ -5,6 +5,9 @@ Covers the two temporal engines' invariants:
 * ``refine_box_sequences`` — non-outlier boxes pass through unchanged,
   refined boxes are always finite and (when an image shape is given) within
   bounds, and every replacement report entry indexes a real slice;
+* ``BoxRefiner`` — fed slice by slice, it equals ``refine_box_sequences``
+  on the whole list (boxes and report), whatever the window, history and
+  recentring settings;
 * the propagation confidence gate — the EMA update is bounded and monotone,
   identical slices drive engine confidence monotonically upward, and
   meanbox/propagate agree exactly on a static volume.
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.core.propagation import PropagationConfig, PropagationEngine
-from repro.core.temporal import TemporalConfig, refine_box_sequences
+from repro.core.temporal import BoxRefiner, TemporalConfig, refine_box_sequences
 from repro.data.datasets import make_sample
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -83,6 +86,30 @@ class TestRefineBoxProperties:
             assert 0 <= entry["slice"] < len(seq)
             assert entry["reason"] in ("empty", "oversize")
             assert np.isfinite(np.asarray(entry["replacement"])).all()
+
+    @SETTINGS
+    @given(
+        seq=box_sequences(max_slices=10),
+        frame_outliers=st.lists(st.integers(0, 9), max_size=4),
+        window=st.integers(1, 5),
+        min_history=st.integers(0, 3),
+        recenter=st.booleans(),
+        with_shape=st.booleans(),
+    )
+    def test_incremental_refiner_equals_whole_sequence(
+        self, seq, frame_outliers, window, min_history, recenter, with_shape
+    ):
+        h, w = IMAGE_SHAPE
+        for z in frame_outliers:  # grounding failures: frame-scale boxes
+            if z < len(seq):
+                seq[z] = np.concatenate([seq[z], [[0.0, 0.0, float(w), float(h)]]])
+        config = TemporalConfig(window=window, min_history=min_history, recenter=recenter)
+        shape = IMAGE_SHAPE if with_shape else None
+        whole, report = refine_box_sequences(seq, config, image_shape=shape)
+        refiner = BoxRefiner(config, image_shape=shape)
+        for z, raw in enumerate(seq):
+            assert np.array_equal(refiner.step(raw), whole[z])
+        assert refiner.report.as_dict() == report.as_dict()
 
     def test_edge_outlier_replacement_is_clamped(self):
         """A frame-scale outlier centred near the origin must not produce a
