@@ -28,7 +28,7 @@ Subpackages
 ``repro.baselines`` Otsu, SAM-only, and classical extras.
 ``repro.metrics``   accuracy / IoU / Dice / boundary metrics + aggregation.
 ``repro.eval``      Mode C evaluation, paper tables, HTML dashboard.
-``repro.parallel``  shared-memory worker pool and slice scheduling.
+``repro.parallel``  supervised worker pool and slice scheduling.
 ``repro.platform``  sessions, JSON API, HTTP server, figure rendering.
 ``repro.io``        from-scratch TIFF/PNG codecs and volume bundles.
 ``repro.resilience`` retry/deadline policies, checkpoint/resume, fault

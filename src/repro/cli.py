@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,13 +118,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", type=Path)
     p.add_argument("prompt", nargs="?", default=None, help="text prompt (file mode only)")
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="meanbox decode processes (0: one per CPU, at most 4); masks are "
+        "the same for every count",
+    )
     p.add_argument("--no-temporal", action="store_true")
     p.add_argument(
         "--temporal-mode",
         choices=["meanbox", "propagate"],
         default="meanbox",
-        help="propagate runs the sequential memory engine (single-worker path)",
+        help="propagate runs the sequential memory engine and ignores --workers",
     )
     p.add_argument(
         "--task",
@@ -620,9 +627,10 @@ def _cmd_batch_dir(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    from .core.batch import BatchConfig, segment_volume_batch
+    from .core.pipeline import ZenesisPipeline
     from .io.formats import load_image_file
     from .io.volume_io import save_volume_bundle
+    from .parallel.pool import default_worker_count
 
     if args.path.is_dir():
         return _cmd_batch_dir(args)
@@ -633,33 +641,21 @@ def _cmd_batch(args) -> int:
     if arr.ndim != 3:
         print("batch requires a volume (3-D) input", file=sys.stderr)
         return 2
-    if args.temporal_mode == "propagate":
-        # Propagation is sequential by construction (each slice's prompts
-        # come from the previous slice's memory), so it bypasses the
-        # halo-block worker pool and runs the exact single-engine path.
-        from .core.pipeline import ZenesisConfig, ZenesisPipeline
-
-        if args.workers != 1:
-            print("note: --temporal-mode propagate is sequential; ignoring --workers", file=sys.stderr)
-        pipeline = ZenesisPipeline(ZenesisConfig(temporal_mode="propagate"))
-        result = pipeline.segment_volume(arr, args.prompt)
-        out = args.out or args.path.with_suffix(".masks.npz")
-        save_volume_bundle(out, arr, result.masks, {"prompt": args.prompt})
-        rep = result.refinement_report
-        print(
-            f"{result.n_slices} slices propagated ({rep.get('grounded_slices', 0)} grounded, "
-            f"{rep.get('regrounds', 0)} re-grounds); volume fraction "
-            f"{result.masks.mean():.3f}; masks -> {out}"
-        )
-        return 0
-    masks, report = segment_volume_batch(
-        arr, args.prompt, BatchConfig(n_workers=args.workers, temporal=not args.no_temporal)
+    n_workers = args.workers if args.workers > 0 else default_worker_count()
+    t0 = time.perf_counter()
+    result = ZenesisPipeline().segment_volume(
+        arr,
+        args.prompt,
+        temporal=not args.no_temporal,
+        temporal_mode=args.temporal_mode,
+        n_workers=n_workers,
     )
+    wall_s = time.perf_counter() - t0
     out = args.out or args.path.with_suffix(".masks.npz")
-    save_volume_bundle(out, arr, masks, {"prompt": args.prompt})
+    save_volume_bundle(out, arr, result.masks, {"prompt": args.prompt})
     print(
-        f"{report.n_slices} slices on {report.n_workers} worker(s) in {report.wall_s:.1f}s; "
-        f"volume fraction {masks.mean():.3f}; masks -> {out}"
+        f"{result.n_slices} slices ({args.temporal_mode}, {n_workers} worker(s)) in {wall_s:.1f}s; "
+        f"volume fraction {result.masks.mean():.3f}; masks -> {out}"
     )
     return 0
 

@@ -1,6 +1,5 @@
 """The Zenesis core: pipeline, prompts, HITL, temporal/hierarchical refinement."""
 
-from .batch import BatchConfig, BatchReport, segment_volume_batch
 from .boxes import (
     as_boxes,
     box_area,
@@ -36,8 +35,6 @@ from .results import SliceResult, VolumeResult
 from .temporal import RefinementReport, TemporalConfig, refine_box_sequences
 
 __all__ = [
-    "BatchConfig",
-    "BatchReport",
     "RectifyConfig",
     "RectifySession",
     "RectifyStep",
@@ -77,7 +74,6 @@ __all__ = [
     "rle_encode",
     "propagate_volume",
     "segment_multi",
-    "segment_volume_batch",
     "mean_confidence",
     "stability_score",
     "uncertainty_map",

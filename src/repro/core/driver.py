@@ -18,15 +18,19 @@ bit-identically.  Their identity is :func:`volume_fingerprint`.
 Decode can fan out over forked processes (``n_workers > 1``, meanbox
 only): slices are prepared in rounds of ``n_workers`` and each child
 decodes the ``(segmenter image, detection, refined boxes)`` it inherits by
-fork.  No adapt-ahead or prefetch thread is busy when a round forks, so no
-child inherits a held profiler, cache, registry or tracer lock.
+fork.  Boxes are refined over the whole prefix first, so masks do not
+depend on the worker count.  No adapt-ahead or prefetch thread is busy when
+a round forks, so no child inherits a held profiler, cache, registry or
+tracer lock.  A pooled decode records each slice's spans into its own
+tracer and the coordinator adopts them with ``slice`` and ``worker``
+attribution; ``worker_crash@slice=N`` kills the child decoding slice N,
+and the pool re-runs its partition inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha1
-from itertools import chain
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from ..io.integrity import Prefetcher, TileStream
 from ..io.lazy import LazyVolume
 from ..models.dino import Detection
 from ..observability.metrics import get_registry
-from ..observability.trace import trace
+from ..observability.trace import end_trace, export_spans, get_tracer, start_trace, trace
 from ..parallel.pool import run_partitioned
 from ..parallel.scheduler import block_partition
 from ..resilience.checkpoint import CheckpointManager
@@ -163,9 +167,30 @@ class _Slice:
     todo: tuple | None = None  # (segmenter image, detection, boxes) awaiting decode
 
 
-def _decode(partition, pipeline, todo: list[tuple]) -> list[tuple]:
-    """Pool worker: decode this partition's prepared slices (inherited by fork)."""
-    return [pipeline.segment_with_boxes(*todo[i]) for i in partition.owned]
+def _decode(partition, pipeline, todo: list[tuple], traced: bool) -> list[tuple]:
+    """Pool worker: decode this partition's ``(z, *inputs)`` (inherited by fork).
+
+    Returns ``(decoded, spans)`` per owned slice.  With ``traced`` each
+    slice records into its own tracer and ships its spans back: a forked
+    child's spans would otherwise die with its copy of the parent's tracer.
+    """
+    plan = get_fault_plan()
+    out = []
+    for i in partition.owned:
+        z, *inputs = todo[i]
+        # Child-only: the parent's inline failover of this partition does
+        # not re-fire it.
+        plan.crash_if("worker_crash", child_only=True, slice=z)
+        if not traced:
+            out.append((pipeline.segment_with_boxes(*inputs), []))
+            continue
+        start_trace(f"worker[{partition.worker}]")
+        try:
+            decoded = pipeline.segment_with_boxes(*inputs)
+        finally:
+            tracer = end_trace()
+        out.append((decoded, export_spans(tracer)))
+    return out
 
 
 def _with_next(items):
@@ -244,7 +269,9 @@ def drive_volume(
     ``resume`` reloads the finished slices of an interrupted run with the
     same fingerprint (another run's checkpoint raises
     :class:`~repro.errors.CheckpointError`).  ``policy`` is the
-    :class:`~repro.io.IngestPolicy`.  ``crash_fault`` is the ``REPRO_FAULTS``
+    :class:`~repro.io.IngestPolicy`.  ``n_workers`` decode processes serve
+    meanbox (propagate is sequential and ignores it); masks are the same for
+    every count.  ``crash_fault`` is the ``REPRO_FAULTS``
     kind that hard-exits the process as slice N begins (``slice=N``): every
     earlier slice is checkpointed by then, except, with pooled decode, the
     earlier slices of its own round.
@@ -295,16 +322,23 @@ def drive_volume(
         todo = [s for s in batch if s.todo is not None]
         if todo:
             deadline = current_deadline()
+            tracer = get_tracer()
+            parts = block_partition(len(todo), n_workers)
             decoded = run_partitioned(
                 _decode,
-                block_partition(len(todo), n_workers),
+                parts,
                 pipeline,
-                [s.todo for s in todo],
+                [(s.z, *s.todo) for s in todo],
+                pooled and tracer is not None,
                 timeout_s=deadline.clamp(decode_timeout_s) if deadline else decode_timeout_s,
             )
-            for s, (mask, per_box, kinds) in zip(todo, chain.from_iterable(decoded)):
-                s.mask, s.todo = mask, None
-                s.info.update(per_box_masks=tuple(per_box), per_box_kinds=tuple(kinds))
+            for part, results in zip(parts, decoded):
+                for i, ((mask, per_box, kinds), spans) in zip(part.owned, results):
+                    s = todo[i]
+                    s.mask, s.todo = mask, None
+                    s.info.update(per_box_masks=tuple(per_box), per_box_kinds=tuple(kinds))
+                    if spans:
+                        tracer.adopt(spans, tid=part.worker + 1, worker=part.worker, slice=s.z)
         for s in batch:
             finish(s)
         batch.clear()

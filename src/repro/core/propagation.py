@@ -673,15 +673,16 @@ def propagate_volume(
     volume,
     prompt: str,
     *,
-    config: PropagationConfig | None = None,
     reference_slice: int = 0,
 ) -> VolumeResult:
     """Segment ``reference_slice`` with full grounding, propagate to the rest.
 
     Propagation runs outward from the reference in both Z directions, each
     direction with its own memory forked from the post-reference state.
+    The engine runs ``pipeline.config.propagation``, as the volume driver
+    does.
     """
-    cfg = config or PropagationConfig()
+    cfg = pipeline.config.propagation
     voxels = volume.voxels if hasattr(volume, "voxels") else np.asarray(volume)
     if voxels.ndim != 3:
         raise PipelineError(f"propagate_volume expects a 3-D volume, got shape {voxels.shape}")

@@ -89,7 +89,7 @@ class EvaluationError(ReproError, RuntimeError):
 
 
 class ParallelError(ReproError, RuntimeError):
-    """A parallel-execution primitive failed (pool, shared memory, scheduler)."""
+    """A parallel-execution primitive failed (pool, scheduler)."""
 
 
 class SessionError(ReproError, RuntimeError):

@@ -4,11 +4,11 @@ The serving layer (PR 4) made requests survive overload; this package makes
 *work* survive everything else.  A job is journaled before it runs
 (:class:`JobStore`: append-only JSONL + atomic snapshot compaction),
 scheduled under priority + FIFO fairness with crash-detecting leases
-(:class:`JobScheduler`), and executed through the shared-memory process
-pool with per-slice checkpoints (:class:`JobRunner`) — so a SIGKILL'd
-worker, a restarted server, or a torn journal write costs at most one
-retry round, never the job, and a resumed ``segment_volume`` produces
-bit-identical masks.
+(:class:`JobScheduler`), and executed through the one volume driver with
+per-slice checkpoints (:class:`JobRunner`) — so a SIGKILL'd worker, a
+restarted server, or a torn journal write costs at most one retry round,
+never the job, and a resumed ``segment_volume`` produces bit-identical
+masks.
 
 :class:`JobService` is the façade everything else uses::
 

@@ -13,8 +13,7 @@ the final masks are bit-identical to an uninterrupted run.  With
 ``n_workers > 1`` meanbox decode fans out through the
 :func:`repro.parallel.pool.run_partitioned` process pool, one round of
 ``n_workers`` slices at a time; masks are independent of the worker count
-and of where a resume happened — unlike the halo-approximate
-``segment_volume_batch`` path, which trades exactness for block locality.
+and of where a resume happened, as for every other caller of the driver.
 
 Cancellation rides the request-deadline machinery: the runner binds a
 :class:`JobGuard` via :func:`repro.resilience.serving.request_scope`, and

@@ -1,15 +1,11 @@
-"""Shared-memory parallelism for Mode B: arrays, partitions, worker pool."""
+"""Process parallelism for Mode B: slice partitions and a supervised worker pool."""
 
 from .pool import default_worker_count, run_partitioned
-from .scheduler import SlicePartition, block_partition, cyclic_partition
-from .sharedmem import SharedArraySpec, SharedNDArray
+from .scheduler import SlicePartition, block_partition
 
 __all__ = [
-    "SharedArraySpec",
-    "SharedNDArray",
     "SlicePartition",
     "block_partition",
-    "cyclic_partition",
     "default_worker_count",
     "run_partitioned",
 ]

@@ -1,8 +1,9 @@
-"""A supervised process pool specialised for shared-memory volume work.
+"""A supervised process pool for Mode B volume work.
 
-``run_partitioned`` forks one process per :class:`SlicePartition`, hands each
-the shared-memory specs plus its partition, and collects per-worker results
-(small picklables only — masks travel through the shared output array).
+``run_partitioned`` forks one process per :class:`SlicePartition`; each
+child inherits its inputs by fork and runs ``fn(partition, *args)``, and
+the parent collects the per-worker results through a queue.  The volume
+driver's pooled decode sends back each slice's masks and spans this way.
 
 The collection loop is a *supervisor*: instead of blocking on the result
 queue for the full timeout, it polls the queue with a short interval and
@@ -64,8 +65,8 @@ def run_partitioned(
     """Run ``fn(partition, *args)`` in one forked process per partition.
 
     Returns results ordered by worker id.  ``fn`` must be module-level
-    (picklable by reference under fork) and should write bulk output through
-    shared memory; its return value is for small metadata only.
+    (picklable by reference under fork); its return value is pickled back
+    to the parent.
 
     ``timeout_s`` is a wall-clock deadline for the whole pool; a crashed or
     errored partition is retried up to ``max_failovers`` times *inline in

@@ -1,11 +1,8 @@
 """Slice-domain decomposition for Mode B volume processing.
 
-Follows the MPI decomposition idiom: a Z-ordered volume is split across
-workers either in contiguous **blocks** (cache-friendly, preserves temporal
-context) or **cyclically** (load-balances when per-slice cost varies).  The
-temporal heuristic needs a history window, so block partitions can carry a
-*halo* of preceding slices that the worker reads but does not own — the
-shared-memory analogue of an MPI halo exchange.
+Follows the MPI decomposition idiom: a Z range is split across workers in
+contiguous, balanced **blocks**.  The volume driver partitions each pooled
+decode round this way, one block per forked worker.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from dataclasses import dataclass
 
 from ..errors import ParallelError
 
-__all__ = ["SlicePartition", "block_partition", "cyclic_partition"]
+__all__ = ["SlicePartition", "block_partition"]
 
 
 @dataclass(frozen=True)
@@ -22,22 +19,11 @@ class SlicePartition:
     """One worker's share of the Z range."""
 
     worker: int
-    owned: tuple[int, ...]  # slices this worker writes
-    halo: tuple[int, ...]  # extra slices read for temporal context
-
-    @property
-    def all_slices(self) -> tuple[int, ...]:
-        """Halo then owned, in Z order (the order the worker processes them)."""
-        return tuple(sorted(set(self.halo) | set(self.owned)))
+    owned: tuple[int, ...]  # slices this worker processes
 
 
-def block_partition(n_slices: int, n_workers: int, *, halo: int = 0) -> list[SlicePartition]:
-    """Contiguous blocks with a leading halo of up to ``halo`` slices.
-
-    Workers receive blocks of size ``ceil(n/k)`` or ``floor(n/k)``; the halo
-    reaches backwards (earlier Z) because the temporal heuristic only looks
-    at *previous* slices.
-    """
+def block_partition(n_slices: int, n_workers: int) -> list[SlicePartition]:
+    """Contiguous blocks of size ``ceil(n/k)`` or ``floor(n/k)``."""
     if n_workers < 1:
         raise ParallelError("n_workers must be >= 1")
     if n_slices < 1:
@@ -49,21 +35,6 @@ def block_partition(n_slices: int, n_workers: int, *, halo: int = 0) -> list[Sli
     start = 0
     for w in range(n_workers):
         size = base + (1 if w < extra else 0)
-        owned = tuple(range(start, start + size))
-        halo_lo = max(0, start - halo)
-        parts.append(SlicePartition(worker=w, owned=owned, halo=tuple(range(halo_lo, start))))
+        parts.append(SlicePartition(worker=w, owned=tuple(range(start, start + size))))
         start += size
     return parts
-
-
-def cyclic_partition(n_slices: int, n_workers: int) -> list[SlicePartition]:
-    """Round-robin assignment (no halo; use when slices are independent)."""
-    if n_workers < 1:
-        raise ParallelError("n_workers must be >= 1")
-    if n_slices < 1:
-        raise ParallelError("n_slices must be >= 1")
-    n_workers = min(n_workers, n_slices)
-    return [
-        SlicePartition(worker=w, owned=tuple(range(w, n_slices, n_workers)), halo=())
-        for w in range(n_workers)
-    ]

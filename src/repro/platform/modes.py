@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
-from ..core.batch import BatchConfig, BatchReport, segment_volume_batch
 from ..core.results import SliceResult, VolumeResult
 from ..data.datasets import AnnotatedSlice
 from ..eval.evaluator import Evaluator, MethodEvaluation
@@ -51,22 +48,14 @@ class ModeA:
 
 @dataclass
 class ModeB:
-    """Batch volume workflow (serial via the session, parallel via the pool)."""
+    """Batch volume workflow; ``n_workers > 1`` forks the decode, same masks."""
 
     session: Session
 
-    def segment_volume(self, prompt: str, *, temporal: bool = True) -> VolumeResult:
-        return self.session.segment_volume(prompt, temporal=temporal)
-
-    def segment_volume_parallel(
-        self, prompt: str, *, n_workers: int = 2, temporal: bool = True
-    ) -> tuple[np.ndarray, BatchReport]:
-        if self.session.volume is None:
-            raise ValueError("Mode B parallel requires a loaded volume")
-        config = BatchConfig(
-            n_workers=n_workers, temporal=temporal, pipeline=self.session.pipeline.config
-        )
-        return segment_volume_batch(self.session.volume, prompt, config)
+    def segment_volume(
+        self, prompt: str, *, temporal: bool = True, n_workers: int = 1
+    ) -> VolumeResult:
+        return self.session.segment_volume(prompt, temporal=temporal, n_workers=n_workers)
 
 
 @dataclass

@@ -415,7 +415,12 @@ class Session:
     # -- Mode B --------------------------------------------------------------------
 
     def segment_volume(
-        self, prompt: str, *, temporal: bool = True, temporal_mode: str | None = None
+        self,
+        prompt: str,
+        *,
+        temporal: bool = True,
+        temporal_mode: str | None = None,
+        n_workers: int = 1,
     ) -> VolumeResult:
         if self.volume is None:
             if self.lazy_volume is not None:
@@ -426,7 +431,11 @@ class Session:
                 )
             raise SessionError("segment_volume requires a loaded volume")
         result = self.pipeline.segment_volume(
-            self.volume, prompt, temporal=temporal, temporal_mode=temporal_mode
+            self.volume,
+            prompt,
+            temporal=temporal,
+            temporal_mode=temporal_mode,
+            n_workers=n_workers,
         )
         check_deadline("segment_volume (pre-commit)")
         self.last_volume_result = result

@@ -9,7 +9,9 @@ Supported kinds (hook sites in parentheses):
 
 ``worker_crash``     hard-exit a forked pool worker (``os._exit``), only in
                      child processes so the parent's inline re-execution
-                     of the partition succeeds (pool/batch workers).
+                     of the partition succeeds (pool start with
+                     ``worker=N``; the volume driver's pooled decode of
+                     slice N with ``slice=N``).
 ``volume_crash``     hard-exit the process mid ``segment_volume`` — for
                      exercising checkpoint/resume across real process death.
 ``volume_abort``     raise :class:`~repro.errors.PipelineError` mid

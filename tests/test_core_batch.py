@@ -1,61 +1,30 @@
-"""Tests for Mode B batch volume segmentation (serial + parallel)."""
+"""Tests for Mode B batch volume segmentation (``repro batch`` / pooled decode)."""
 
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchConfig, segment_volume_batch
+from repro.cli import main
 from repro.core.pipeline import ZenesisPipeline
-from repro.errors import ParallelError
-from repro.metrics.overlap import iou
+from repro.errors import GroundingError
+from repro.io.tiff import write_tiff
+from repro.io.volume_io import load_volume_bundle
 
 
 class TestBatch:
-    def test_serial_matches_pipeline(self, amorphous_sample):
-        masks, report = segment_volume_batch(
-            amorphous_sample.volume, "catalyst particles", BatchConfig(n_workers=1)
-        )
-        assert masks.shape == amorphous_sample.catalyst_mask.shape
-        assert report.n_workers == 1
-        assert report.wall_s > 0
-        ious = [iou(masks[z], amorphous_sample.catalyst_mask[z]) for z in range(masks.shape[0])]
-        assert np.mean(ious) > 0.5
-
-    def test_parallel_two_workers_same_result(self, amorphous_sample):
-        serial, _ = segment_volume_batch(
-            amorphous_sample.volume, "catalyst particles", BatchConfig(n_workers=1, temporal=False)
-        )
-        parallel, report = segment_volume_batch(
-            amorphous_sample.volume, "catalyst particles", BatchConfig(n_workers=2, temporal=False)
-        )
-        assert report.n_workers == 2
-        # Without the temporal coupling, decomposition must be exact.
-        assert np.array_equal(serial, parallel)
-
-    def test_parallel_with_halo_temporal(self, amorphous_sample):
-        masks, report = segment_volume_batch(
-            amorphous_sample.volume, "catalyst particles", BatchConfig(n_workers=2, halo=2)
-        )
-        assert masks.shape[0] == amorphous_sample.n_slices
-        # Worker 1 received halo slices.
-        assert report.per_worker[1]["halo"]
-
-    def test_per_worker_reports(self, amorphous_sample):
-        _, report = segment_volume_batch(
-            amorphous_sample.volume, "catalyst particles", BatchConfig(n_workers=2)
-        )
-        owned = sorted(z for w in report.per_worker for z in w["owned"])
-        assert owned == list(range(amorphous_sample.n_slices))
-
     def test_2d_rejected(self):
-        with pytest.raises(ParallelError):
-            segment_volume_batch(np.zeros((16, 16)), "catalyst")
+        # The batch path is segment_volume with pooled decode; a 2-D input
+        # is refused before any worker is started.
+        with pytest.raises(GroundingError):
+            ZenesisPipeline().segment_volume(np.zeros((16, 16)), "catalyst", n_workers=2)
 
-    def test_matches_mode_b_session_path(self, amorphous_sample):
-        # The batch path and the pipeline's segment_volume agree when both
-        # use the temporal heuristic with full history (single worker).
-        pipeline = ZenesisPipeline()
-        direct = pipeline.segment_volume(amorphous_sample.volume, "catalyst particles")
-        batched, _ = segment_volume_batch(
-            amorphous_sample.volume, "catalyst particles", BatchConfig(n_workers=1)
-        )
+    def test_matches_mode_b_session_path(self, amorphous_sample, tmp_path, capsys):
+        # `repro batch` with one worker writes the same masks as the
+        # pipeline's segment_volume with the temporal heuristic on.
+        path = tmp_path / "vol.tif"
+        out = tmp_path / "vol.masks.npz"
+        write_tiff(path, amorphous_sample.volume.voxels)
+        direct = ZenesisPipeline().segment_volume(amorphous_sample.volume, "catalyst particles")
+        assert main(["batch", str(path), "catalyst particles", "--workers", "1", "--out", str(out)]) == 0
+        _, batched, meta = load_volume_bundle(out)
+        assert meta["prompt"] == "catalyst particles"
         assert np.array_equal(direct.masks, batched)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.multiobject import segment_multi
-from repro.core.pipeline import ZenesisPipeline
+from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.core.propagation import PropagationConfig, propagate_volume
 from repro.data.synthesis.modalities import (
     synthesize_edx_map,
@@ -150,6 +150,17 @@ class TestPropagation:
         assert result.slice_results[0].metadata.get("propagated") in (True, None)
         flags = [r.metadata.get("propagated", False) for r in result.slice_results]
         assert sum(bool(f) for f in flags) == amorphous_sample.n_slices - 1
+
+    def test_runs_the_pipeline_propagation_config(self, amorphous_sample):
+        """Forward from slice 0 it is the driver's propagate run, under the
+        pipeline's own PropagationConfig rather than the defaults."""
+        config = ZenesisConfig(propagation=PropagationConfig(keyframe_interval=1))
+        vol = amorphous_sample.volume
+        result = propagate_volume(ZenesisPipeline(config), vol, "catalyst particles", reference_slice=0)
+        driven = ZenesisPipeline(config).segment_volume(
+            vol, "catalyst particles", temporal_mode="propagate"
+        )
+        assert np.array_equal(result.masks, driven.masks)
 
     def test_validation(self, amorphous_sample):
         pipe = ZenesisPipeline()

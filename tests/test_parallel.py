@@ -1,4 +1,4 @@
-"""Tests for shared memory, slice scheduling, and the worker pool."""
+"""Tests for slice scheduling and the worker pool."""
 
 import numpy as np
 import pytest
@@ -7,39 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParallelError
 from repro.parallel.pool import default_worker_count, run_partitioned
-from repro.parallel.scheduler import SlicePartition, block_partition, cyclic_partition
-from repro.parallel.sharedmem import SharedArraySpec, SharedNDArray
-
-
-class TestSharedNDArray:
-    def test_create_and_fill(self, rng):
-        data = rng.random((4, 8, 8)).astype(np.float32)
-        with SharedNDArray.from_array(data) as shm:
-            assert np.array_equal(shm.array, data)
-            assert shm.spec.shape == (4, 8, 8)
-
-    def test_attach_sees_writes(self, rng):
-        data = rng.random((16,)).astype(np.float64)
-        owner = SharedNDArray.from_array(data)
-        try:
-            worker = SharedNDArray.attach(owner.spec)
-            worker.array[0] = 42.0
-            assert owner.array[0] == 42.0
-            worker.close()
-        finally:
-            owner.unlink()
-
-    def test_fill_shape_mismatch(self):
-        with pytest.raises(ParallelError):
-            SharedNDArray.create((4,), np.float32, fill=np.zeros(5))
-
-    def test_attach_missing_segment(self):
-        with pytest.raises(ParallelError):
-            SharedNDArray.attach(SharedArraySpec(name="nonexistent_xyz", shape=(2,), dtype="<f4"))
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ParallelError):
-            SharedNDArray.create((0,), np.float32)
+from repro.parallel.scheduler import block_partition
 
 
 class TestScheduler:
@@ -53,41 +21,21 @@ class TestScheduler:
         sizes = [len(p.owned) for p in parts]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_block_halo_reaches_backwards(self):
-        parts = block_partition(10, 2, halo=3)
-        assert parts[0].halo == ()
-        assert parts[1].halo == (2, 3, 4)
-        assert parts[1].owned[0] == 5
-
-    def test_halo_clipped_at_zero(self):
-        parts = block_partition(4, 2, halo=10)
-        assert parts[1].halo == (0, 1)
-
-    def test_all_slices_ordering(self):
-        p = SlicePartition(worker=0, owned=(5, 6), halo=(3, 4))
-        assert p.all_slices == (3, 4, 5, 6)
-
     def test_more_workers_than_slices(self):
         parts = block_partition(2, 8)
         assert len(parts) == 2
-
-    def test_cyclic_round_robin(self):
-        parts = cyclic_partition(7, 3)
-        assert parts[0].owned == (0, 3, 6)
-        assert parts[1].owned == (1, 4)
-        assert all(p.halo == () for p in parts)
 
     def test_invalid_args(self):
         with pytest.raises(ParallelError):
             block_partition(0, 2)
         with pytest.raises(ParallelError):
-            cyclic_partition(5, 0)
+            block_partition(5, 0)
 
 
 class TestPartitionEdgeCases:
-    """Degenerate partition geometries: worker surplus, empty input, huge halo."""
+    """Degenerate partition geometries: worker surplus, empty input."""
 
-    @pytest.mark.parametrize("partitioner", [block_partition, cyclic_partition])
+    @pytest.mark.parametrize("partitioner", [block_partition])
     def test_worker_surplus_clamps_without_empty_partitions(self, partitioner):
         parts = partitioner(3, 100)
         assert len(parts) == 3
@@ -95,90 +43,58 @@ class TestPartitionEdgeCases:
         assert sorted(z for p in parts for z in p.owned) == [0, 1, 2]
         assert [p.worker for p in parts] == [0, 1, 2]  # workers renumbered densely
 
-    @pytest.mark.parametrize("partitioner", [block_partition, cyclic_partition])
+    @pytest.mark.parametrize("partitioner", [block_partition])
     def test_zero_slices_rejected(self, partitioner):
         with pytest.raises(ParallelError, match="n_slices"):
             partitioner(0, 4)
         with pytest.raises(ParallelError, match="n_slices"):
             partitioner(-3, 4)
 
-    def test_halo_at_least_n_slices_clips_to_full_prefix(self):
-        for halo in (5, 6, 50):
-            parts = block_partition(5, 3, halo=halo)
-            for p in parts:
-                assert p.halo == tuple(range(0, p.owned[0]))  # everything before the block
-                assert p.all_slices == tuple(range(0, p.owned[-1] + 1))
-
     def test_single_slice_single_owner(self):
-        for partitioner in (block_partition, cyclic_partition):
-            parts = partitioner(1, 8)
-            assert len(parts) == 1 and parts[0].owned == (0,)
+        parts = block_partition(1, 8)
+        assert len(parts) == 1 and parts[0].owned == (0,)
 
 
 class TestPartitionProperties:
-    """Hypothesis invariants: every slice owned exactly once, halos legal."""
+    """Hypothesis invariants: every slice owned exactly once, in balanced blocks."""
 
     @given(
         n_slices=st.integers(min_value=1, max_value=200),
         n_workers=st.integers(min_value=1, max_value=64),
-        halo=st.integers(min_value=0, max_value=250),
     )
     @settings(max_examples=120, deadline=None)
-    def test_block_partition_exact_cover(self, n_slices, n_workers, halo):
-        parts = block_partition(n_slices, n_workers, halo=halo)
+    def test_block_partition_exact_cover(self, n_slices, n_workers):
+        parts = block_partition(n_slices, n_workers)
         owned = [z for p in parts for z in p.owned]
         assert sorted(owned) == list(range(n_slices))  # exact cover, no dupes
         sizes = [len(p.owned) for p in parts]
         assert max(sizes) - min(sizes) <= 1  # balanced
         for p in parts:
-            assert list(p.owned) == sorted(p.owned)
-            if p.halo:
-                # halo is a contiguous run of earlier Z ending at the block start
-                assert p.halo[-1] == p.owned[0] - 1
-                assert p.halo[0] >= max(0, p.owned[0] - halo)
-                assert list(p.halo) == list(range(p.halo[0], p.owned[0]))
-
-    @given(
-        n_slices=st.integers(min_value=1, max_value=200),
-        n_workers=st.integers(min_value=1, max_value=64),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_cyclic_partition_exact_cover(self, n_slices, n_workers):
-        parts = cyclic_partition(n_slices, n_workers)
-        owned = [z for p in parts for z in p.owned]
-        assert sorted(owned) == list(range(n_slices))
-        # round-robin: consecutive owned slices of one worker differ by the stride
-        stride = min(n_workers, n_slices)
-        for p in parts:
-            assert all(b - a == stride for a, b in zip(p.owned, p.owned[1:]))
-            assert p.halo == ()
+            assert list(p.owned) == list(range(p.owned[0], p.owned[-1] + 1))  # contiguous
 
     @given(
         n_slices=st.integers(min_value=1, max_value=120),
         n_workers=st.integers(min_value=1, max_value=16),
-        halo=st.integers(min_value=0, max_value=8),
     )
     @settings(max_examples=60, deadline=None)
-    def test_block_round_trip_matches_job_round_geometry(self, n_slices, n_workers, halo):
-        """Indices used as positions (the jobs runner pattern) stay in range."""
+    def test_block_round_trip_matches_job_round_geometry(self, n_slices, n_workers):
+        """Indices used as positions (the driver's decode rounds) stay in range."""
         z_list = tuple(range(1000, 1000 + n_slices))
-        parts = block_partition(n_slices, n_workers, halo=halo)
+        parts = block_partition(n_slices, n_workers)
         seen = [z_list[i] for p in parts for i in p.owned]
         assert sorted(seen) == list(z_list)
 
 
-def _square_worker(partition, spec):
-    """Module-level worker: square owned slices of a shared vector."""
-    shm = SharedNDArray.attach(spec)
-    try:
-        for z in partition.owned:
-            shm.array[z] = shm.array[z] ** 2
-        return {"worker": partition.worker, "n": len(partition.owned)}
-    finally:
-        shm.close()
+def _square_worker(partition, values):
+    """Module-level worker: square the owned entries of an inherited vector."""
+    return {"worker": partition.worker, "squares": [values[z] ** 2 for z in partition.owned]}
 
 
-def _failing_worker(partition, spec):
+def _squares(results):
+    return np.concatenate([r["squares"] for r in results])
+
+
+def _failing_worker(partition, values):
     raise RuntimeError(f"worker {partition.worker} exploded")
 
 
@@ -188,29 +104,24 @@ class TestPool:
 
     def test_single_partition_runs_inline(self):
         data = np.arange(4, dtype=np.float64)
-        with SharedNDArray.from_array(data) as shm:
-            results = run_partitioned(_square_worker, block_partition(4, 1), shm.spec)
-            assert results[0]["n"] == 4
-            assert np.array_equal(shm.array, data**2)
+        results = run_partitioned(_square_worker, block_partition(4, 1), data)
+        assert len(results) == 1
+        assert np.array_equal(_squares(results), data**2)
 
     def test_multiprocess_partitions(self):
         data = np.arange(8, dtype=np.float64)
-        with SharedNDArray.from_array(data) as shm:
-            results = run_partitioned(_square_worker, block_partition(8, 2), shm.spec)
-            assert len(results) == 2
-            assert np.array_equal(shm.array, data**2)
+        results = run_partitioned(_square_worker, block_partition(8, 2), data)
+        assert len(results) == 2
+        assert np.array_equal(_squares(results), data**2)
 
     def test_results_ordered_by_worker(self):
         data = np.arange(6, dtype=np.float64)
-        with SharedNDArray.from_array(data) as shm:
-            results = run_partitioned(_square_worker, block_partition(6, 3), shm.spec)
-            assert [r["worker"] for r in results] == [0, 1, 2]
+        results = run_partitioned(_square_worker, block_partition(6, 3), data)
+        assert [r["worker"] for r in results] == [0, 1, 2]
 
     def test_worker_error_propagates(self):
-        data = np.zeros(4)
-        with SharedNDArray.from_array(data) as shm:
-            with pytest.raises(ParallelError, match="exploded"):
-                run_partitioned(_failing_worker, block_partition(4, 2), shm.spec)
+        with pytest.raises(ParallelError, match="exploded"):
+            run_partitioned(_failing_worker, block_partition(4, 2), np.zeros(4))
 
     def test_empty_partitions_rejected(self):
         with pytest.raises(ParallelError):

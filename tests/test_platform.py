@@ -88,9 +88,9 @@ class TestModes:
 
     def test_mode_b_parallel(self, loaded_session):
         mode_b = ModeB(loaded_session)
-        masks, report = mode_b.segment_volume_parallel("catalyst particles", n_workers=2)
-        assert masks.shape == loaded_session.volume.shape
-        assert report.n_workers == 2
+        result = mode_b.segment_volume("catalyst particles", n_workers=2)
+        assert result.masks.shape == loaded_session.volume.shape
+        assert np.array_equal(result.masks, mode_b.segment_volume("catalyst particles").masks)
 
 
 class TestApi:

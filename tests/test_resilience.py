@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro.cache.disk import DiskTier
-from repro.core.batch import BatchConfig, segment_volume_batch
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.errors import (
     CheckpointError,
@@ -32,7 +31,6 @@ from repro.errors import (
 from repro.eval.dashboard import render_dashboard
 from repro.parallel.pool import run_partitioned
 from repro.parallel.scheduler import block_partition
-from repro.parallel.sharedmem import SharedNDArray
 from repro.resilience import (
     EVENTS,
     CheckpointManager,
@@ -249,31 +247,24 @@ class TestCheckpointManager:
 # -- worker supervision -------------------------------------------------------
 
 
-def _square_worker(partition, spec):
-    shm = SharedNDArray.attach(spec)
-    try:
-        for z in partition.owned:
-            shm.array[z] = shm.array[z] ** 2
-        return {"worker": partition.worker}
-    finally:
-        shm.close()
+def _square_worker(partition, values):
+    return [values[z] ** 2 for z in partition.owned]
 
 
-def _sleepy_worker(partition, spec):
+def _sleepy_worker(partition, values):
     if partition.worker == 1:
         time.sleep(30.0)
-    return _square_worker(partition, spec)
+    return _square_worker(partition, values)
 
 
 class TestPoolSupervision:
     def test_crashed_worker_fails_over_inline(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash@worker=1")
         data = np.arange(8, dtype=np.float64)
-        with SharedNDArray.from_array(data) as shm:
-            t0 = time.monotonic()
-            results = run_partitioned(_square_worker, block_partition(8, 2), shm.spec)
-            elapsed = time.monotonic() - t0
-            assert np.array_equal(shm.array, data**2)
+        t0 = time.monotonic()
+        results = run_partitioned(_square_worker, block_partition(8, 2), data)
+        elapsed = time.monotonic() - t0
+        assert np.array_equal(np.concatenate(results), data**2)
         assert len(results) == 2
         assert elapsed < 5.0, f"failover took {elapsed:.1f}s"
         assert EVENTS.get("pool.dead_workers") >= 1
@@ -282,41 +273,30 @@ class TestPoolSupervision:
     def test_crashed_worker_reported_fast_without_failover(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash@worker=1")
         data = np.arange(8, dtype=np.float64)
-        with SharedNDArray.from_array(data) as shm:
-            t0 = time.monotonic()
-            with pytest.raises(ParallelError, match=r"worker 1.*exit code 137"):
-                run_partitioned(
-                    _square_worker, block_partition(8, 2), shm.spec, max_failovers=0
-                )
-            elapsed = time.monotonic() - t0
+        t0 = time.monotonic()
+        with pytest.raises(ParallelError, match=r"worker 1.*exit code 137"):
+            run_partitioned(_square_worker, block_partition(8, 2), data, max_failovers=0)
+        elapsed = time.monotonic() - t0
         assert elapsed < 5.0, f"dead-worker detection took {elapsed:.1f}s (was 600s pre-supervisor)"
 
     def test_hung_worker_terminated_at_deadline(self):
         data = np.arange(8, dtype=np.float64)
-        with SharedNDArray.from_array(data) as shm:
-            t0 = time.monotonic()
-            with pytest.raises(ParallelError, match="hung past"):
-                run_partitioned(
-                    _sleepy_worker, block_partition(8, 2), shm.spec, timeout_s=1.0
-                )
-            elapsed = time.monotonic() - t0
+        t0 = time.monotonic()
+        with pytest.raises(ParallelError, match="hung past"):
+            run_partitioned(_sleepy_worker, block_partition(8, 2), data, timeout_s=1.0)
+        elapsed = time.monotonic() - t0
         assert elapsed < 15.0
         assert EVENTS.get("pool.hung_workers") >= 1
 
     def test_worker_exception_still_propagates_after_failover(self):
         # Existing contract: a deterministic worker error surfaces as
         # ParallelError with the traceback, even after the inline retry.
-        def run():
-            data = np.zeros(4)
-            with SharedNDArray.from_array(data) as shm:
-                run_partitioned(_raising_worker, block_partition(4, 2), shm.spec)
-
         with pytest.raises(ParallelError, match="deliberate"):
-            run()
+            run_partitioned(_raising_worker, block_partition(4, 2), np.zeros(4))
         assert EVENTS.get("pool.failover_failures") >= 1
 
 
-def _raising_worker(partition, spec):
+def _raising_worker(partition, values):
     raise RuntimeError("deliberate failure")
 
 
@@ -449,18 +429,18 @@ class TestVolumeCheckpointResume:
         assert np.array_equal(np.load(out), baseline)
 
 
-# -- partitioned volume run under worker crash --------------------------------
+# -- pooled volume decode under worker crash ----------------------------------
 
 
 class TestBatchFaultTolerance:
     def test_worker_crash_recovered_by_partition_reexecution(self, monkeypatch, amorphous_sample):
         vol = amorphous_sample.volume.voxels  # (4, 128, 128) session fixture
-        cfg = BatchConfig(n_workers=2, halo=1)
-        clean, _ = segment_volume_batch(vol, PROMPT, cfg)
+        clean = ZenesisPipeline().segment_volume(vol, PROMPT, n_workers=2).masks
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash@slice=2")
-        faulty, report = segment_volume_batch(vol, PROMPT, cfg)
+        failovers_before = EVENTS.get("pool.failovers")
+        faulty = ZenesisPipeline().segment_volume(vol, PROMPT, n_workers=2).masks
         assert np.array_equal(faulty, clean)
-        assert report.n_failovers >= 1
+        assert EVENTS.get("pool.failovers") - failovers_before >= 1
         assert EVENTS.get("pool.dead_workers") >= 1
 
 

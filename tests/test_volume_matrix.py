@@ -1,12 +1,15 @@
 """Differential matrix: every volume path × engine × start against one golden.
 
-The paths are eager ``segment_volume``, ``segment_volume_stream`` over a
-TIFF, and a ``segment_volume`` job decoding with one or two workers.  The
-engines are meanbox and propagate.  A run either starts fresh or resumes a
-checkpoint its own path left behind when it was aborted at slice 2.  All
-of them run the one volume driver, so every cell must reproduce the mask
-digests pinned in ``tests/test_core_pipeline.py``.  Checkpoints are
-interchangeable too: one half-written by any path resumes under the others.
+The paths are eager ``segment_volume`` decoding with one or two workers,
+``segment_volume_stream`` over a TIFF, a ``segment_volume`` job decoding
+with one or two workers, and ``repro batch`` over the TIFF with
+``--workers 1`` or ``2``.  The engines are meanbox and propagate.  A run
+either starts fresh or resumes a checkpoint its own path left behind when
+it was aborted at slice 2 (``repro batch`` has no checkpoint flag, so its
+cells start fresh only).  All of them run the one volume driver, so every
+cell must reproduce the mask digests pinned in
+``tests/test_core_pipeline.py``.  Checkpoints are interchangeable too: one
+half-written by any path resumes under the others.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cache import array_content_key, combine_keys, config_fingerprint
+from repro.cli import main
 from repro.core.driver import volume_fingerprint
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.data import make_sample
@@ -32,8 +36,15 @@ from repro.resilience import EVENTS, reset_events
 
 from .test_core_pipeline import GOLDEN, PROMPT, _golden_volume
 
-PATHS = ("eager", "stream", "job1", "job2")
+PATHS = ("eager", "eager2", "stream", "job1", "job2", "cli1", "cli2")
 MODES = ("meanbox", "propagate")
+CELLS = [
+    (path, mode, start)
+    for path in PATHS
+    for mode in MODES
+    for start in ("fresh", "resumed")
+    if start == "fresh" or not path.startswith("cli")
+]
 ABORT_AT = 2  # the golden volume has 3 slices: an abort leaves shards 0 and 1
 
 
@@ -87,8 +98,17 @@ class Paths:
     def run(self, path: str, mode: str, ckdir) -> np.ndarray:
         """Run ``path`` to completion, resuming whatever ``ckdir`` holds."""
         pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode))
-        if path == "eager":
-            return pipe.segment_volume(self.volume, PROMPT, checkpoint_dir=ckdir, resume=True).masks
+        if path.startswith("eager"):
+            n_workers = 2 if path == "eager2" else 1
+            return pipe.segment_volume(
+                self.volume, PROMPT, checkpoint_dir=ckdir, resume=True, n_workers=n_workers
+            ).masks
+        if path.startswith("cli"):
+            out = self.tmp_path / f"{path}.masks.npz"
+            argv = ["batch", str(self.tiff), PROMPT, "--out", str(out)]
+            assert main([*argv, "--workers", path[-1], "--temporal-mode", mode]) == 0
+            with np.load(out) as bundle:
+                return bundle["masks"]
         if path == "stream":
             result = pipe.segment_volume_stream(self.tiff, PROMPT, checkpoint_dir=ckdir, resume=True)
             return result.assemble_masks()
@@ -103,7 +123,7 @@ class Paths:
     def abort(self, path: str, mode: str, ckdir, monkeypatch) -> None:
         """Leave a checkpoint in ``ckdir`` from ``path`` aborted at slice 2."""
         monkeypatch.setenv("REPRO_FAULTS", f"volume_abort@slice={ABORT_AT}")
-        if path in ("eager", "stream"):
+        if path in ("eager", "eager2", "stream"):
             with pytest.raises(PipelineError, match="volume_abort"):
                 self.run(path, mode, ckdir)
         else:
@@ -122,9 +142,7 @@ def paths(volume, tiff, tmp_path) -> Paths:
     return Paths(volume, tiff, tmp_path)
 
 
-@pytest.mark.parametrize("start", ["fresh", "resumed"])
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("path,mode,start", CELLS)
 def test_matrix_cell_matches_golden(paths, path, mode, start, tmp_path, monkeypatch):
     ckdir = tmp_path / "ck"
     if start == "resumed":
