@@ -1,21 +1,21 @@
 """Mask operations: RLE codec, components, boundaries, morphology, stability.
 
 The RLE codec matches the COCO-style column-major convention SAM tooling
-uses, so exported annotations interoperate.  Everything else is vectorised
-NumPy / scipy.ndimage.
+uses, so exported annotations interoperate.  Binary morphology is one pair
+of NumPy shift kernels, :func:`dilate` and :func:`erode`: every erosion,
+dilation, opening and closing in the package goes through them.  They
+match ``scipy.ndimage``'s default cross element with pixels outside the
+array read as 0, at a few microseconds per call instead of scipy's ~100 µs
+fixed cost.  Component labelling and hole filling stay with
+``scipy.ndimage``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.ndimage import (
-    binary_closing,
-    binary_dilation,
-    binary_erosion,
-    binary_fill_holes,
-    binary_opening,
-    label,
-)
+from scipy.ndimage import binary_fill_holes, label
 
 from ..errors import ValidationError
 from ..utils.validation import ensure_mask
@@ -26,6 +26,8 @@ __all__ = [
     "connected_components",
     "largest_component",
     "component_containing",
+    "dilate",
+    "erode",
     "mask_boundary",
     "clean_mask",
     "stability_score",
@@ -97,12 +99,67 @@ def component_containing(mask: np.ndarray, point_yx: tuple[float, float]) -> np.
     return labels == labels[y, x]
 
 
+@lru_cache(maxsize=None)
+def _shifts(ndim: int) -> tuple[tuple[tuple, tuple, tuple, tuple], ...]:
+    """Per axis: index tuples for "all but the first" and "all but the last"
+    plane along it, then the first and the last plane."""
+    def along(axis: int, index) -> tuple:
+        return tuple(index if i == axis else slice(None) for i in range(ndim))
+
+    return tuple(
+        (along(ax, slice(1, None)), along(ax, slice(None, -1)), along(ax, 0), along(ax, -1))
+        for ax in range(ndim)
+    )
+
+
+def _checked(mask: np.ndarray, iterations: int) -> np.ndarray:
+    if iterations < 1:
+        raise ValidationError(f"morphology iterations must be >= 1, got {iterations}")
+    return ensure_mask(mask)
+
+
+def dilate(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
+    """Binary dilation by the cross element, ``iterations`` times.
+
+    Each iteration ORs the mask with its one-pixel shifts along every
+    axis; pixels outside the array are 0, as in scipy.ndimage's dilation
+    with its default structuring element.  Returns a new array; ``mask``
+    may be any view and is not modified.
+    """
+    m = _checked(mask, iterations)
+    for _ in range(iterations):
+        out = m.copy()
+        for tail, head, _, _ in _shifts(m.ndim):
+            out[tail] |= m[head]
+            out[head] |= m[tail]
+        m = out
+    return m
+
+
+def erode(mask: np.ndarray, iterations: int = 1) -> np.ndarray:
+    """Binary erosion by the cross element, ``iterations`` times.
+
+    A pixel survives an iteration when it and its face neighbours are all
+    set; pixels outside the array are 0, so the outermost planes always
+    clear, as in scipy.ndimage's erosion with ``border_value=0``.  Returns
+    a new array; ``mask`` may be any view and is not modified.
+    """
+    m = _checked(mask, iterations)
+    for _ in range(iterations):
+        out = m.copy()
+        for tail, head, first, last in _shifts(m.ndim):
+            out[tail] &= m[head]
+            out[head] &= m[tail]
+            out[first] = False
+            out[last] = False
+        m = out
+    return m
+
+
 def mask_boundary(mask: np.ndarray) -> np.ndarray:
     """One-pixel-wide boundary of a mask (mask minus its erosion)."""
     m = ensure_mask(mask)
-    if not m.any():
-        return np.zeros_like(m)
-    return m & ~binary_erosion(m, border_value=0)
+    return m & ~erode(m)
 
 
 def clean_mask(
@@ -116,9 +173,9 @@ def clean_mask(
     """Morphological cleanup: opening, closing, optional hole fill, dust removal."""
     m = ensure_mask(mask).copy()
     if open_radius > 0:
-        m = binary_opening(m, iterations=open_radius)
+        m = dilate(erode(m, open_radius), open_radius)
     if close_radius > 0:
-        m = binary_closing(m, iterations=close_radius)
+        m = erode(dilate(m, close_radius), close_radius)
     if fill_holes:
         m = binary_fill_holes(m)
     if min_area > 0 and m.any():
@@ -139,10 +196,8 @@ def stability_score(mask: np.ndarray, *, iterations: int = 2) -> float:
     perturbed; thin/noisy masks score low.
     """
     m = ensure_mask(mask)
-    if not m.any():
-        return 0.0
-    lo = binary_erosion(m, iterations=iterations, border_value=0)
-    hi = binary_dilation(m, iterations=iterations)
+    lo = erode(m, iterations)
+    hi = dilate(m, iterations)
     inter = np.count_nonzero(lo)
     union = np.count_nonzero(hi)
     return float(inter / union) if union else 0.0

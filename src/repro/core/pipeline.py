@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from ..adapt.bitdepth import robust_normalize
 from ..adapt.contrast import clahe
@@ -50,6 +49,7 @@ from ..resilience.faults import get_fault_plan
 from ..resilience.policy import RetryPolicy
 from ..utils.timing import StageProfiler
 from .driver import ENGINES, PHASES, drive_volume
+from .masks import dilate
 from .prompts import SpatialHints, TextPrompt
 from .propagation import PropagationConfig
 from .results import SliceResult, StreamResult, VolumeResult
@@ -399,28 +399,45 @@ class ZenesisPipeline:
         the dilated high-relevance region) × √(coverage of the box's
         high-relevance pixels).  Returns None when every hypothesis is empty.
 
+        Each hypothesis is scored inside its ``window`` (the full frame when
+        ``None``): its mask is zero outside it, and the gathered pixels keep
+        their row-major order, so the terms equal full-frame ones bit for bit.
+
         ``hi``/``hi_dilated`` are box-independent; callers looping over many
         boxes pass them precomputed so the dilation runs once per image.
         """
         cfg = self.config
         if hi is None:
             hi = relevance >= cfg.box_threshold
-        x0, y0, x1, y1 = (int(box[0]), int(box[1]), int(np.ceil(box[2])), int(np.ceil(box[3])))
-        hi_box = np.zeros_like(hi)
-        hi_box[max(y0, 0) : y1, max(x0, 0) : x1] = hi[max(y0, 0) : y1, max(x0, 0) : x1]
-        n_hi = max(int(hi_box.sum()), 1)
         if hi_dilated is None:
-            hi_dilated = binary_dilation(hi, iterations=2)
+            hi_dilated = dilate(hi, 2)
+        h, w = hi.shape
+        x0, y0, x1, y1 = (int(box[0]), int(box[1]), int(np.ceil(box[2])), int(np.ceil(box[3])))
+        # The box's pixel bounds under Python slice semantics (a negative
+        # end counts from the far edge), normalised so windows can clip them.
+        by0, by1, _ = slice(max(y0, 0), y1).indices(h)
+        bx0, bx1, _ = slice(max(x0, 0), x1).indices(w)
+        n_hi = max(int(np.count_nonzero(hi[by0:by1, bx0:bx1])), 1)
         best: tuple[MaskHypothesis, float] | None = None
         for hyp in hyps:
-            m = hyp.mask
+            wy0, wy1, wx0, wx1 = hyp.window or (0, h, 0, w)
+            win = (slice(wy0, wy1), slice(wx0, wx1))
+            m = hyp.mask[win]
             n = int(m.sum())
             if n == 0:
                 continue
+            # hi_box = hi inside the box, restricted to the window.
+            ty0, ty1 = max(by0, wy0), min(by1, wy1)
+            tx0, tx1 = max(bx0, wx0), min(bx1, wx1)
+            in_box = 0
+            if ty1 > ty0 and tx1 > tx0:
+                in_box = int(np.count_nonzero(
+                    m[ty0 - wy0 : ty1 - wy0, tx0 - wx0 : tx1 - wx0] & hi[ty0:ty1, tx0:tx1]
+                ))
             score = (
-                float(relevance[m].mean())
-                * float(np.sqrt((m & hi_dilated).sum() / n))
-                * float(np.sqrt((m & hi_box).sum() / n_hi))
+                float(relevance[win][m].mean())
+                * float(np.sqrt((m & hi_dilated[win]).sum() / n))
+                * float(np.sqrt(in_box / n_hi))
             )
             if best is None or score > best[1]:
                 best = (hyp, score)
@@ -448,7 +465,7 @@ class ZenesisPipeline:
                 self.predictor.decode_boxes(np.asarray(use_boxes))
             # Box-independent selection masks, hoisted out of the loop.
             hi = detection.relevance >= cfg.box_threshold
-            hi_dilated = binary_dilation(hi, iterations=2)
+            hi_dilated = dilate(hi, 2)
             for box in use_boxes:
                 hyps = self.predictor.masks_from_box(box)
                 picked = self._select_mask(
@@ -461,8 +478,7 @@ class ZenesisPipeline:
                 union |= picked[0].mask
         with self.profiler.stage("gate.relevance"):
             if cfg.gate_dilation > 0:
-                gate = binary_dilation(detection.relevance >= cfg.box_threshold, iterations=cfg.gate_dilation)
-                union &= gate
+                union &= dilate(hi, cfg.gate_dilation)
         return union, per_box_masks, per_box_kinds
 
     # -- public API ---------------------------------------------------------------

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.ndimage import binary_erosion
 
 from ..cache import MISS, array_content_key, combine_keys
 from ..errors import PipelineError
@@ -54,7 +53,7 @@ from ..observability.metrics import get_registry
 from ..observability.trace import trace
 from ..resilience.serving.lifecycle import check_deadline
 from ..utils.rng import spawn_rng
-from .masks import connected_components, masks_iou
+from .masks import connected_components, erode, masks_iou
 from .results import SliceResult, VolumeResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
@@ -250,7 +249,7 @@ class PropagationState:
 
 def _memory_points(mask: np.ndarray, n: int, rng, *, iterations: int = 2) -> np.ndarray | None:
     """Sample (x, y) prompt points from the confident interior of a mask."""
-    interior = binary_erosion(mask, iterations=iterations, border_value=0) if mask.any() else mask
+    interior = erode(mask, iterations) if iterations > 0 else mask
     ys, xs = np.nonzero(interior if interior.any() else mask)
     if ys.size == 0:
         return None

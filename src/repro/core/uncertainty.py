@@ -24,6 +24,7 @@ import numpy as np
 from scipy.ndimage import label, uniform_filter
 
 from ..errors import EvaluationError
+from .masks import dilate, erode
 from .results import SliceResult
 
 __all__ = ["uncertainty_map", "UncertaintyAnnotator", "mean_confidence"]
@@ -77,10 +78,8 @@ def mean_confidence(result: SliceResult) -> float:
     """Scalar confidence for the dashboard: 1 - mean uncertainty over the mask
     boundary band (interior and far background are trivially confident)."""
     unc = uncertainty_map(result)
-    from scipy.ndimage import binary_dilation, binary_erosion
-
     m = result.mask
-    band = binary_dilation(m, iterations=3) & ~binary_erosion(m, iterations=3, border_value=0)
+    band = dilate(m, 3) & ~erode(m, 3)
     if not band.any():
         return 1.0
     return float(1.0 - unc[band].mean())

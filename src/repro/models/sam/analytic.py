@@ -32,10 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_dilation, gaussian_filter, label, laplace, sobel
+from scipy.ndimage import gaussian_filter, label, laplace, sobel
 
 from ...core.boxes import clip_boxes, pad_box
-from ...core.masks import clean_mask, component_containing, mask_boundary, stability_score
+from ...core.masks import clean_mask, component_containing, dilate, erode
 from ...errors import PromptError
 
 __all__ = ["AnalyticContext", "MaskHypothesis", "AnalyticMaskHead", "DEFAULT_SCORE_WEIGHTS"]
@@ -49,9 +49,11 @@ DEFAULT_SCORE_WEIGHTS: dict[str, float] = {
 }
 
 #: Width of the exterior ring :meth:`AnalyticMaskHead.score_mask` compares
-#: the mask interior against (``contrast`` term).
+#: the mask interior against (``contrast`` term).  The ring extends the
+#: ``stability`` term's dilation, so it must be the wider of the two.
 RING_WIDTH = 3
-#: Erode/dilate iterations of the ``stability`` term.
+#: Erode/dilate iterations of the ``stability`` term (at least 2: the first
+#: erosion is shared with the boundary).
 STABILITY_ITERATIONS = 2
 #: Open/close radius of the box hypotheses' morphological cleanup.
 CLEAN_RADIUS = 1
@@ -77,12 +79,18 @@ class AnalyticContext:
 
 @dataclass(frozen=True)
 class MaskHypothesis:
-    """One candidate mask with its quality decomposition."""
+    """One candidate mask with its quality decomposition.
+
+    ``window`` is a ``(y0, y1, x0, x1)`` region the mask is known to be
+    zero outside of (``None``: the full frame), so consumers can restrict
+    their per-pixel work to it.
+    """
 
     mask: np.ndarray
     kind: str
     score: float
     terms: dict[str, float] = field(default_factory=dict)
+    window: tuple[int, int, int, int] | None = None
 
 
 def _otsu_threshold_float(values: np.ndarray, n_bins: int = 128) -> float:
@@ -186,19 +194,26 @@ class AnalyticMaskHead:
         n = int(m.sum())
         if n == 0:
             return 0.0, {k: 0.0 for k in self.score_weights}
-        boundary = mask_boundary(m)
+        # One erosion chain and one dilation chain serve three terms: the
+        # first erosion gives the boundary (edge), STABILITY_ITERATIONS of
+        # them stability's inner mask; STABILITY_ITERATIONS dilations give
+        # its outer mask, and RING_WIDTH of them the contrast ring.
+        eroded = erode(m)
+        boundary = m & ~eroded
+        inner = erode(eroded, STABILITY_ITERATIONS - 1)
+        outer = dilate(m, STABILITY_ITERATIONS)
+        ring = dilate(outer, RING_WIDTH - STABILITY_ITERATIONS) & ~m
         edge = 0.0
         if boundary.any() and ctx.grad_p95 > 1e-9:
             edge = float(np.clip(ctx.grad_mag[boundary].mean() / ctx.grad_p95, 0.0, 1.0))
-        inside_mean = float(ctx.smooth[m].mean())
-        ring = binary_dilation(m, iterations=RING_WIDTH) & ~m
+        inside = ctx.smooth[m]
+        inside_mean = float(inside.mean())
         contrast = 0.0
         if ring.any():
             contrast = float(np.clip(abs(inside_mean - float(ctx.smooth[ring].mean())) / 0.25, 0.0, 1.0))
-        std_in = float(ctx.smooth[m].std())
-        homogeneity = float(np.exp(-((std_in / 0.10) ** 2)))
+        homogeneity = float(np.exp(-((float(inside.std()) / 0.10) ** 2)))
         terms = {
-            "stability": stability_score(m, iterations=STABILITY_ITERATIONS),
+            "stability": np.count_nonzero(inner) / np.count_nonzero(outer),
             "edge": edge,
             "contrast": contrast,
             "homogeneity": homogeneity,
@@ -250,7 +265,8 @@ class AnalyticMaskHead:
         masks.  A decode costs O(box), not O(frame), and is bit-identical
         to one on the full frame: pixels past the window are zero either
         way, gathered pixels keep their row-major order, and ``area`` is
-        still a fraction of the frame.
+        still a fraction of the frame.  Each hypothesis carries that
+        window, so grounded selection can score it there too.
         """
         h, w = ctx.image.shape
         b = clip_boxes(box, (h, w))[0]
@@ -269,7 +285,7 @@ class AnalyticMaskHead:
             score, terms = self.score_mask(win, mask, frame_pixels=h * w)
             full = np.zeros((h, w), dtype=bool)
             full[wy0:wy1, wx0:wx1] = mask
-            return MaskHypothesis(mask=full, kind=kind, score=score, terms=terms)
+            return MaskHypothesis(mask=full, kind=kind, score=score, terms=terms, window=(wy0, wy1, wx0, wx1))
 
         hyps: list[MaskHypothesis] = []
         hi = np.percentile(crop, self.seed_quantile)

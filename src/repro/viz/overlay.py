@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.boxes import as_boxes
-from ..core.masks import mask_boundary
+from ..core.masks import dilate, mask_boundary
 from ..utils.validation import ensure_mask
 from .colormap import gray_to_rgb_u8, label_color
 
@@ -49,13 +49,11 @@ def overlay_boundary(
     thickness: int = 1,
 ) -> np.ndarray:
     """Draw the mask's boundary (optionally thickened) over the image."""
-    from scipy.ndimage import binary_dilation
-
     rgb = _as_rgb(image)
     m = ensure_mask(mask, shape=rgb.shape[:2])
     boundary = mask_boundary(m)
     if thickness > 1:
-        boundary = binary_dilation(boundary, iterations=thickness - 1)
+        boundary = dilate(boundary, thickness - 1)
     rgb[boundary] = color if color is not None else label_color(label_index)
     return rgb
 

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage as ndi
 
 from repro.core.masks import (
     clean_mask,
     component_containing,
     connected_components,
+    dilate,
+    erode,
     largest_component,
     mask_boundary,
     masks_iou,
@@ -116,6 +122,108 @@ class TestBoundaryMorphology:
         m[5:10, 12:18] = True
         out = clean_mask(m, open_radius=1, close_radius=0)
         assert not out[7, 9]
+
+
+# -- shift kernels vs scipy.ndimage (the reference) -------------------------------
+
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None)
+
+#: 1×1, 1×N, N×1 and small square-ish shapes; every fill from empty to full.
+kernel_shapes = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 12)),
+    st.tuples(st.integers(1, 12), st.just(1)),
+    st.tuples(st.integers(2, 16), st.integers(2, 16)),
+)
+kernel_masks = kernel_shapes.flatmap(
+    lambda s: st.one_of(
+        arrays(np.bool_, st.just(s)),
+        st.just(np.zeros(s, dtype=bool)),
+        st.just(np.ones(s, dtype=bool)),
+    )
+)
+iterations = st.integers(1, 4)
+
+
+def _window_views(mask):
+    """The mask itself, a strided view, a transposed view and an interior window."""
+    yield mask
+    yield mask[::2, ::-1]
+    yield mask.T
+    if mask.shape[0] > 2 and mask.shape[1] > 2:
+        yield mask[1:-1, 1:]
+
+
+class TestShiftKernels:
+    @KERNEL_SETTINGS
+    @given(mask=kernel_masks, r=iterations)
+    def test_dilate_matches_scipy(self, mask, r):
+        for m in _window_views(mask):
+            assert np.array_equal(dilate(m, r), ndi.binary_dilation(m, iterations=r))
+
+    @KERNEL_SETTINGS
+    @given(mask=kernel_masks, r=iterations)
+    def test_erode_matches_scipy_border_zero(self, mask, r):
+        for m in _window_views(mask):
+            assert np.array_equal(erode(m, r), ndi.binary_erosion(m, iterations=r, border_value=0))
+
+    @KERNEL_SETTINGS
+    @given(mask=kernel_masks, r=iterations)
+    def test_opening_and_closing_match_scipy(self, mask, r):
+        for m in _window_views(mask):
+            assert np.array_equal(dilate(erode(m, r), r), ndi.binary_opening(m, iterations=r))
+            assert np.array_equal(erode(dilate(m, r), r), ndi.binary_closing(m, iterations=r))
+
+    @KERNEL_SETTINGS
+    @given(mask=kernel_masks, r=iterations)
+    def test_input_never_mutated(self, mask, r):
+        for m in _window_views(mask):
+            before = m.copy()
+            for op in (dilate, erode):
+                out = op(m, r)
+                assert np.array_equal(m, before)
+                assert not np.shares_memory(out, m)
+
+    @KERNEL_SETTINGS
+    @given(mask=kernel_masks)
+    def test_clean_mask_matches_scipy(self, mask):
+        want = ndi.binary_closing(ndi.binary_opening(mask, iterations=1), iterations=1)
+        assert np.array_equal(clean_mask(mask, open_radius=1, close_radius=1), want)
+
+    @KERNEL_SETTINGS
+    @given(mask=kernel_masks, r=iterations)
+    def test_stability_matches_scipy(self, mask, r):
+        union = np.count_nonzero(ndi.binary_dilation(mask, iterations=r))
+        inter = np.count_nonzero(ndi.binary_erosion(mask, iterations=r, border_value=0))
+        assert stability_score(mask, iterations=r) == (inter / union if union else 0.0)
+
+    def test_three_d_uses_face_neighbours(self, rng):
+        m = rng.random((4, 5, 6)) > 0.4
+        assert np.array_equal(dilate(m, 2), ndi.binary_dilation(m, iterations=2))
+        assert np.array_equal(erode(m, 1), ndi.binary_erosion(m, iterations=1, border_value=0))
+
+    def test_boundary_touches_frame_edge(self):
+        m = np.ones((4, 5), dtype=bool)
+        assert np.array_equal(mask_boundary(m), m & ~ndi.binary_erosion(m, border_value=0))
+        assert mask_boundary(m).sum() == 14  # only the 2x3 interior erodes away
+
+    @pytest.mark.parametrize("op", [dilate, erode])
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_iterations_below_one_rejected(self, op, r):
+        # scipy reads iterations < 1 as "until stable"; the kernels refuse.
+        with pytest.raises(ValidationError):
+            op(np.ones((5, 5), dtype=bool), r)
+
+    @pytest.mark.parametrize("mask", [np.ones((9, 9), dtype=bool), np.zeros((9, 9), dtype=bool)])
+    def test_stability_zero_iterations_rejected(self, mask):
+        # Used to return 0.0 silently on any mask.
+        with pytest.raises(ValidationError):
+            stability_score(mask, iterations=0)
+
+    def test_clean_mask_zero_radius_skips_morphology(self):
+        m = np.zeros((6, 6), dtype=bool)
+        m[2, 1:5] = True  # a 1-px line an opening would erase
+        assert np.array_equal(clean_mask(m, open_radius=0, close_radius=0), m)
 
 
 class TestStability:

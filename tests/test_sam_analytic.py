@@ -1,14 +1,23 @@
 """Tests for the analytic mask head — SAM's functional backend."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import ndimage as ndi
 
 from repro.core.boxes import clip_boxes, pad_box
 from repro.core.masks import clean_mask, masks_iou
+from repro.core.pipeline import ZenesisPipeline
 from repro.data import make_sample
 from repro.data.synthesis.phantoms import disk_phantom, two_phase_phantom
 from repro.errors import PromptError
-from repro.models.sam.analytic import AnalyticMaskHead, _otsu_threshold_float
+from repro.models.sam.analytic import (
+    RING_WIDTH,
+    STABILITY_ITERATIONS,
+    AnalyticMaskHead,
+    _otsu_threshold_float,
+)
 
 
 @pytest.fixture(scope="module")
@@ -151,22 +160,40 @@ def _padded_box(ctx, box):
     return int(padded[0]), int(padded[1]), int(np.ceil(padded[2])), int(np.ceil(padded[3]))
 
 
-def _full_frame_masks_from_box(head, ctx, box):
-    """Box hypotheses built and scored on the whole frame (the reference)."""
+def _kernel_clean(head):
+    def clean(m, radius=1):
+        return clean_mask(m, open_radius=radius, close_radius=radius, min_area=head.min_component_area)
+
+    return clean
+
+
+def _full_frame_masks_from_box(head, ctx, box, *, clean=None, score=None):
+    """Box hypotheses built and scored on the whole frame (the reference).
+
+    ``clean(mask, radius)`` and ``score(ctx, mask)`` default to the head's
+    own; the scipy differential test swaps in scipy-based ones.
+    """
+    clean = clean or _kernel_clean(head)
+    score = score or head.score_mask
     h, w = ctx.image.shape
     x0, y0, x1, y1 = _padded_box(ctx, box)
     within = np.zeros((h, w), dtype=bool)
     within[y0:y1, x0:x1] = True
     crop = ctx.smooth[y0:y1, x0:x1]
 
-    def clean(m, radius=1):
-        return clean_mask(m, open_radius=radius, close_radius=radius, min_area=head.min_component_area)
+    def band(seed):
+        if not seed.any():
+            return np.zeros((h, w), dtype=bool)
+        vals = ctx.smooth[seed]
+        med = float(np.median(vals))
+        s = max(float(np.median(np.abs(vals - med))) / 0.6745, ctx.noise_sigma, 0.01)
+        return clean((np.abs(ctx.smooth - med) <= head.band_k * s) & within)
 
     masks = []
     hi = np.percentile(crop, head.seed_quantile)
     lo = np.percentile(crop, 100.0 - head.seed_quantile)
-    masks.append((head._band_mask(ctx, within & (ctx.smooth >= hi), within=within), "bright"))
-    masks.append((head._band_mask(ctx, within & (ctx.smooth <= lo), within=within), "dark"))
+    masks.append((band(within & (ctx.smooth >= hi)), "bright"))
+    masks.append((band(within & (ctx.smooth <= lo)), "dark"))
     tau = max(0.45 * float(np.percentile(ctx.tophat[y0:y1, x0:x1], 97)), 2.5 * ctx.noise_sigma)
     masks.append((clean(within & (ctx.tophat > tau)), "local-bright"))
     t = _otsu_threshold_float(crop)
@@ -186,7 +213,7 @@ def _full_frame_masks_from_box(head, ctx, box):
     split = np.zeros((h, w), dtype=bool)
     split[y0:y1, x0:x1] = sel
     masks.append((clean(split, radius=0), "bright-split"))
-    return [(mask, kind, *head.score_mask(ctx, mask)) for mask, kind in masks]
+    return [(mask, kind, *score(ctx, mask)) for mask, kind in masks]
 
 
 def _scene(shape, rng):
@@ -212,9 +239,9 @@ def _boxes(h, w):
     ]
 
 
-def _assert_matches_reference(head, ctx, box):
+def _assert_matches_reference(head, ctx, box, **reference):
     got = head.masks_from_box(ctx, np.asarray(box, dtype=np.float64))
-    want = _full_frame_masks_from_box(head, ctx, np.asarray(box, dtype=np.float64))
+    want = _full_frame_masks_from_box(head, ctx, np.asarray(box, dtype=np.float64), **reference)
     assert [g.kind for g in got] == [k for _, k, _, _ in want]
     for g, (mask, kind, score, terms) in zip(got, want):
         assert g.mask.shape == ctx.image.shape and g.mask.dtype == bool
@@ -266,3 +293,101 @@ class TestWindowedBoxDecode:
         _, scaled = head.score_mask(ctx, gt, frame_pixels=4 * 64 * 64)
         assert full["area"] == gt.sum() / (64 * 64)
         assert scaled["area"] == gt.sum() / (4 * 64 * 64)
+
+
+# -- shift-kernel box head vs a scipy.ndimage reference ---------------------------
+
+
+def _scipy_clean(head):
+    def clean(m, radius=1):
+        if radius > 0:
+            m = ndi.binary_closing(ndi.binary_opening(m, iterations=radius), iterations=radius)
+        return clean_mask(m, open_radius=0, close_radius=0, min_area=head.min_component_area)
+
+    return clean
+
+
+def _scipy_score_mask(head, frame_pixels):
+    """``AnalyticMaskHead.score_mask`` as separate scipy morphology calls."""
+
+    def score(ctx, mask):
+        m = np.asarray(mask, dtype=bool)
+        n = int(m.sum())
+        if n == 0:
+            return 0.0, {k: 0.0 for k in head.score_weights}
+        boundary = m & ~ndi.binary_erosion(m, border_value=0)
+        edge = 0.0
+        if boundary.any() and ctx.grad_p95 > 1e-9:
+            edge = float(np.clip(ctx.grad_mag[boundary].mean() / ctx.grad_p95, 0.0, 1.0))
+        inside_mean = float(ctx.smooth[m].mean())
+        ring = ndi.binary_dilation(m, iterations=RING_WIDTH) & ~m
+        contrast = 0.0
+        if ring.any():
+            contrast = float(np.clip(abs(inside_mean - float(ctx.smooth[ring].mean())) / 0.25, 0.0, 1.0))
+        lo = ndi.binary_erosion(m, iterations=STABILITY_ITERATIONS, border_value=0)
+        hi = ndi.binary_dilation(m, iterations=STABILITY_ITERATIONS)
+        terms = {
+            "stability": np.count_nonzero(lo) / np.count_nonzero(hi),
+            "edge": edge,
+            "contrast": contrast,
+            "homogeneity": float(np.exp(-((float(ctx.smooth[m].std()) / 0.10) ** 2))),
+            "area": float(n / frame_pixels),
+        }
+        return float(sum(head.score_weights[k] * terms[k] for k in head.score_weights)), terms
+
+    return score
+
+
+@pytest.fixture(scope="module")
+def grounded_slices():
+    """(pipeline, analytic context, detection, boxes) on real FIB-SEM slices.
+
+    The boxes are DINO's, plus boxes on every frame edge and corner (where
+    the decode window is clipped and erosion meets the array border) and
+    boxes reaching past the frame.
+    """
+    pipeline = ZenesisPipeline()
+    out = []
+    for kind in ("crystalline", "amorphous"):
+        sample = make_sample(kind, seed=0, shape=(128, 128), n_slices=2)
+        for z in range(2):
+            det_img, seg_img = pipeline.adapt(sample.volume.voxels[z])
+            detection = pipeline.ground(det_img, "catalyst particles")
+            h, w = seg_img.shape
+            boxes = [np.asarray(b, dtype=np.float64) for b in detection.boxes]
+            boxes += [np.asarray(b, dtype=np.float64) for b in _boxes(h, w)]
+            boxes += [np.array([-6.0, -4.0, 30.0, 26.0]), np.array([w - 30.0, h - 20.0, w + 9.0, h + 5.0])]
+            out.append((pipeline, pipeline.sam.analytic.prepare(seg_img), detection, boxes))
+    return out
+
+
+class TestScipyDifferential:
+    def test_box_head_matches_scipy_reference(self, head, grounded_slices):
+        n = 0
+        for _, ctx, _, boxes in grounded_slices:
+            frame = ctx.image.size
+            for box in boxes:
+                _assert_matches_reference(
+                    head, ctx, box, clean=_scipy_clean(head), score=_scipy_score_mask(head, frame)
+                )
+                n += 1
+        assert n > 60
+
+    def test_windowed_selection_matches_full_frame(self, head, grounded_slices):
+        picked = 0
+        for pipeline, ctx, detection, boxes in grounded_slices:
+            hi = detection.relevance >= pipeline.config.box_threshold
+            for i, box in enumerate(boxes):
+                hyps = head.masks_from_box(ctx, box)
+                assert all(hyp.window is not None for hyp in hyps)
+                full = [dataclasses.replace(hyp, window=None) for hyp in hyps]
+                # The decoded box, and another box only partly inside the window.
+                for scored in (box, boxes[i - 1]):
+                    got = pipeline._select_mask(hyps, detection.relevance, scored, hi=hi)
+                    want = pipeline._select_mask(full, detection.relevance, scored)
+                    assert (got is None) == (want is None), (box, scored)
+                    if got is not None:
+                        assert [h is got[0] for h in hyps] == [h is want[0] for h in full], (box, scored)
+                        assert got[1] == want[1], (box, scored)
+                        picked += 1
+        assert picked > 80
