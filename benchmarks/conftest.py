@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.evaluator import Evaluator
+from repro.eval.evaluator import Evaluator, MethodEvaluation
 from repro.eval.experiments import ExperimentSetup, build_methods
 
 ARTIFACT_DIR = Path(__file__).parent / "_artifacts"
@@ -40,6 +40,33 @@ def table_evaluations(setup):
     """One shared evaluation pass for Tables 1-3."""
     evaluator = Evaluator(build_methods(setup))
     return evaluator.evaluate(setup.dataset.slices)
+
+
+#: Full-run (2 kinds × 10 slices at 256²) means per method / kind / metric.
+#: The pipeline is deterministic: any drift means an output changed.
+FULL_RUN_GOLDEN = {
+    "otsu": {
+        "crystalline": {"accuracy": 0.576437, "iou": 0.149406, "dice": 0.259659},
+        "amorphous": {"accuracy": 0.673680, "iou": 0.335079, "dice": 0.495916},
+    },
+    "sam_only": {
+        "crystalline": {"accuracy": 0.431403, "iou": 0.0, "dice": 0.0},
+        "amorphous": {"accuracy": 0.849068, "iou": 0.222799, "dice": 0.352163},
+    },
+    "zenesis": {
+        "crystalline": {"accuracy": 0.972157, "iou": 0.718967, "dice": 0.834516},
+        "amorphous": {"accuracy": 0.968793, "iou": 0.828387, "dice": 0.904531},
+    },
+}
+
+
+def assert_full_run_golden(ev: MethodEvaluation) -> None:
+    """Every accuracy/IoU/Dice mean of ``ev`` equals the pinned full run."""
+    for kind, golden in FULL_RUN_GOLDEN[ev.method].items():
+        assert len(ev.by_kind(kind)) == 10, kind
+        summary = ev.summary(kind, metrics=tuple(golden))
+        got = {metric: summary[metric].mean for metric in golden}
+        assert got == pytest.approx(golden, abs=1e-6), kind
 
 
 def check_paper_shape(measured, reference, *, note: str = "") -> list[str]:

@@ -1,23 +1,29 @@
 """Fig. 2: the interactive DINO-SAM workflow, traced stage by stage.
 
 Regenerates the figure's content as a per-stage latency table for one
-interactive segmentation, via the pipeline's built-in StageProfiler.
+interactive segmentation, read from the ``repro_stage_seconds`` histograms
+that every stage span feeds.
 """
 
+from repro.cache import export_cache_metrics, reset_cache
 from repro.core.pipeline import ZenesisPipeline
 from repro.eval.experiments import DEFAULT_PROMPT
+from repro.observability import format_profile, reset_registry, stage_rows
 
 
 def test_fig2_workflow_stage_profile(setup, artifact_dir, benchmark):
+    reset_cache()  # cold: the table runs may already have adapted this slice
+    reset_registry()
     pipeline = ZenesisPipeline()
     sl = setup.dataset.slices[0]
     result = pipeline.segment_image(sl.image, DEFAULT_PROMPT)
-    table = pipeline.profiler.format_table()
+    export_cache_metrics(pipeline.cache)
+    table = format_profile()
     print("\nFig. 2 — per-stage wall time of one interactive segmentation")
     print(table)
     (artifact_dir / "fig2_workflow.txt").write_text(table)
 
-    stages = set(pipeline.profiler.records)
+    stages = {r["stage"] for r in stage_rows()}
     # Every workflow stage from the figure must have executed.
     assert {
         "adapt.normalize",

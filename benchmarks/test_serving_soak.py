@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.platform.server import PlatformServer
-from repro.resilience.events import events_snapshot
+from repro.resilience.events import event_count
 from repro.resilience.serving import serving_snapshot
 
 SOAK_SECONDS = float(os.environ.get("REPRO_SOAK_SECONDS", "30"))
@@ -150,7 +150,6 @@ def test_serving_soak(faults, artifact_dir):
     srv.stop()
     wall_s = time.monotonic() - t0
 
-    events = events_snapshot()
     summary = {
         "soak_seconds": SOAK_SECONDS,
         "clients": N_CLIENTS,
@@ -164,7 +163,7 @@ def test_serving_soak(faults, artifact_dir):
         "serving": serving_snapshot(
             gate=srv.gate, breakers=srv.api.breakers, store=srv.api.store
         ),
-        "degraded_responses": events.get("resilience.server.degraded", 0),
+        "degraded_responses": event_count("server.degraded"),
         "transport_blips": len(transport_blips),
         "failures": failures[:20],
     }
@@ -183,4 +182,4 @@ def test_serving_soak(faults, artifact_dir):
     assert live_sessions <= MAX_SESSIONS
     assert srv.lifecycle.inflight == 0, "drain left requests in flight"
     # The fault plan fired and the degraded path answered instead of erroring.
-    assert events.get("resilience.server.degraded", 0) >= 1
+    assert event_count("server.degraded") >= 1

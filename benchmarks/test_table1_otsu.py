@@ -12,7 +12,7 @@ value almost exactly) and amorphous IoU is moderate (~0.36).
 from repro.baselines.otsu import otsu_segment
 from repro.eval.experiments import PAPER_REFERENCE
 from repro.eval.report import paper_table
-from .conftest import check_paper_shape
+from .conftest import assert_full_run_golden, check_paper_shape
 
 
 def test_table1_otsu_rows(table_evaluations, artifact_dir, benchmark):
@@ -24,13 +24,9 @@ def test_table1_otsu_rows(table_evaluations, artifact_dir, benchmark):
             print(line)
     (artifact_dir / "table1_otsu.txt").write_text(paper_table(ev))
 
-    cry = ev.summary("crystalline")
-    amo = ev.summary("amorphous")
-    # Shape assertions mirroring the paper's findings.
-    assert cry["iou"].mean < 0.30, "crystalline Otsu must stay trapped near the film share"
-    assert amo["iou"].mean > cry["iou"].mean + 0.1, "amorphous must beat crystalline clearly"
-    assert cry["dice"].mean < 0.45
-    assert 0.45 < cry["accuracy"].mean < 0.75
+    # Crystalline Otsu stays trapped near the film share (IoU 0.149);
+    # amorphous beats it clearly (0.335).
+    assert_full_run_golden(ev)
 
 
 def test_table1_otsu_throughput(benchmark, setup):

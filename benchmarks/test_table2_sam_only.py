@@ -14,7 +14,7 @@ aggregates — moderate mean IoU with large variance.
 from repro.baselines.sam_only import SamOnlyBaseline, SamOnlyConfig
 from repro.eval.experiments import PAPER_REFERENCE
 from repro.eval.report import paper_table
-from .conftest import check_paper_shape
+from .conftest import assert_full_run_golden, check_paper_shape
 
 
 def test_table2_sam_only_rows(table_evaluations, artifact_dir, benchmark):
@@ -26,10 +26,10 @@ def test_table2_sam_only_rows(table_evaluations, artifact_dir, benchmark):
             print(line)
     (artifact_dir / "table2_sam_only.txt").write_text(paper_table(ev))
 
-    cry = ev.summary("crystalline")
+    # SAM-only fails entirely on crystalline (IoU 0.0); amorphous does
+    # (much) better (0.223).
+    assert_full_run_golden(ev)
     amo = ev.summary("amorphous")
-    assert cry["iou"].mean < 0.15, "SAM-only must fail entirely on crystalline"
-    assert amo["iou"].mean > cry["iou"].mean + 0.1, "amorphous performs (much) better"
     assert amo["iou"].std > 0.08, "amorphous SAM-only is high-variance (paper: ±0.088)"
 
 

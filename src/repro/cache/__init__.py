@@ -16,20 +16,30 @@ Public surface:
 * :data:`MISS` — the miss sentinel returned by :meth:`InferenceCache.get`;
 * :func:`array_content_key`, :func:`config_fingerprint`,
   :func:`combine_keys` — key construction;
-* :class:`CacheStats` + :func:`subtract_counters` — observability.
+* :class:`CacheStats` + :func:`export_cache_metrics` — observability: each
+  cache's own stats, published as the registry's ``repro_cache_*`` series.
 """
 
-from .core import MISS, CacheConfig, InferenceCache, configure_cache, get_cache, reset_cache
+from .core import (
+    MISS,
+    CacheConfig,
+    InferenceCache,
+    configure_cache,
+    export_cache_metrics,
+    get_cache,
+    reset_cache,
+)
 from .disk import DiskTier, default_cache_dir
 from .keys import array_content_key, combine_keys, config_fingerprint
 from .memory import MemoryTier, nbytes_of
-from .stats import CacheStats, NamespaceStats, TierStats, subtract_counters
+from .stats import CacheStats, NamespaceStats, TierStats
 
 __all__ = [
     "MISS",
     "CacheConfig",
     "InferenceCache",
     "configure_cache",
+    "export_cache_metrics",
     "get_cache",
     "reset_cache",
     "DiskTier",
@@ -42,5 +52,4 @@ __all__ = [
     "CacheStats",
     "NamespaceStats",
     "TierStats",
-    "subtract_counters",
 ]

@@ -19,11 +19,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from ..observability.metrics import MetricsRegistry, get_registry
 from .disk import DiskTier
 from .memory import MemoryTier, nbytes_of
 from .stats import CacheStats
 
-__all__ = ["MISS", "CacheConfig", "InferenceCache", "get_cache", "configure_cache", "reset_cache"]
+__all__ = [
+    "MISS",
+    "CacheConfig",
+    "InferenceCache",
+    "get_cache",
+    "configure_cache",
+    "reset_cache",
+    "export_cache_metrics",
+]
 
 
 class _Miss:
@@ -126,11 +135,6 @@ class InferenceCache:
     def stats(self) -> CacheStats:
         return self._stats
 
-    def counters(self) -> dict[str, float]:
-        """Flat counter mapping (see :meth:`CacheStats.as_counters`)."""
-        with self._lock:
-            return self._stats.as_counters()
-
 
 _global_cache: InferenceCache | None = None
 _global_lock = threading.Lock()
@@ -159,3 +163,30 @@ def reset_cache() -> None:
     global _global_cache
     with _global_lock:
         _global_cache = None
+
+
+def export_cache_metrics(
+    cache: InferenceCache | None = None, registry: MetricsRegistry | None = None
+) -> None:
+    """Publish ``cache``'s stats (default: the global cache) to the registry.
+
+    Per tier: ``repro_cache_{hits,misses,evictions,quarantined}_total`` and
+    the gauges ``repro_cache_{bytes,entries}``, labelled ``tier``.  Per
+    namespace: ``repro_cache_ns_{hits,misses}_total``, labelled
+    ``namespace``.  Counters are published with :meth:`Counter.set_to`, so
+    a repeat export never double-counts.  Readers call this right before
+    they read (``/metrics``, run manifests, ``--profile``, the dashboard).
+    """
+    cache = cache if cache is not None else get_cache()
+    reg = registry or get_registry()
+    with cache._lock:
+        tiers = [t.as_dict() for t in cache.stats.tiers.values()]
+        namespaces = [(ns.namespace, ns.hits, ns.misses) for ns in cache.stats.namespaces.values()]
+    for t in tiers:
+        for metric in ("hits", "misses", "evictions", "quarantined"):
+            reg.counter(f"repro_cache_{metric}_total", tier=t["tier"]).set_to(t[metric])
+        reg.gauge("repro_cache_bytes", tier=t["tier"]).set(t["bytes_used"])
+        reg.gauge("repro_cache_entries", tier=t["tier"]).set(t["entries"])
+    for namespace, hits, misses in namespaces:
+        reg.counter("repro_cache_ns_hits_total", namespace=namespace).set_to(hits)
+        reg.counter("repro_cache_ns_misses_total", namespace=namespace).set_to(misses)

@@ -2,15 +2,19 @@
 
 Every tier (memory, disk) tracks hits/misses/puts/evictions plus its byte
 occupancy; every namespace (``sam.image``, ``dino.ground``, …) tracks its
-own hit/miss split so the profiler tables and the Fig 8 dashboard can show
-*where* reuse happens, not just that it does.
+own hit/miss split so ``--profile``, the Fig 8 dashboard and ``/metrics``
+can show *where* reuse happens, not just that it does.
+
+These are each cache instance's own state.
+:func:`~repro.cache.export_cache_metrics` publishes them as the registry's
+``repro_cache_*`` series when a reader asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TierStats", "NamespaceStats", "CacheStats", "subtract_counters"]
+__all__ = ["TierStats", "NamespaceStats", "CacheStats"]
 
 
 @dataclass
@@ -67,46 +71,3 @@ class CacheStats:
 
     def namespace(self, name: str) -> NamespaceStats:
         return self.namespaces.setdefault(name, NamespaceStats(namespace=name))
-
-    @property
-    def hits(self) -> int:
-        return sum(t.hits for t in self.tiers.values())
-
-    @property
-    def misses(self) -> int:
-        # A full miss walks every tier; count it once, via the namespaces.
-        return sum(ns.misses for ns in self.namespaces.values())
-
-    def as_rows(self) -> list[dict]:
-        """Per-tier rows for tables/dashboards."""
-        return [self.tiers[k].as_dict() for k in sorted(self.tiers)]
-
-    def as_counters(self) -> dict[str, float]:
-        """Flat ``{"cache.<tier>.<metric>": value}`` mapping for profilers."""
-        out: dict[str, float] = {}
-        for name, t in sorted(self.tiers.items()):
-            out[f"cache.{name}.hits"] = float(t.hits)
-            out[f"cache.{name}.misses"] = float(t.misses)
-            out[f"cache.{name}.evictions"] = float(t.evictions)
-            out[f"cache.{name}.quarantined"] = float(t.quarantined)
-            out[f"cache.{name}.bytes"] = float(t.bytes_used)
-            out[f"cache.{name}.entries"] = float(t.entries)
-        for name, ns in sorted(self.namespaces.items()):
-            out[f"cache.ns.{name}.hits"] = float(ns.hits)
-            out[f"cache.ns.{name}.misses"] = float(ns.misses)
-        return out
-
-
-def subtract_counters(after: dict[str, float], before: dict[str, float]) -> dict[str, float]:
-    """Counter delta between two :meth:`CacheStats.as_counters` snapshots.
-
-    Gauges (``bytes``, ``entries``) keep their *after* value — a delta of a
-    gauge is meaningless; monotonic counters are differenced.
-    """
-    out: dict[str, float] = {}
-    for key, value in after.items():
-        if key.endswith((".bytes", ".entries")):
-            out[key] = value
-        else:
-            out[key] = value - before.get(key, 0.0)
-    return out

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlay", type=Path, default=None, help="also write an overlay PNG")
     p.add_argument("--slice", type=int, default=None, help="volume slice to segment (default: all)")
     p.add_argument("--no-cache", action="store_true", help="disable the content-addressed inference cache")
-    p.add_argument("--profile", action="store_true", help="print per-stage timings and cache counters")
+    p.add_argument("--profile", action="store_true", help="print per-stage timings and every counter")
     p.add_argument(
         "--trace-out",
         type=Path,
@@ -435,7 +435,7 @@ def _print_repro_error(exc) -> int:
     return 1
 
 
-def _write_observability(args, command: str, *, config=None, profiler=None, extra=None) -> None:
+def _write_observability(args, command: str, *, config=None, extra=None) -> None:
     """Flush the CLI trace / manifest artifacts requested via flags.
 
     ``--trace-out`` writes the Chrome-trace file and, unless overridden,
@@ -456,11 +456,19 @@ def _write_observability(args, command: str, *, config=None, profiler=None, extr
         if manifest_out is None:
             manifest_out = trace_out.parent / "run.json"
     if manifest_out is not None:
-        manifest = build_manifest(
-            command, config=config, profiler=profiler, argv=sys.argv[1:], extra=extra
-        )
+        manifest = build_manifest(command, config=config, argv=sys.argv[1:], extra=extra)
         write_manifest(manifest_out, manifest)
         print(f"manifest -> {manifest_out}")
+
+
+def _print_profile(cache) -> None:
+    """``--profile``: stage rows and every series, read from the registry."""
+    from .cache import export_cache_metrics
+    from .observability import format_profile
+
+    export_cache_metrics(cache)
+    print()
+    print(format_profile())
 
 
 def _cmd_segment(args) -> int:
@@ -504,10 +512,9 @@ def _cmd_segment(args) -> int:
             save_figure(args.overlay, overlay_mask(seg_img, result.mask))
             print(f"overlay -> {args.overlay}")
     print(f"masks -> {out}")
-    _write_observability(args, "segment", config=pipeline.config, profiler=pipeline.profiler)
+    _write_observability(args, "segment", config=pipeline.config)
     if args.profile:
-        print()
-        print(pipeline.profiler.format_table())
+        _print_profile(pipeline.cache)
     return 0
 
 
@@ -550,12 +557,9 @@ def _cmd_segment_stream(args) -> int:
 
     pixel_size_nm = in_plane_pixel_size_nm(result.io_stats.get("meta"))
     extra = {"pixel_size_nm": pixel_size_nm} if pixel_size_nm is not None else None
-    _write_observability(
-        args, "segment", config=pipeline.config, profiler=pipeline.profiler, extra=extra
-    )
+    _write_observability(args, "segment", config=pipeline.config, extra=extra)
     if args.profile:
-        print()
-        print(pipeline.profiler.format_table())
+        _print_profile(pipeline.cache)
     return 0
 
 
@@ -694,24 +698,20 @@ def _cmd_evaluate(args) -> int:
         zenesis_config=ZenesisConfig(use_cache=not args.no_cache),
     )
     _start_observability(args, "evaluate")
-    evaluator = Evaluator(build_methods(setup))
-    evaluations = evaluator.evaluate(setup.dataset.slices, method_names=args.methods)
+    evaluations = Evaluator(build_methods(setup)).evaluate(
+        setup.dataset.slices, method_names=args.methods
+    )
     for name, ev in evaluations.items():
         print()
         print(paper_table(ev))
     if args.dashboard is not None:
-        from .observability import stage_latency_rows
-        from .resilience import events_snapshot
+        from .cache import export_cache_metrics
+        from .observability import get_registry
         from .resilience.serving import serving_snapshot
 
+        export_cache_metrics()
         args.dashboard.write_text(
-            render_dashboard(
-                evaluations,
-                cache_counters=evaluator.last_cache_counters,
-                resilience_counters=events_snapshot(),
-                latency_rows=stage_latency_rows(),
-                serving=serving_snapshot(),
-            )
+            render_dashboard(evaluations, metrics=get_registry(), serving=serving_snapshot())
         )
         print(f"\ndashboard -> {args.dashboard}")
     _write_observability(args, "evaluate", config=setup.zenesis_config)

@@ -31,7 +31,6 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from ..observability.adapters import publish_cluster_metrics
 from ..observability.metrics import get_registry
 from ..resilience.events import record_event
 from ..resilience.serving import CircuitBreaker
@@ -282,4 +281,17 @@ class ClusterCoordinator:
         }
 
     def _publish(self) -> None:
-        publish_cluster_metrics(self.replicas)
+        """Publish per-replica liveness gauges on every probe tick.
+
+        The router's ``GET /metrics`` then reflects the current cluster
+        shape: ``repro_cluster_replica_up{replica}`` (1 = routing-eligible)
+        plus the aggregate ``repro_cluster_replicas_healthy`` /
+        ``..._configured``.  Cumulative death/restart counters are
+        incremented at their event sites.
+        """
+        reg = get_registry()
+        up = [(handle.index, 1 if handle.healthy else 0) for handle in self.replicas]
+        for index, value in up:
+            reg.gauge("repro_cluster_replica_up", replica=str(index)).set(value)
+        reg.gauge("repro_cluster_replicas_healthy").set(sum(value for _, value in up))
+        reg.gauge("repro_cluster_replicas_configured").set(len(up))

@@ -40,7 +40,7 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 
-from ..observability.adapters import collect_default_metrics
+from ..cache import export_cache_metrics
 from ..observability.metrics import get_registry
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
@@ -312,7 +312,7 @@ class ClusterRouter:
                     code = 200 if n else 503
                     _send_json(self, code, {"ready": bool(n), "healthy_replicas": n})
                 elif self.path == "/metrics":
-                    collect_default_metrics()
+                    export_cache_metrics()
                     _send(
                         self,
                         200,

@@ -20,11 +20,11 @@ only): slices are prepared in rounds of ``n_workers`` and each child
 decodes the ``(segmenter image, detection, refined boxes)`` it inherits by
 fork.  Boxes are refined over the whole prefix first, so masks do not
 depend on the worker count.  No adapt-ahead or prefetch thread is busy when
-a round forks, so no child inherits a held profiler, cache, registry or
-tracer lock.  A pooled decode records each slice's spans into its own
-tracer and the coordinator adopts them with ``slice`` and ``worker``
-attribution; ``worker_crash@slice=N`` kills the child decoding slice N,
-and the pool re-runs its partition inline.
+a round forks, so no child inherits a held cache, metric or tracer lock.
+A pooled decode records each slice's spans into its own tracer and the
+coordinator adopts them with ``slice`` and ``worker`` attribution;
+``worker_crash@slice=N`` kills the child decoding slice N, and the pool
+re-runs its partition inline.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class _Meanbox:
         detection = pipe.ground(det_img, self.text, slice_index=s.z)
         boxes = detection.boxes
         if self.refiner is not None:
-            with pipe.profiler.stage("temporal.refine"):
+            with trace("temporal.refine"):
                 boxes = self.refiner.step(boxes)
         s.info["detection"] = detection
         if s.z in done:

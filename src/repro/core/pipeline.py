@@ -18,7 +18,8 @@ This is the paper's core contribution wired together:
    (*adapt-ahead*): adaptation is NumPy/SciPy work that releases the GIL,
    so it overlaps with the GIL-bound stages after it.
 
-Every stage is timed into a :class:`~repro.utils.timing.StageProfiler`.
+Every stage is a :func:`~repro.observability.trace` span, which observes
+its wall time into the ``repro_stage_seconds`` histogram.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ from ..models.sam.analytic import AnalyticMaskHead, MaskHypothesis
 from ..models.sam.model import Sam, SamPredictor
 from ..observability.metrics import get_registry
 from ..observability.trace import Span, Tracer, get_tracer, trace
-from ..resilience.events import events_snapshot, record_event
+from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.policy import RetryPolicy
-from ..utils.timing import StageProfiler
 from .driver import ENGINES, PHASES, drive_volume
 from .masks import dilate
 from .prompts import SpatialHints, TextPrompt
@@ -200,8 +200,10 @@ class ZenesisPipeline:
             text_threshold=cfg.text_threshold,
         )
         self.sam: Sam = build_sam(cfg.sam_name, seed=cfg.seed, analytic=AnalyticMaskHead(band_k=cfg.band_k))
-        self.predictor = SamPredictor(self.sam, cache=self.cache)
-        self.profiler = StageProfiler()
+        # SamPredictor is stateful (set_image, then decode): each thread gets
+        # its own over the shared model and cache, so concurrent calls on one
+        # pipeline never decode against another call's image.
+        self._predictors = threading.local()
         self._relaxed_dinos: dict[int, GroundingDino] = {}
         # Adaptation outputs depend only on these knobs, not the full config.
         self._adapt_fp = config_fingerprint(
@@ -221,6 +223,14 @@ class ZenesisPipeline:
         # Adapt-ahead scopes by thread id: concurrent volume calls on one
         # pipeline (the jobs runner memoises pipelines) each own theirs.
         self._ahead: dict[int, _AdaptAhead] = {}
+
+    @property
+    def predictor(self) -> SamPredictor:
+        """This thread's SAM predictor."""
+        predictor = getattr(self._predictors, "predictor", None)
+        if predictor is None:
+            predictor = self._predictors.predictor = SamPredictor(self.sam, cache=self.cache)
+        return predictor
 
     # -- adaptation -----------------------------------------------------------
 
@@ -253,21 +263,21 @@ class ZenesisPipeline:
         cached = self.cache.get("pipeline.adapt", key)
         if cached is not MISS:
             return cached, True
-        with self.profiler.stage("adapt.normalize"):
+        with trace("adapt.normalize"):
             base = robust_normalize(raw)
         scale = self._spatial_scale
-        with self.profiler.stage("adapt.denoise"):
+        with trace("adapt.denoise"):
             den = denoise_bilateral(
                 base,
                 sigma_spatial=cfg.denoise_sigma_spatial * scale,
                 sigma_range=cfg.denoise_sigma_range,
             )
         if cfg.flatfield:
-            with self.profiler.stage("adapt.flatfield"):
+            with trace("adapt.flatfield"):
                 den = flatfield_correct(den, sigma=cfg.flatfield_sigma * scale)
-        with self.profiler.stage("adapt.detector_branch"):
+        with trace("adapt.detector_branch"):
             det_img = clahe(den, tiles=cfg.clahe_tiles, clip_limit=cfg.clahe_clip)
-        with self.profiler.stage("adapt.segmenter_branch"):
+        with trace("adapt.segmenter_branch"):
             seg_img = unsharp_mask(den, amount=cfg.unsharp_amount, sigma=cfg.unsharp_sigma * scale)
         self.cache.put("pipeline.adapt", key, (det_img, seg_img))
         return (det_img, seg_img), False
@@ -317,7 +327,7 @@ class ZenesisPipeline:
         self, detector_img: np.ndarray, prompt: str, level: int, slice_index: int | None
     ) -> Detection:
         """One grounding attempt at relaxation ``level`` (0 = configured)."""
-        with self.profiler.stage("dino.ground"):
+        with trace("dino.ground"):
             get_registry().counter("repro_pipeline_groundings_total").inc()
             if level == 0 and get_fault_plan().should_fire("grounding_empty", slice=slice_index):
                 h, w = np.asarray(detector_img).shape[:2]
@@ -452,12 +462,12 @@ class ZenesisPipeline:
         """Box prompts → grounded-selected masks → gated union."""
         cfg = self.config
         use_boxes = detection.boxes if boxes is None else boxes
-        with self.profiler.stage("sam.set_image"):
+        with trace("sam.set_image"):
             self.predictor.set_image(segmenter_img)
         union = np.zeros(segmenter_img.shape, dtype=bool)
         per_box_masks: list[np.ndarray] = []
         per_box_kinds: list[str] = []
-        with self.profiler.stage("sam.box_prompts"):
+        with trace("sam.box_prompts"):
             if len(use_boxes):
                 # Keep the transformer path exercised (tokens/logits exposed
                 # on the predictor) while the analytic head picks the masks —
@@ -476,7 +486,7 @@ class ZenesisPipeline:
                 per_box_masks.append(picked[0].mask)
                 per_box_kinds.append(picked[0].kind)
                 union |= picked[0].mask
-        with self.profiler.stage("gate.relevance"):
+        with trace("gate.relevance"):
             if cfg.gate_dilation > 0:
                 union &= dilate(hi, cfg.gate_dilation)
         return union, per_box_masks, per_box_kinds
@@ -506,21 +516,18 @@ class ZenesisPipeline:
             mask, per_box, kinds = self.segment_with_boxes(seg_img, detection, boxes)
             if hints is not None and hints.has_points:
                 coords, labels = hints.point_arrays()
-                with self.profiler.stage("sam.point_prompts"):
+                with trace("sam.point_prompts"):
                     masks, _, _ = self.predictor.predict(
                         point_coords=coords, point_labels=labels, multimask_output=False
                     )
                 mask = mask | masks[0]
         get_registry().counter("repro_pipeline_images_total").inc()
-        self.profiler.set_counters(self.cache.counters())
-        self.profiler.set_counters(events_snapshot())
         return SliceResult(
             mask=mask,
             detection=detection,
             per_box_masks=tuple(per_box),
             per_box_kinds=tuple(kinds),
             prompt=text,
-            profiler=self.profiler,
             metadata={"n_user_boxes": 0 if hints is None else len(hints.boxes)},
         )
 
@@ -582,8 +589,6 @@ class ZenesisPipeline:
             on_slice=keep,
             n_workers=n_workers,
         )
-        self.profiler.set_counters(self.cache.counters())
-        self.profiler.set_counters(events_snapshot())
         return VolumeResult(
             masks=masks,
             slice_results=tuple(
@@ -592,7 +597,6 @@ class ZenesisPipeline:
             ),
             prompt=text,
             refinement_report=run.report,
-            profiler=self.profiler,
         )
 
     def _slice_result(self, z, mask, info, text, mode, last_detection) -> SliceResult:
@@ -613,7 +617,6 @@ class ZenesisPipeline:
             per_box_masks=info.get("per_box_masks", ()),
             per_box_kinds=info.get("per_box_kinds", ()),
             prompt=text,
-            profiler=self.profiler,
             metadata=metadata,
         )
 
@@ -685,8 +688,6 @@ class ZenesisPipeline:
         finally:
             if owns_volume:
                 volume.close()
-        self.profiler.set_counters(self.cache.counters())
-        self.profiler.set_counters(events_snapshot())
         return StreamResult(
             n_slices=n,
             slice_shape=volume.tile_shape,
@@ -696,5 +697,4 @@ class ZenesisPipeline:
             degraded=run.degraded,
             refinement_report=run.report,
             io_stats=run.io_stats(),
-            profiler=self.profiler,
         )

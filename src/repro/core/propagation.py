@@ -722,7 +722,6 @@ def propagate_volume(
                     per_box_masks=meta.get("per_box_masks", ()),
                     per_box_kinds=meta.get("per_box_kinds", ()),
                     prompt=text,
-                    profiler=pipeline.profiler,
                     metadata={"slice": z, "grounded": True, "reason": meta.get("reason")},
                 )
             )
@@ -745,5 +744,4 @@ def propagate_volume(
         slice_results=tuple(results),
         prompt=text,
         refinement_report=report,
-        profiler=pipeline.profiler,
     )

@@ -9,7 +9,6 @@ import numpy as np
 
 from ..errors import CheckpointError, ValidationError
 from ..models.dino import Detection
-from ..utils.timing import StageProfiler
 from .masks import rle_encode
 
 __all__ = ["SliceResult", "VolumeResult", "StreamResult"]
@@ -24,7 +23,6 @@ class SliceResult:
     per_box_masks: tuple[np.ndarray, ...] = ()  # mask chosen for each box
     per_box_kinds: tuple[str, ...] = ()  # analytic hypothesis kind per box
     prompt: str = ""
-    profiler: StageProfiler = field(default_factory=StageProfiler, repr=False)
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -57,7 +55,6 @@ class VolumeResult:
     slice_results: tuple[SliceResult, ...]
     prompt: str = ""
     refinement_report: dict = field(default_factory=dict)
-    profiler: StageProfiler = field(default_factory=StageProfiler, repr=False)
 
     def __post_init__(self):
         if self.masks.ndim != 3:
@@ -96,7 +93,6 @@ class StreamResult:
     degraded: dict[int, str] = field(default_factory=dict)
     refinement_report: dict = field(default_factory=dict)
     io_stats: dict = field(default_factory=dict)
-    profiler: StageProfiler = field(default_factory=StageProfiler, repr=False)
 
     def __post_init__(self):
         if self.n_slices < 1:

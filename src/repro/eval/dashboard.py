@@ -11,6 +11,8 @@ from __future__ import annotations
 import html
 from typing import Mapping
 
+from ..observability.metrics import Histogram, MetricsRegistry, stage_rows
+from ..resilience.events import event_count
 from .evaluator import ALL_METRICS, PAPER_METRICS, MethodEvaluation
 
 __all__ = ["render_dashboard"]
@@ -62,10 +64,24 @@ def _method_section(name: str, ev: MethodEvaluation) -> list[str]:
     return parts
 
 
-def _cache_section(cache_counters: Mapping[str, int]) -> list[str]:
-    """Inference-cache card: hit rate plus every raw counter."""
-    hits = sum(v for k, v in cache_counters.items() if k.endswith(".hits") and k.startswith("cache.ns."))
-    misses = sum(v for k, v in cache_counters.items() if k.endswith(".misses") and k.startswith("cache.ns."))
+def _series_rows(registry: MetricsRegistry, prefix: str) -> list[str]:
+    """Table rows of every counter/gauge whose name starts with ``prefix``."""
+    rows = []
+    for m in registry.metrics():
+        if m.name.startswith(prefix) and not isinstance(m, Histogram):
+            value = int(m.value) if float(m.value).is_integer() else m.value
+            rows.append(f"<tr><td class='name'>{html.escape(m.key)}</td><td>{value}</td></tr>")
+    return rows
+
+
+def _cache_section(registry: MetricsRegistry) -> list[str]:
+    """Inference-cache card: hit rate plus every ``repro_cache_*`` series."""
+    hits = misses = 0
+    for m in registry.metrics():
+        if m.name == "repro_cache_ns_hits_total":
+            hits += int(m.value)
+        elif m.name == "repro_cache_ns_misses_total":
+            misses += int(m.value)
     lookups = hits + misses
     rate = hits / lookups if lookups else 0.0
     parts = ["<h2>Inference cache</h2>", '<div class="cards">']
@@ -75,11 +91,8 @@ def _cache_section(cache_counters: Mapping[str, int]) -> list[str]:
         f"<span class='small'>{hits} hits / {lookups} lookups</span></div>"
     )
     parts.append("</div>")
-    parts.append("<table><tr><th>counter</th><th>value</th></tr>")
-    for key in sorted(cache_counters):
-        parts.append(
-            f"<tr><td class='name'>{html.escape(key)}</td><td>{cache_counters[key]}</td></tr>"
-        )
+    parts.append("<table><tr><th>series</th><th>value</th></tr>")
+    parts.extend(_series_rows(registry, "repro_cache_"))
     parts.append("</table>")
     return parts
 
@@ -90,7 +103,7 @@ def _latency_section(rows: list) -> list[str]:
     if not rows:
         parts.append("<p class='small'>no stage latencies recorded this run</p>")
         return parts
-    worst = rows[0]
+    worst = max(rows, key=lambda r: r["p95_s"])
     parts.append('<div class="cards">')
     parts.append(
         f"<div class='card'><span class='small'>slowest stage (p95)</span>"
@@ -103,18 +116,18 @@ def _latency_section(rows: list) -> list[str]:
     )
     for r in rows:
         parts.append(
-            f"<tr><td class='name'>{html.escape(str(r['stage']))}</td><td>{r['count']}</td>"
+            f"<tr><td class='name'>{html.escape(str(r['stage']))}</td><td>{r['calls']}</td>"
             f"<td>{r['p50_s']:.4f}</td><td>{r['p95_s']:.4f}</td><td>{r['p99_s']:.4f}</td></tr>"
         )
     parts.append("</table>")
     return parts
 
 
-def _resilience_section(counters: Mapping[str, int]) -> list[str]:
+def _resilience_section(registry: MetricsRegistry) -> list[str]:
     """Resilience card: recovery-event counts (retries, failovers, resumes)."""
 
-    def total(*names: str) -> int:
-        return int(sum(counters.get(f"resilience.{n}", 0) for n in names))
+    def total(name: str) -> int:
+        return event_count(name, registry)
 
     cards = [
         ("grounding retries", total("grounding.retries"), f"{total('grounding.recovered')} recovered"),
@@ -130,13 +143,10 @@ def _resilience_section(counters: Mapping[str, int]) -> list[str]:
             f"<span class='small'>{html.escape(note)}</span></div>"
         )
     parts.append("</div>")
-    rows = sorted(k for k in counters if k.startswith("resilience."))
+    rows = _series_rows(registry, "repro_resilience_")
     if rows:
-        parts.append("<table><tr><th>counter</th><th>value</th></tr>")
-        for key in rows:
-            parts.append(
-                f"<tr><td class='name'>{html.escape(key)}</td><td>{counters[key]}</td></tr>"
-            )
+        parts.append("<table><tr><th>series</th><th>value</th></tr>")
+        parts.extend(rows)
         parts.append("</table>")
     else:
         parts.append("<p class='small'>no recovery events recorded this run</p>")
@@ -231,23 +241,20 @@ def render_dashboard(
     evaluations: Mapping[str, MethodEvaluation],
     *,
     title: str = "Zenesis Evaluation Dashboard",
-    cache_counters: Mapping[str, int] | None = None,
-    resilience_counters: Mapping[str, int] | None = None,
-    latency_rows: list | None = None,
+    metrics: MetricsRegistry | None = None,
     serving: Mapping | None = None,
     jobs: Mapping | None = None,
 ) -> str:
     """Render all evaluated methods into one HTML document.
 
-    ``cache_counters`` (e.g. ``Evaluator.last_cache_counters`` or
-    ``InferenceCache.counters()``) adds an inference-cache card showing the
-    hit rate and per-tier occupancy for the run.  ``resilience_counters``
-    (``repro.resilience.events_snapshot()``) adds a resilience card so
-    retries, failovers, quarantines, and checkpoint resumes are visible —
-    recoveries should never be silent.  ``latency_rows``
-    (``repro.observability.stage_latency_rows()``) adds the Fig. 8
-    latency-percentile card: per-stage p50/p95/p99 from the live
-    ``repro_stage_seconds`` histograms.  ``serving``
+    ``metrics`` (a :class:`~repro.observability.MetricsRegistry`, usually
+    the global one after :func:`~repro.cache.export_cache_metrics`) adds
+    three cards read from its series: the Fig. 8 latency-percentile card
+    (per-stage p50/p95/p99 from ``repro_stage_seconds``), the
+    inference-cache card (hit rate and every ``repro_cache_*`` series) and
+    the resilience card (``repro_resilience_*``), so retries, failovers,
+    quarantines and checkpoint resumes are visible — recoveries should
+    never be silent.  ``serving``
     (``repro.resilience.serving.serving_snapshot()``) adds the serving
     card: in-flight/shed counts, breaker states, session occupancy and
     evictions.  ``jobs`` (``repro.jobs.JobService.snapshot()``) adds the
@@ -262,12 +269,10 @@ def render_dashboard(
     ]
     for name, ev in evaluations.items():
         parts.extend(_method_section(name, ev))
-    if latency_rows is not None:
-        parts.extend(_latency_section(latency_rows))
-    if cache_counters is not None:
-        parts.extend(_cache_section(cache_counters))
-    if resilience_counters is not None:
-        parts.extend(_resilience_section(resilience_counters))
+    if metrics is not None:
+        parts.extend(_latency_section(stage_rows(metrics)))
+        parts.extend(_cache_section(metrics))
+        parts.extend(_resilience_section(metrics))
     if serving is not None:
         parts.extend(_serving_section(serving))
     if jobs is not None:

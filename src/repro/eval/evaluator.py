@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from ..cache import get_cache, subtract_counters
 from ..data.datasets import AnnotatedSlice
 from ..errors import EvaluationError
 from ..metrics.aggregate import MetricSummary, summarize_records
@@ -101,13 +100,10 @@ class MethodEvaluation:
 class Evaluator:
     """Runs methods over annotated slices and aggregates results."""
 
-    def __init__(self, methods: Mapping[str, SegmentFn], *, profiler=None) -> None:
+    def __init__(self, methods: Mapping[str, SegmentFn]) -> None:
         if not methods:
             raise EvaluationError("Evaluator needs at least one method")
         self.methods = dict(methods)
-        self.profiler = profiler
-        #: Inference-cache counter delta of the most recent :meth:`evaluate`.
-        self.last_cache_counters: dict[str, int] = {}
 
     def evaluate(
         self,
@@ -124,7 +120,6 @@ class Evaluator:
         if not slices:
             raise EvaluationError("no slices to evaluate")
         out: dict[str, MethodEvaluation] = {name: MethodEvaluation(method=name) for name in names}
-        cache_before = get_cache().counters()
         registry = get_registry()
         for sl in slices:
             raw = sl.image.pixels
@@ -146,7 +141,4 @@ class Evaluator:
                         wall_s=t.elapsed,
                     )
                 )
-        self.last_cache_counters = subtract_counters(get_cache().counters(), cache_before)
-        if self.profiler is not None:
-            self.profiler.set_counters(self.last_cache_counters)
         return out

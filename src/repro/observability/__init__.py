@@ -1,35 +1,30 @@
 """Unified observability: span tracing, metrics registry, run manifests.
 
-The three legacy instrumentation systems (``StageProfiler`` wall-clock
-tables, cache counters, resilience event counters) keep working but now
-feed one place:
+One instrumentation path feeds every reader:
 
-* :mod:`~repro.observability.trace` — hierarchical span traces with
-  JSON and Chrome-trace export, serializable across the worker pool.
-* :mod:`~repro.observability.metrics` — counters / gauges / fixed-bucket
-  histograms, JSON snapshots, and Prometheus text for ``GET /metrics``.
-* :mod:`~repro.observability.adapters` — folds the legacy counter shapes
-  into the registry.
-* :mod:`~repro.observability.manifest` — ``run.json`` documents plus
-  ``repro metrics diff`` between two runs.
+* :mod:`~repro.observability.trace` — :func:`trace` spans.  Closing one
+  observes ``repro_stage_seconds{stage}``; while a tracer is active the
+  spans also form a hierarchical trace with JSON and Chrome-trace export,
+  serializable across the worker pool.
+* :mod:`~repro.observability.metrics` — the registry of counters, gauges
+  and fixed-bucket histograms: resilience events, cache stats and stage
+  latencies all live here.  JSON snapshots, :func:`stage_rows`, and
+  Prometheus text for ``GET /metrics``.
+* :mod:`~repro.observability.manifest` — ``run.json`` documents, the
+  ``--profile`` table, and ``repro metrics diff`` between two runs.
 """
 
-from .adapters import (
-    absorb_cache_counters,
-    absorb_profiler,
-    absorb_resilience_events,
-    collect_default_metrics,
-    stage_latency_rows,
-)
-from .manifest import build_manifest, diff_manifests, load_manifest, write_manifest
+from .manifest import build_manifest, diff_manifests, format_profile, load_manifest, write_manifest
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    STAGE_SECONDS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
     reset_registry,
+    stage_rows,
 )
 from .trace import (
     Span,
@@ -45,27 +40,25 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
+    "STAGE_SECONDS",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "absorb_cache_counters",
-    "absorb_profiler",
-    "absorb_resilience_events",
     "build_manifest",
-    "collect_default_metrics",
     "diff_manifests",
     "end_trace",
     "export_spans",
+    "format_profile",
     "get_registry",
     "get_tracer",
     "load_manifest",
     "reset_registry",
     "reset_tracing",
     "span_topology",
-    "stage_latency_rows",
+    "stage_rows",
     "start_trace",
     "trace",
     "write_manifest",

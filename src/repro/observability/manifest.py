@@ -1,10 +1,11 @@
-"""Run manifests: one JSON document describing what a run did and cost.
+"""Run reports read from the metrics registry: manifests and ``--profile``.
 
 Every ``segment``/``evaluate`` CLI run can emit a ``run.json`` capturing
 the config fingerprint, the git SHA (when the working tree is a git
 checkout), per-stage latency summaries *and* percentiles, a full metrics
 snapshot, and the recovery events that fired — enough to compare two runs
 (``repro metrics diff a/run.json b/run.json``) without re-running either.
+``--profile`` prints the same stage rows and series as a text table.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .adapters import collect_default_metrics, stage_latency_rows
-from .metrics import MetricsRegistry
+from .metrics import Histogram, MetricsRegistry, get_registry, stage_rows
 
 __all__ = [
     "SCHEMA_VERSION",
     "build_manifest",
+    "format_profile",
     "write_manifest",
     "load_manifest",
     "diff_manifests",
@@ -73,29 +74,18 @@ def build_manifest(
     command: str,
     *,
     config: Any = None,
-    profiler=None,
     registry: MetricsRegistry | None = None,
     argv: list[str] | None = None,
     extra: Mapping | None = None,
 ) -> dict:
-    """Assemble the manifest dict for one finished run."""
+    """Assemble the manifest dict for one finished run from the registry."""
+    from ..cache import export_cache_metrics
     from ..cache.keys import config_fingerprint
-    from ..resilience.events import events_snapshot
 
-    reg = collect_default_metrics(registry, profiler=profiler)
-    percentiles = {r["stage"]: r for r in stage_latency_rows(reg)}
-    stages = []
-    if profiler is not None:
-        for row in profiler.as_rows():
-            p = percentiles.get(row["stage"], {})
-            stages.append(
-                {
-                    **row,
-                    "p50_s": p.get("p50_s"),
-                    "p95_s": p.get("p95_s"),
-                    "p99_s": p.get("p99_s"),
-                }
-            )
+    reg = registry or get_registry()
+    export_cache_metrics(registry=reg)
+    snapshot = reg.snapshot()
+    counters = snapshot["counters"]
     manifest = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -105,14 +95,43 @@ def build_manifest(
         "git_sha": git_sha(Path(__file__).resolve().parent),
         "config": _jsonable_config(config),
         "config_fingerprint": config_fingerprint(config) if config is not None else None,
-        "stages": stages,
-        "counters": dict(getattr(profiler, "counters", {}) or {}),
-        "resilience": dict(events_snapshot()),
-        "metrics": reg.snapshot(),
+        "stages": stage_rows(reg),
+        "counters": dict(counters),
+        "resilience": {k: v for k, v in counters.items() if k.startswith("repro_resilience_")},
+        "metrics": snapshot,
     }
     if extra:
         manifest.update(dict(extra))
     return manifest
+
+
+def format_profile(registry: MetricsRegistry | None = None) -> str:
+    """The ``--profile`` table: stage rows, largest total first; then every
+    counter and gauge in the registry."""
+    reg = registry or get_registry()
+    rows = stage_rows(reg)
+    series = [m for m in reg.metrics() if not isinstance(m, Histogram)]
+    if not rows and not series:
+        return "(no stages recorded)"
+    lines: list[str] = []
+    if rows:
+        header = (
+            f"{'stage':<28}{'calls':>7}{'total[s]':>11}{'mean[s]':>11}{'p50[s]':>11}{'p95[s]':>11}"
+        )
+        lines += [header, "-" * len(header)]
+        for r in rows:
+            lines.append(
+                f"{r['stage']:<28}{r['calls']:>7}{r['total_s']:>11.4f}"
+                f"{r['mean_s']:>11.4f}{r['p50_s']:>11.4f}{r['p95_s']:>11.4f}"
+            )
+    if series:
+        if lines:
+            lines.append("")
+        chead = f"{'counter':<64}{'value':>15}"
+        lines += [chead, "-" * len(chead)]
+        for m in series:
+            lines.append(f"{m.key:<64}{_num(m.value):>15}")
+    return "\n".join(lines)
 
 
 def write_manifest(path: Path | str, manifest: Mapping) -> Path:
@@ -135,6 +154,13 @@ def _fmt_delta(a: float | None, b: float | None, unit: str = "") -> str:
 
 def _fmt(v: float | None) -> str:
     return "n/a" if v is None else f"{v:.4g}"
+
+
+def _num(v: float | None) -> str:
+    """A series value: exact when it is a whole number (counts, bytes)."""
+    if v is None:
+        return "n/a"
+    return str(int(v)) if float(v).is_integer() else f"{v:.4g}"
 
 
 def diff_manifests(a: Mapping, b: Mapping) -> str:
@@ -166,9 +192,9 @@ def diff_manifests(a: Mapping, b: Mapping) -> str:
     )
     if changed:
         lines.append("")
-        lines.append(f"{'counter':<44}{'A':>12}{'B':>12}")
+        lines.append(f"{'counter':<64}{'A':>12}{'B':>12}")
         for key in changed:
-            lines.append(f"{key:<44}{_fmt(counters_a.get(key)):>12}{_fmt(counters_b.get(key)):>12}")
+            lines.append(f"{key:<64}{_num(counters_a.get(key)):>12}{_num(counters_b.get(key)):>12}")
     if len(lines) == 3 and not changed:
         lines.append("")
         lines.append("(no stage or counter differences)")

@@ -1,14 +1,20 @@
 """The central metrics registry: counters, gauges, fixed-bucket histograms.
 
-One registry absorbs what used to live in three ad-hoc systems (cache
-``CacheStats`` counters, resilience event counters, ``StageProfiler``
-summaries — see :mod:`repro.observability.adapters`) and serves them in two
-shapes: a JSON snapshot (run manifests, dashboards) and Prometheus text
-exposition (the platform's ``GET /metrics`` endpoint).
+The registry is the one place instrumentation lands.  Closing a
+:func:`~repro.observability.trace` span observes ``repro_stage_seconds``;
+:func:`~repro.resilience.events.record_event` increments
+``repro_resilience_*_total``; :func:`~repro.cache.export_cache_metrics`
+publishes the cache's tier and namespace stats as ``repro_cache_*``.  Every
+reader — ``--profile``, ``run.json``, the dashboard, ``GET /metrics`` — reads
+it, in two shapes: a JSON snapshot and Prometheus text exposition.
 
 Naming scheme: ``repro_<layer>_<name>`` with ``_total`` suffixed on
 counters and ``_seconds``/``_bytes`` unit suffixes, per Prometheus
 conventions; dimensions (stage, tier, namespace, method) are labels.
+
+Every metric update takes that metric's own lock, so concurrent threads
+(the adapt-ahead worker, server request threads) lose no increment.  The
+locks are held only for the update itself.
 
 Like the tracer, this module imports nothing from the rest of the package
 so every layer can feed it without cycles.
@@ -26,8 +32,13 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "reset_registry",
+    "stage_rows",
     "DEFAULT_LATENCY_BUCKETS",
+    "STAGE_SECONDS",
 ]
+
+#: The per-stage latency histogram every closed span observes.
+STAGE_SECONDS = "repro_stage_seconds"
 
 #: Default latency bucket upper bounds (seconds): sub-ms adaptation kernels
 #: through multi-minute volume jobs.
@@ -52,54 +63,67 @@ def _escape(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
 
 
-class Counter:
+class _Metric:
+    """Name, labels and the lock that makes each update atomic."""
+
+    kind = ""
+
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
+        self.name = name
+        self.labels = labels
+        self._lock = threading.Lock()
+
+    @property
+    def key(self) -> str:
+        """``name{label="value",...}``, as snapshots and ``/metrics`` print it."""
+        return f"{self.name}{_format_labels(self.labels)}"
+
+
+class _Scalar(_Metric):
+    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
+        super().__init__(name, labels)
+        self.value = 0.0
+
+    def snapshot(self) -> float:
+        return self.value
+
+
+class Counter(_Scalar):
     """A monotonically non-decreasing count."""
 
     kind = "counter"
 
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
     def inc(self, n: float = 1.0) -> None:
         if n < 0:
             raise ValueError(f"counter {self.name} cannot decrease (inc {n})")
-        self.value += n
+        with self._lock:
+            self.value += n
 
     def set_to(self, value: float) -> None:
-        """Absorb a cumulative snapshot from an external counter source.
+        """Publish a cumulative count kept elsewhere (the cache's own stats).
 
         Monotone: a stale (smaller) snapshot never rolls the value back, so
-        interleaved absorbs from the same source cannot lose increments.
+        interleaved publishes of the same source cannot lose increments.
         """
-        self.value = max(self.value, float(value))
-
-    def snapshot(self) -> float:
-        return self.value
+        with self._lock:
+            self.value = max(self.value, float(value))
 
 
-class Gauge:
+class Gauge(_Scalar):
     """A value that can go up and down (bytes resident, entries, ...)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...] = ()) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
     def set(self, value: float) -> None:
-        self.value = float(value)
+        with self._lock:
+            self.value = float(value)
 
     def inc(self, n: float = 1.0) -> None:
-        self.value += n
-
-    def snapshot(self) -> float:
-        return self.value
+        with self._lock:
+            self.value += n
 
 
-class Histogram:
+class Histogram(_Metric):
     """Fixed-boundary histogram with exact bucket counts and a running sum.
 
     ``boundaries`` are inclusive upper bounds of the finite buckets; one
@@ -119,8 +143,7 @@ class Histogram:
         bounds = tuple(float(b) for b in boundaries)
         if not bounds or any(b1 <= b0 for b0, b1 in zip(bounds, bounds[1:])):
             raise ValueError(f"histogram {name}: boundaries must be strictly increasing, got {bounds}")
-        self.name = name
-        self.labels = labels
+        super().__init__(name, labels)
         self.boundaries = bounds
         self.bucket_counts = [0] * (len(bounds) + 1)  # +1 overflow
         self.count = 0
@@ -133,9 +156,10 @@ class Histogram:
             if value <= bound:
                 idx = i
                 break
-        self.bucket_counts[idx] += 1
-        self.count += 1
-        self.sum += value
+        with self._lock:
+            self.bucket_counts[idx] += 1
+            self.count += 1
+            self.sum += value
 
     def merge(self, other: "Histogram") -> "Histogram":
         if other.boundaries != self.boundaries:
@@ -143,10 +167,13 @@ class Histogram:
                 f"cannot merge histograms with different boundaries: "
                 f"{self.boundaries} vs {other.boundaries}"
             )
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        self.count += other.count
-        self.sum += other.sum
+        with other._lock:
+            counts, count, total = list(other.bucket_counts), other.count, other.sum
+        with self._lock:
+            for i, n in enumerate(counts):
+                self.bucket_counts[i] += n
+            self.count += count
+            self.sum += total
         return self
 
     def percentile(self, q: float) -> float:
@@ -156,32 +183,42 @@ class Histogram:
         target rank; the overflow bucket clamps to the last finite boundary
         (histograms cannot bound what they did not measure).
         """
+        with self._lock:
+            counts = list(self.bucket_counts)
+        return self._quantile(counts, q)
+
+    def _quantile(self, counts: list[int], q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
+        total = sum(counts)
+        if total == 0:
             return 0.0
-        target = q * self.count
+        target = q * total
         cum = 0
         lo = 0.0
-        for i, n in enumerate(self.bucket_counts):
+        for i, n in enumerate(counts):
             hi = self.boundaries[i] if i < len(self.boundaries) else self.boundaries[-1]
             if n and cum + n >= target:
                 frac = (target - cum) / n
-                return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
+                # min(): lo + (hi - lo) can round one ulp above hi.
+                return min(lo + (hi - lo) * min(max(frac, 0.0), 1.0), hi)
             cum += n
             if i < len(self.boundaries):
                 lo = hi
         return self.boundaries[-1]
 
     def snapshot(self) -> dict:
+        """Counts, sum and p50/p95/p99, all from one consistent read."""
+        with self._lock:
+            counts, count, total = list(self.bucket_counts), self.count, self.sum
         return {
             "boundaries": list(self.boundaries),
-            "bucket_counts": list(self.bucket_counts),
-            "count": self.count,
-            "sum": self.sum,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
+            "bucket_counts": counts,
+            "count": count,
+            "sum": total,
+            "p50": self._quantile(counts, 0.50),
+            "p95": self._quantile(counts, 0.95),
+            "p99": self._quantile(counts, 0.99),
         }
 
 
@@ -219,6 +256,16 @@ class MetricsRegistry:
 
     # -- views ----------------------------------------------------------------
 
+    def value(self, name: str, **labels: str) -> float:
+        """A counter's or gauge's value; 0 when the series does not exist.
+
+        Reading never creates a series, so probing for an event that never
+        fired leaves ``/metrics`` unchanged.
+        """
+        with self._lock:
+            metric = self._metrics.get((name, _label_key(labels)))
+        return 0.0 if metric is None else metric.value
+
     def metrics(self) -> list:
         with self._lock:
             return [self._metrics[k] for k in sorted(self._metrics)]
@@ -227,8 +274,7 @@ class MetricsRegistry:
         """JSON-safe snapshot: ``{kind: {"name{labels}": value-or-dict}}``."""
         out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
         for metric in self.metrics():
-            key = f"{metric.name}{_format_labels(metric.labels)}"
-            out[metric.kind + "s"][key] = metric.snapshot()
+            out[metric.kind + "s"][metric.key] = metric.snapshot()
         return out
 
     def render_prometheus(self) -> str:
@@ -240,17 +286,18 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {metric.name} {metric.kind}")
                 seen_types.add(metric.name)
             if isinstance(metric, Histogram):
+                snap = metric.snapshot()
                 cum = 0
                 for i, bound in enumerate(metric.boundaries):
-                    cum += metric.bucket_counts[i]
+                    cum += snap["bucket_counts"][i]
                     labels = _format_labels(metric.labels + (("le", repr(bound)),))
                     lines.append(f"{metric.name}_bucket{labels} {cum}")
-                cum += metric.bucket_counts[-1]
+                cum += snap["bucket_counts"][-1]
                 labels = _format_labels(metric.labels + (("le", "+Inf"),))
                 lines.append(f"{metric.name}_bucket{labels} {cum}")
                 plain = _format_labels(metric.labels)
-                lines.append(f"{metric.name}_sum{plain} {metric.sum}")
-                lines.append(f"{metric.name}_count{plain} {metric.count}")
+                lines.append(f"{metric.name}_sum{plain} {snap['sum']}")
+                lines.append(f"{metric.name}_count{plain} {snap['count']}")
             else:
                 value = metric.snapshot()
                 text = repr(int(value)) if float(value).is_integer() else repr(value)
@@ -274,3 +321,33 @@ def get_registry() -> MetricsRegistry:
 def reset_registry() -> None:
     """Clear the global registry (tests)."""
     _REGISTRY.reset()
+
+
+def stage_rows(registry: MetricsRegistry | None = None) -> list[dict]:
+    """Per-stage rows from the ``repro_stage_seconds`` histograms.
+
+    Each row holds stage, calls, total/mean seconds and p50/p95/p99
+    (bucket-interpolated); largest total first.  ``--profile``, ``run.json``
+    ``stages``, the dashboard latency card and ``repro metrics diff`` all
+    read these rows.
+    """
+    reg = registry or get_registry()
+    rows: list[dict] = []
+    for metric in reg.metrics():
+        if not isinstance(metric, Histogram) or metric.name != STAGE_SECONDS:
+            continue
+        snap = metric.snapshot()
+        calls, total = snap["count"], snap["sum"]
+        rows.append(
+            {
+                "stage": dict(metric.labels).get("stage", "?"),
+                "calls": calls,
+                "total_s": total,
+                "mean_s": total / calls if calls else 0.0,
+                "p50_s": snap["p50"],
+                "p95_s": snap["p95"],
+                "p99_s": snap["p99"],
+            }
+        )
+    rows.sort(key=lambda r: -r["total_s"])
+    return rows

@@ -10,10 +10,13 @@ or https://ui.perfetto.dev).
 
 Design constraints:
 
-* **Zero deps, zero repro imports.**  Everything else (timing, pipeline,
-  pool, server) may import this module without cycles.
-* **Off by default.**  :func:`trace` is a cheap no-op unless a tracer is
-  active, so library code can be instrumented unconditionally.
+* **Zero deps.**  The only repro import is the sibling metrics registry,
+  which imports nothing, so every layer may import this module without
+  cycles.
+* **One call-site pattern.**  Closing a :func:`trace` span observes its
+  wall time into ``repro_stage_seconds{stage=<name>}`` whether or not a
+  tracer is active; the span tree itself is only built while one is.
+  Library code is instrumented unconditionally.
 * **Survives process boundaries.**  Workers export their spans as plain
   dicts (:func:`export_spans`); the supervisor re-parents them under its
   own trace with :meth:`Tracer.adopt` — worker wall clocks are not
@@ -34,6 +37,8 @@ import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Mapping
+
+from .metrics import STAGE_SECONDS, get_registry
 
 __all__ = [
     "Span",
@@ -263,10 +268,11 @@ def reset_tracing() -> None:
 
 
 class trace:
-    """Context manager *and* decorator recording one span on the active tracer.
+    """Context manager *and* decorator timing one stage.
 
-    No-op (yields :data:`NULL_SPAN`) when tracing is inactive, so hot-path
-    code can be instrumented unconditionally::
+    Closing it observes the stage's wall time into
+    ``repro_stage_seconds{stage=<name>}``.  While a tracer is active it also
+    records a span; otherwise it yields :data:`NULL_SPAN`::
 
         with trace("sam.set_image", slice=z) as span:
             ...
@@ -279,21 +285,18 @@ class trace:
     def __init__(self, name: str, **attrs: Any) -> None:
         self.name = name
         self.attrs = attrs
-        self._open: list[tuple[Tracer, Span] | None] = []
+        self._open: list[tuple[float, Tracer | None, Span | None]] = []
 
     def __enter__(self):
         tracer = get_tracer()
-        if tracer is None:
-            self._open.append(None)
-            return NULL_SPAN
-        span = tracer.begin(self.name, **self.attrs)
-        self._open.append((tracer, span))
-        return span
+        span = tracer.begin(self.name, **self.attrs) if tracer is not None else None
+        self._open.append((time.perf_counter(), tracer, span))
+        return NULL_SPAN if span is None else span
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        entry = self._open.pop()
-        if entry is not None:
-            tracer, span = entry
+        t0, tracer, span = self._open.pop()
+        get_registry().histogram(STAGE_SECONDS, stage=self.name).observe(time.perf_counter() - t0)
+        if tracer is not None:
             tracer.finish(span, error=exc)
 
     def __call__(self, fn: Callable) -> Callable:

@@ -16,7 +16,7 @@ terminated and reported as hung; hangs are *not* failed over (re-running a
 deterministic hang inline would hang the parent too).
 
 Worker exceptions propagate with the original traceback text attached;
-every recovery action is recorded in :data:`repro.resilience.EVENTS`.
+every recovery action is recorded with :func:`repro.resilience.record_event`.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..observability.adapters import collect_default_metrics
+from ..cache import export_cache_metrics
 from ..observability.metrics import get_registry
 from ..observability.trace import Tracer
 from ..resilience.events import record_event
@@ -123,9 +123,9 @@ def _make_handler(
                     ready, detail = bool(state.get("ready")) and not lifecycle.draining, {}
                 self._send_json(200 if ready else 503, {"ready": ready, **detail})
             elif self.path == "/metrics":
-                # Prometheus text exposition: absorb the live legacy counter
-                # sources first so a scrape is never stale.
-                collect_default_metrics()
+                # Prometheus text exposition; the cache keeps its own stats,
+                # so publish them first and a scrape is never stale.
+                export_cache_metrics()
                 self._send(
                     200,
                     get_registry().render_prometheus().encode(),

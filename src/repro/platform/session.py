@@ -53,6 +53,7 @@ from ..io.formats import load_image_file
 from ..io.lazy import LazyVolume, open_lazy_volume
 from ..models.dino import Detection
 from ..observability.metrics import get_registry
+from ..observability.trace import trace
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.serving.lifecycle import check_deadline
@@ -334,7 +335,7 @@ class Session:
         mask, per_box, kinds = self._decode_guarded(seg_img, detection, boxes, degraded)
         if detection is not None and hints is not None and hints.has_points:
             coords, labels = hints.point_arrays()
-            with self.pipeline.profiler.stage("sam.point_prompts"):
+            with trace("sam.point_prompts"):
                 masks, _, _ = self.pipeline.predictor.predict(
                     point_coords=coords, point_labels=labels, multimask_output=False
                 )
@@ -355,7 +356,6 @@ class Session:
                     "repro_server_degraded_total", stage=stage.split(":", 1)[0]
                 ).inc()
         get_registry().counter("repro_pipeline_images_total").inc()
-        self.pipeline.profiler.set_counters(self.pipeline.cache.counters())
         metadata: dict = {"n_user_boxes": 0 if hints is None else len(hints.boxes)}
         if degraded:
             metadata["degraded"] = tuple(degraded)
@@ -365,7 +365,6 @@ class Session:
             per_box_masks=tuple(per_box),
             per_box_kinds=tuple(kinds),
             prompt=text,
-            profiler=self.pipeline.profiler,
             metadata=metadata,
         )
         # Commit point: nothing above mutated the session, so a deadline

@@ -11,8 +11,9 @@ destroy accumulated work.  This package supplies the failure model:
   ``segment_volume`` resume (:mod:`repro.resilience.checkpoint`);
 * :class:`FaultPlan` / :func:`get_fault_plan` — declarative fault injection
   driven by ``$REPRO_FAULTS`` (:mod:`repro.resilience.faults`);
-* :data:`EVENTS` — the process-global recovery-event counters surfaced in
-  profiler tables and the dashboard (:mod:`repro.resilience.events`);
+* :func:`record_event` / :func:`event_count` — recovery-event counters,
+  kept as ``repro_resilience_*_total`` series in the metrics registry
+  (:mod:`repro.resilience.events`);
 * :mod:`repro.resilience.serving` — the online path's overload contract:
   admission control, per-request deadlines, circuit breakers, and graceful
   drain (imported explicitly by the platform layer; not re-exported here).
@@ -22,21 +23,18 @@ checkpoints, what degrades, and what raises.
 """
 
 from .checkpoint import CheckpointManager
-from .events import EVENTS, ResilienceEvents, events_snapshot, record_event, reset_events
+from .events import event_count, record_event
 from .faults import FaultPlan, FaultRule, fault_crash_exit_code, get_fault_plan
 from .policy import Deadline, RetryPolicy
 
 __all__ = [
     "CheckpointManager",
     "Deadline",
-    "EVENTS",
     "FaultPlan",
     "FaultRule",
-    "ResilienceEvents",
     "RetryPolicy",
-    "events_snapshot",
+    "event_count",
     "fault_crash_exit_code",
     "get_fault_plan",
     "record_event",
-    "reset_events",
 ]

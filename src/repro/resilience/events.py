@@ -1,68 +1,35 @@
-"""Process-wide recovery-event counters.
+"""Process-wide recovery-event counters, kept in the metrics registry.
 
 Every resilience mechanism (retries, worker failovers, cache quarantines,
-checkpoint resumes, fired fault injections) records what it did here, so
-recoveries are *observable*: the pipeline folds a snapshot into its
-:class:`~repro.utils.timing.StageProfiler` counters, which surface in
-``--profile`` tables and the Fig 8 dashboard's resilience card.
+checkpoint resumes, fired fault injections) records what it did with
+:func:`record_event`, so recoveries are *observable*: event ``pool.failovers``
+is the registry counter ``repro_resilience_pool_failovers_total``, which
+``--profile``, ``run.json``, the Fig 8 dashboard's resilience card and
+``GET /metrics`` all read.  :func:`event_count` reads one back.
 
-The recorder is deliberately a module-global (like the inference cache):
-fault handling happens deep inside layers that have no profiler handle.
-Forked Mode B workers inherit a copy-on-write snapshot; their own events
-do not propagate back, but every *parent-side* recovery action (dead-worker
-detection, failover, re-execution) is recorded in the parent.
+Fault handling happens deep inside layers that hold no handle on anything,
+hence the process-global registry.  Forked Mode B workers inherit a
+copy-on-write snapshot; their own events do not propagate back, but every
+*parent-side* recovery action (dead-worker detection, failover,
+re-execution) is recorded in the parent.
 """
 
 from __future__ import annotations
 
-import threading
+from ..observability.metrics import MetricsRegistry, get_registry
 
-__all__ = ["ResilienceEvents", "EVENTS", "record_event", "events_snapshot", "reset_events"]
-
-#: Counter-name prefix under which events appear in profiler snapshots.
-PREFIX = "resilience."
+__all__ = ["record_event", "event_count"]
 
 
-class ResilienceEvents:
-    """A thread-safe named-counter bag."""
-
-    def __init__(self) -> None:
-        self._counts: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def record(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` (recorded as ``resilience.<name>``)."""
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + int(n)
-
-    def get(self, name: str) -> int:
-        with self._lock:
-            return self._counts.get(name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        """Flat ``{"resilience.<name>": count}`` mapping for profilers."""
-        with self._lock:
-            return {f"{PREFIX}{k}": v for k, v in sorted(self._counts.items())}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-
-
-#: The process-global event recorder.
-EVENTS = ResilienceEvents()
+def _series(name: str) -> str:
+    return f"repro_resilience_{name.replace('.', '_')}_total"
 
 
 def record_event(name: str, n: int = 1) -> None:
-    """Record ``n`` occurrences of ``name`` on the global recorder."""
-    EVENTS.record(name, n)
+    """Record ``n`` occurrences of event ``name``."""
+    get_registry().counter(_series(name)).inc(int(n))
 
 
-def events_snapshot() -> dict[str, int]:
-    """Snapshot of the global recorder (profiler/dashboard feed)."""
-    return EVENTS.snapshot()
-
-
-def reset_events() -> None:
-    """Clear the global recorder (tests)."""
-    EVENTS.reset()
+def event_count(name: str, registry: MetricsRegistry | None = None) -> int:
+    """How often event ``name`` was recorded (0 if never)."""
+    return int((registry or get_registry()).value(_series(name)))

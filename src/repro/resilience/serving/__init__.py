@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..events import events_snapshot
+from ..events import event_count
 from .admission import AdmissionGate
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, default_breakers
 from .lifecycle import ServerLifecycle, check_deadline, current_deadline, request_scope
@@ -56,20 +56,17 @@ def serving_snapshot(
 ) -> dict:
     """One JSON-safe view of the serving layer (dashboard card, debugging).
 
-    Components not passed in are summarised from the global resilience
-    events, so a partial view (e.g. an :class:`ApiHandler` without the HTTP
-    gate) still renders.
+    Components not passed in are summarised from the resilience-event
+    counters, so a partial view (e.g. an :class:`ApiHandler` without the
+    HTTP gate) still renders.
     """
-    events = events_snapshot()
     snap: dict = {
-        "shed_total": events.get("resilience.server.shed", 0),
-        "client_disconnects": events.get("resilience.server.client_disconnect", 0),
-        "drain_aborted": events.get("resilience.server.drain_aborted", 0),
-        "sessions_evicted_ttl": events.get("resilience.server.session_evicted_ttl", 0),
-        "sessions_evicted_capacity": events.get(
-            "resilience.server.session_evicted_capacity", 0
-        ),
-        "degraded_requests": events.get("resilience.server.degraded", 0),
+        "shed_total": event_count("server.shed"),
+        "client_disconnects": event_count("server.client_disconnect"),
+        "drain_aborted": event_count("server.drain_aborted"),
+        "sessions_evicted_ttl": event_count("server.session_evicted_ttl"),
+        "sessions_evicted_capacity": event_count("server.session_evicted_capacity"),
+        "degraded_requests": event_count("server.degraded"),
     }
     if gate is not None:
         snap["admission"] = gate.snapshot()

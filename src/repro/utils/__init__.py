@@ -2,7 +2,7 @@
 
 from .logging import configure, get_logger
 from .rng import GLOBAL_SEED, as_rng, derive_seed, make_rng, spawn_rng
-from .timing import StageProfiler, StageRecord, Timer
+from .timing import Timer
 from .validation import (
     ensure_2d,
     ensure_3d,
@@ -16,8 +16,6 @@ from .validation import (
 
 __all__ = [
     "GLOBAL_SEED",
-    "StageProfiler",
-    "StageRecord",
     "Timer",
     "as_rng",
     "configure",

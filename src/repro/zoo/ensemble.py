@@ -22,7 +22,7 @@ as ``"background_latch"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,6 @@ class EnsembleResult:
     fallback: bool  # True when every member was rejected
     prompt: str = ""
     preset_fingerprint: str = ""
-    profiler_stats: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
         return {

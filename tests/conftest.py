@@ -16,7 +16,6 @@ from repro.core.pipeline import ZenesisPipeline
 from repro.data import make_benchmark_dataset, make_sample
 from repro.data.synthesis.phantoms import disk_phantom, needles_phantom, two_phase_phantom
 from repro.observability import reset_registry, reset_tracing
-from repro.resilience import reset_events
 from repro.resilience.faults import reset_fault_plan
 
 
@@ -41,12 +40,11 @@ def _fresh_inference_cache():
 
     Session-scoped pipelines keep the cache instance they were built with,
     so they still benefit from within-instance reuse; only the *global*
-    handle is renewed, preventing cross-test hit/miss leakage.  The global
-    resilience-event counters, metrics registry, and tracer stack are
-    cleared for the same reason.
+    handle is renewed, preventing cross-test hit/miss leakage.  The metrics
+    registry (stage latencies, resilience events, published cache series)
+    and the tracer stack are cleared for the same reason.
     """
     reset_cache()
-    reset_events()
     reset_registry()
     reset_tracing()
     reset_fault_plan()

@@ -20,11 +20,24 @@ from repro.cache import (
     array_content_key,
     combine_keys,
     config_fingerprint,
+    export_cache_metrics,
     nbytes_of,
-    subtract_counters,
 )
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.models.text import default_lexicon
+from repro.observability import MetricsRegistry, format_profile, get_registry
+
+
+def _ns_counts(cache: InferenceCache) -> dict[str, int]:
+    """``{"<namespace>.hits": n, "<namespace>.misses": n}`` from the cache's stats."""
+    out = {}
+    for name, ns in cache.stats.namespaces.items():
+        out[f"{name}.hits"], out[f"{name}.misses"] = ns.hits, ns.misses
+    return out
+
+
+def _ns_delta(cache: InferenceCache, before: dict[str, int]) -> dict[str, int]:
+    return {k: v - before.get(k, 0) for k, v in _ns_counts(cache).items()}
 
 
 class TestArrayContentKey:
@@ -153,16 +166,26 @@ class TestInferenceCache:
         ns = cache.stats.namespace("a")
         assert (ns.hits, ns.misses) == (1, 1)
         assert ns.hit_rate == 0.5
-        counters = cache.counters()
-        assert counters["cache.ns.a.hits"] == 1
-        assert counters["cache.memory.entries"] == 1
+        reg = MetricsRegistry()
+        export_cache_metrics(cache, reg)
+        assert reg.value("repro_cache_ns_hits_total", namespace="a") == 1
+        assert reg.value("repro_cache_entries", tier="memory") == 1
 
-    def test_subtract_counters_gauges_vs_counters(self):
-        before = {"cache.memory.hits": 2.0, "cache.memory.bytes": 100.0}
-        after = {"cache.memory.hits": 5.0, "cache.memory.bytes": 80.0}
-        delta = subtract_counters(after, before)
-        assert delta["cache.memory.hits"] == 3.0  # counter: differenced
-        assert delta["cache.memory.bytes"] == 80.0  # gauge: latest value
+    def test_export_gauges_vs_counters(self):
+        cache = InferenceCache(CacheConfig(enabled=True, disk_enabled=False))
+        cache.put("a", "k", np.zeros(100, dtype=np.uint8))
+        cache.get("a", "k")
+        cache.get("a", "k")
+        reg = MetricsRegistry()
+        export_cache_metrics(cache, reg)
+        assert reg.value("repro_cache_bytes", tier="memory") == 100
+        cache.clear()
+        cache.get("a", "k")
+        export_cache_metrics(cache, reg)
+        export_cache_metrics(cache, reg)  # a repeat export never double-counts
+        assert reg.value("repro_cache_hits_total", tier="memory") == 2  # counter: cumulative
+        assert reg.value("repro_cache_misses_total", tier="memory") == 1
+        assert reg.value("repro_cache_bytes", tier="memory") == 0  # gauge: latest value
 
 
 class TestDiskTier:
@@ -206,23 +229,23 @@ class TestPipelineReuse:
         pipe = ZenesisPipeline()
         img = crystalline_sample.volume.slice_image(0)
         pipe.segment_image(img, "catalyst particles")
-        before = pipe.cache.counters()
+        before = _ns_counts(pipe.cache)
         pipe.segment_image(img, "catalyst particles")
-        delta = subtract_counters(pipe.cache.counters(), before)
+        delta = _ns_delta(pipe.cache, before)
         # Every heavy namespace must hit on the repeat run.
         for ns in ("pipeline.adapt", "dino.ground", "sam.image", "sam.decode"):
-            assert delta[f"cache.ns.{ns}.hits"] >= 1, ns
-            assert delta[f"cache.ns.{ns}.misses"] == 0, ns
+            assert delta[f"{ns}.hits"] >= 1, ns
+            assert delta[f"{ns}.misses"] == 0, ns
 
     def test_new_prompt_reuses_image_side_only(self, crystalline_sample):
         pipe = ZenesisPipeline()
         img = crystalline_sample.volume.slice_image(0)
         pipe.segment_image(img, "catalyst particles")
-        before = pipe.cache.counters()
+        before = _ns_counts(pipe.cache)
         pipe.segment_image(img, "dark background")
-        delta = subtract_counters(pipe.cache.counters(), before)
-        assert delta["cache.ns.pipeline.adapt.hits"] >= 1  # image side reused
-        assert delta["cache.ns.dino.ground.misses"] >= 1  # text side recomputed
+        delta = _ns_delta(pipe.cache, before)
+        assert delta["pipeline.adapt.hits"] >= 1  # image side reused
+        assert delta["dino.ground.misses"] >= 1  # text side recomputed
 
     def test_no_cache_config_disables_reuse(self, crystalline_sample):
         pipe = ZenesisPipeline(ZenesisConfig(use_cache=False))
@@ -230,9 +253,19 @@ class TestPipelineReuse:
         a = pipe.segment_image(img, "catalyst particles")
         b = pipe.segment_image(img, "catalyst particles")
         assert not pipe.cache.enabled
-        assert pipe.cache.counters() == {"cache.memory.hits": 0, "cache.memory.misses": 0,
-                                         "cache.memory.evictions": 0, "cache.memory.quarantined": 0,
-                                         "cache.memory.bytes": 0, "cache.memory.entries": 0}
+        reg = MetricsRegistry()
+        export_cache_metrics(pipe.cache, reg)
+        snap = reg.snapshot()
+        assert snap["counters"] == {
+            'repro_cache_evictions_total{tier="memory"}': 0,
+            'repro_cache_hits_total{tier="memory"}': 0,
+            'repro_cache_misses_total{tier="memory"}': 0,
+            'repro_cache_quarantined_total{tier="memory"}': 0,
+        }
+        assert snap["gauges"] == {
+            'repro_cache_bytes{tier="memory"}': 0,
+            'repro_cache_entries{tier="memory"}': 0,
+        }
         assert np.array_equal(a.mask, b.mask)
 
     def test_cached_and_uncached_results_identical(self, crystalline_sample):
@@ -248,5 +281,6 @@ class TestPipelineReuse:
         pipe = ZenesisPipeline()
         img = crystalline_sample.volume.slice_image(0)
         pipe.segment_image(img, "catalyst particles")
-        assert any(k.startswith("cache.") for k in pipe.profiler.counters)
-        assert "counter" in pipe.profiler.format_table()
+        export_cache_metrics(pipe.cache)
+        assert any(m.name.startswith("repro_cache_") for m in get_registry().metrics())
+        assert "counter" in format_profile()

@@ -35,7 +35,7 @@ from repro.jobs import (
     JobService,
     JobStore,
 )
-from repro.resilience import EVENTS
+from repro.resilience import event_count
 from repro.resilience.policy import RetryPolicy
 
 PROMPT = "dark catalyst particles"
@@ -89,7 +89,7 @@ class TestJobStore:
 
         reloaded = JobStore(tmp_path / "jobs")
         assert len(reloaded) == 1  # the complete line survived, the torn one is gone
-        assert EVENTS.get("jobs.journal_torn_lines") == 1
+        assert event_count("jobs.journal_torn_lines") == 1
 
     def test_corrupt_complete_line_skipped(self, tmp_path):
         store = JobStore(tmp_path / "jobs")
@@ -101,7 +101,7 @@ class TestJobStore:
 
         reloaded = JobStore(tmp_path / "jobs")
         assert reloaded.get(job_id).job_id == job_id
-        assert EVENTS.get("jobs.journal_corrupt_lines") == 1
+        assert event_count("jobs.journal_corrupt_lines") == 1
 
     def test_compaction_preserves_state_and_truncates(self, tmp_path):
         store = JobStore(tmp_path / "jobs", compact_every=10_000)
@@ -130,7 +130,7 @@ class TestJobStore:
             job_id, seq = store.new_job_id()
             store.upsert(JobRecord(job_id=job_id, kind="evaluate", submit_seq=seq))
         store.append_event(store.list_jobs()[0].job_id, "tick")
-        assert EVENTS.get("jobs.compactions") >= 1
+        assert event_count("jobs.compactions") >= 1
         assert len(JobStore(tmp_path / "jobs")) == 3
 
     def test_refresh_tails_cross_process_appends(self, tmp_path):
@@ -174,7 +174,7 @@ class TestJobStore:
             fh.write(b'{"t": "job", "job": {"job_id": "torn')  # foreign power cut
         b_id, b_seq = store.new_job_id()
         store.upsert(JobRecord(job_id=b_id, kind="synthesize", submit_seq=b_seq))
-        assert EVENTS.get("jobs.journal_torn_lines") == 1
+        assert event_count("jobs.journal_torn_lines") == 1
 
         reloaded = JobStore(tmp_path / "jobs")
         assert reloaded.get(b_id).kind == "synthesize"  # survived on its own line
@@ -292,7 +292,7 @@ class TestJobScheduler:
         clock.advance(1.0)  # past the 0.1 s backoff
         again = sched.acquire("w2")
         assert again.job_id == job.job_id and again.attempt == 2
-        assert EVENTS.get("jobs.lease_reclaimed") == 1
+        assert event_count("jobs.lease_reclaimed") == 1
 
     def test_attempts_exhausted_goes_terminal_failed(self, tmp_path):
         clock = FakeClock()
@@ -699,7 +699,7 @@ class TestJobCrashRecovery:
         store = JobStore(jobs_dir)
         jobs = store.list_jobs()
         assert len(jobs) == 1 and jobs[0].kind == "evaluate"  # second submit lost, first intact
-        assert EVENTS.get("jobs.journal_torn_lines") == 1
+        assert event_count("jobs.journal_torn_lines") == 1
         # the recovered store keeps journaling from the repaired tail
         job_id, seq = store.new_job_id()
         store.upsert(JobRecord(job_id=job_id, kind="synthesize", submit_seq=seq))

@@ -1,10 +1,13 @@
-"""Tests for repro.observability: tracer, metrics registry, adapters,
-run manifests, the /metrics endpoint, and the CLI surface."""
+"""Tests for repro.observability: tracer, metrics registry, the registry
+feeds (spans, resilience events, cache export), run manifests, the
+/metrics endpoint, and the CLI surface."""
 
 import json
+import re
 import threading
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -13,24 +16,20 @@ from repro.observability import (
     MetricsRegistry,
     Span,
     Tracer,
-    absorb_cache_counters,
-    absorb_profiler,
-    absorb_resilience_events,
     build_manifest,
-    collect_default_metrics,
     diff_manifests,
     end_trace,
     export_spans,
     get_registry,
     get_tracer,
     load_manifest,
+    reset_registry,
     span_topology,
-    stage_latency_rows,
+    stage_rows,
     start_trace,
     trace,
     write_manifest,
 )
-from repro.utils.timing import StageProfiler
 
 
 # -- tracer -------------------------------------------------------------------
@@ -250,51 +249,47 @@ class TestMetricsRegistry:
         json.dumps(snap)  # JSON-safe
 
 
-# -- adapters -----------------------------------------------------------------
+# -- registry feeds -----------------------------------------------------------
 
 
-class TestAdapters:
-    def test_absorb_profiler(self):
-        prof = StageProfiler()
-        with prof.stage("s1"):
-            pass
-        reg = absorb_profiler(prof, MetricsRegistry())
-        assert reg.counter("repro_stage_calls_total", stage="s1").value == 1
+class TestRegistryFeeds:
+    def test_cache_export_maps_tiers_and_namespaces(self):
+        from repro.cache import CacheConfig, InferenceCache, export_cache_metrics
 
-    def test_absorb_cache_counters(self):
-        counters = {
-            "cache.memory.hits": 4.0,
-            "cache.memory.bytes": 2048.0,
-            "cache.ns.sam.image.misses": 3.0,
-        }
-        reg = absorb_cache_counters(counters, MetricsRegistry())
+        cache = InferenceCache(CacheConfig(enabled=True, disk_enabled=False))
+        for _ in range(3):
+            cache.get("sam.image", "k")
+        cache.put("sam.image", "k", np.zeros(2048, dtype=np.uint8))
+        for _ in range(4):
+            cache.get("sam.image", "k")
+        reg = MetricsRegistry()
+        export_cache_metrics(cache, reg)
         assert reg.counter("repro_cache_hits_total", tier="memory").value == 4
         assert reg.gauge("repro_cache_bytes", tier="memory").value == 2048
         assert reg.counter("repro_cache_ns_misses_total", namespace="sam.image").value == 3
 
-    def test_absorb_resilience_events(self):
-        reg = absorb_resilience_events(
-            {"resilience.pool.failovers": 2, "resilience.grounding.retries": 1},
-            MetricsRegistry(),
-        )
+    def test_record_event_increments_registry(self):
+        from repro.resilience.events import event_count, record_event
+
+        record_event("pool.failovers", 2)
+        record_event("grounding.retries")
+        reg = get_registry()
         assert reg.counter("repro_resilience_pool_failovers_total").value == 2
         assert reg.counter("repro_resilience_grounding_retries_total").value == 1
-
-    def test_collect_default_metrics_absorbs_live_sources(self):
-        from repro.resilience.events import record_event
-
-        record_event("pool.failovers", 3)
-        reg = collect_default_metrics(MetricsRegistry())
-        assert reg.counter("repro_resilience_pool_failovers_total").value == 3
+        assert event_count("pool.failovers") == 2
+        assert event_count("never.fired") == 0
+        assert "never_fired" not in reg.render_prometheus()  # reading creates no series
 
     def test_stage_latency_rows(self):
         reg = MetricsRegistry()
         reg.histogram("repro_stage_seconds", stage="fast").observe(0.001)
         for _ in range(2):
             reg.histogram("repro_stage_seconds", stage="slow").observe(1.5)
-        rows = stage_latency_rows(reg)
+        rows = stage_rows(reg)
         assert [r["stage"] for r in rows] == ["slow", "fast"]
-        assert rows[0]["count"] == 2
+        assert rows[0]["calls"] == 2
+        assert rows[0]["total_s"] == pytest.approx(3.0)
+        assert rows[0]["mean_s"] == pytest.approx(1.5)
         assert rows[0]["p50_s"] <= rows[0]["p95_s"] <= rows[0]["p99_s"]
 
 
@@ -303,13 +298,13 @@ class TestAdapters:
 
 class TestManifests:
     def _manifest(self, stage="s", calls=1):
-        prof = StageProfiler()
+        reset_registry()
         for _ in range(calls):
-            with prof.stage(stage):
+            with trace(stage):
                 pass
         from repro.core.pipeline import ZenesisConfig
 
-        return build_manifest("segment", config=ZenesisConfig(), profiler=prof, argv=["x"])
+        return build_manifest("segment", config=ZenesisConfig(), argv=["x"])
 
     def test_build_and_roundtrip(self, tmp_path):
         manifest = self._manifest()
@@ -335,19 +330,19 @@ class TestManifests:
             "git_sha": "aaa",
             "config_fingerprint": "f1",
             "stages": [{"stage": "s", "total_s": 1.0, "p95_s": 0.5}],
-            "counters": {"cache.memory.hits": 1},
+            "counters": {'repro_cache_hits_total{tier="memory"}': 1},
         }
         b = {
             "command": "segment",
             "git_sha": "bbb",
             "config_fingerprint": "f1",
             "stages": [{"stage": "s", "total_s": 2.0, "p95_s": 0.7}],
-            "counters": {"cache.memory.hits": 5},
+            "counters": {'repro_cache_hits_total{tier="memory"}': 5},
         }
         text = diff_manifests(a, b)
         assert "! git_sha" in text
         assert "  config_fingerprint" in text
-        assert "cache.memory.hits" in text
+        assert 'repro_cache_hits_total{tier="memory"}' in text
         assert "+1" in text  # total_s delta
 
     def test_diff_identical_manifests(self):
@@ -398,6 +393,30 @@ class TestCliObservability:
         assert any(s["stage"] == "dino.ground" for s in manifest["stages"])
 
 
+    def test_evaluate_manifest_has_stages_and_counters(self, tmp_path, capsys):
+        from repro.cache import reset_cache
+
+        paths = []
+        for name in ("a.json", "b.json"):
+            reset_registry()  # each CLI process is one run
+            reset_cache()
+            path = tmp_path / name
+            argv = ["evaluate", "--methods", "zenesis", "--size", "64", "--slices", "1"]
+            assert cli_main([*argv, "--manifest-out", str(path)]) == 0
+            paths.append(path)
+        manifest = load_manifest(paths[0])
+        assert any(s["stage"] == "dino.ground" and s["calls"] > 0 for s in manifest["stages"])
+        lookups = sum(
+            v for k, v in manifest["counters"].items() if k.startswith("repro_cache_ns_")
+        )
+        assert lookups > 0
+        capsys.readouterr()
+        assert cli_main(["metrics", "diff", str(paths[0]), str(paths[1])]) == 0
+        out = capsys.readouterr().out
+        assert "total[s] A->B" in out
+        assert any(line.startswith("dino.ground") for line in out.splitlines())
+
+
 # -- server endpoint ----------------------------------------------------------
 
 
@@ -433,6 +452,88 @@ class TestMetricsEndpoint:
         assert value == 1
 
 
+#: The ``repro_stage_seconds``, ``repro_cache_*`` and ``repro_resilience_*``
+#: series ``GET /metrics`` serves for the scenario in
+#: :class:`TestMetricsSeries`.  Dashboards and alerts key on these names, so
+#: a change may add series but never drop one.
+METRICS_SERIES = {
+    'repro_cache_bytes{tier="memory"}',
+    'repro_cache_entries{tier="memory"}',
+    'repro_cache_evictions_total{tier="memory"}',
+    'repro_cache_hits_total{tier="memory"}',
+    'repro_cache_misses_total{tier="memory"}',
+    'repro_cache_ns_hits_total{namespace="dino.ground"}',
+    'repro_cache_ns_hits_total{namespace="dino.image"}',
+    'repro_cache_ns_hits_total{namespace="dino.text"}',
+    'repro_cache_ns_hits_total{namespace="pipeline.adapt"}',
+    'repro_cache_ns_hits_total{namespace="sam.analytic_box"}',
+    'repro_cache_ns_hits_total{namespace="sam.decode"}',
+    'repro_cache_ns_hits_total{namespace="sam.dense_pe"}',
+    'repro_cache_ns_hits_total{namespace="sam.image"}',
+    'repro_cache_ns_misses_total{namespace="dino.ground"}',
+    'repro_cache_ns_misses_total{namespace="dino.image"}',
+    'repro_cache_ns_misses_total{namespace="dino.text"}',
+    'repro_cache_ns_misses_total{namespace="pipeline.adapt"}',
+    'repro_cache_ns_misses_total{namespace="sam.analytic_box"}',
+    'repro_cache_ns_misses_total{namespace="sam.decode"}',
+    'repro_cache_ns_misses_total{namespace="sam.dense_pe"}',
+    'repro_cache_ns_misses_total{namespace="sam.image"}',
+    'repro_cache_quarantined_total{tier="memory"}',
+    'repro_resilience_faults_grounding_error_total',
+    'repro_resilience_server_degraded_total',
+    'repro_stage_seconds{stage="adapt.denoise"}',
+    'repro_stage_seconds{stage="adapt.detector_branch"}',
+    'repro_stage_seconds{stage="adapt.flatfield"}',
+    'repro_stage_seconds{stage="adapt.normalize"}',
+    'repro_stage_seconds{stage="adapt.segmenter_branch"}',
+    'repro_stage_seconds{stage="dino.ground"}',
+    'repro_stage_seconds{stage="gate.relevance"}',
+    'repro_stage_seconds{stage="sam.box_prompts"}',
+    'repro_stage_seconds{stage="sam.set_image"}',
+}
+
+
+def _series_keys(text: str) -> set[str]:
+    """``name{labels}`` of every sample line, histogram suffixes and ``le`` dropped."""
+    keys = set()
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        key = line.rsplit(" ", 1)[0]
+        if key.startswith("repro_stage_seconds"):
+            key = re.sub(r"_(bucket|sum|count)(\{|$)", r"\2", key)
+        keys.add(re.sub(r',?le="[^"]*"', "", key).replace("{}", ""))
+    return keys
+
+
+class TestMetricsSeries:
+    def test_series_after_segment_with_cache_hit_and_fault(self, monkeypatch):
+        from repro.data import make_sample
+        from repro.platform.server import PlatformServer
+
+        def post(url, payload):
+            req = urllib.request.Request(url, data=json.dumps(payload).encode())
+            with urllib.request.urlopen(req, timeout=120) as resp:
+                return json.loads(resp.read())
+
+        monkeypatch.setenv("REPRO_FAULTS", "grounding_error@times=1")
+        img = make_sample("crystalline", shape=(64, 64), n_slices=1).volume.voxels[0]
+        with PlatformServer() as server:
+            api = server.url + "/api"
+            sid = post(api, {"action": "create_session"})["session_id"]
+            post(api, {"action": "load_array", "session_id": sid, "array": img.tolist()})
+            request = {"action": "segment", "session_id": sid, "prompt": "catalyst particles"}
+            assert post(api, request)["degraded"]  # the injected fault fired
+            for _ in range(2):  # a clean run, then its cache-hit repeat
+                assert "degraded" not in post(api, request)
+            with urllib.request.urlopen(server.url + "/metrics") as resp:
+                text = resp.read().decode()
+        served = _series_keys(text)
+        assert METRICS_SERIES <= served
+        assert re.search(r'repro_cache_ns_hits_total\{namespace="sam.image"\} [1-9]', text)
+        assert "repro_stage_calls_total" not in text and "repro_stage_seconds_total" not in text
+
+
 # -- dashboard latency card ---------------------------------------------------
 
 
@@ -440,8 +541,10 @@ class TestDashboardLatencyCard:
     def test_latency_rows_rendered(self):
         from repro.eval.dashboard import render_dashboard
 
-        rows = [{"stage": "sam.box_prompts", "count": 4, "p50_s": 0.05, "p95_s": 0.09, "p99_s": 0.1}]
-        html = render_dashboard({}, latency_rows=rows)
+        reg = MetricsRegistry()
+        for seconds in (0.05, 0.05, 0.09, 0.1):
+            reg.histogram("repro_stage_seconds", stage="sam.box_prompts").observe(seconds)
+        html = render_dashboard({}, metrics=reg)
         assert "Stage latency percentiles" in html
         assert "sam.box_prompts" in html
         assert "slowest stage (p95)" in html
@@ -449,5 +552,5 @@ class TestDashboardLatencyCard:
     def test_empty_latency_rows(self):
         from repro.eval.dashboard import render_dashboard
 
-        html = render_dashboard({}, latency_rows=[])
+        html = render_dashboard({}, metrics=MetricsRegistry())
         assert "no stage latencies recorded" in html

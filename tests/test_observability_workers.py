@@ -15,7 +15,7 @@ import pytest
 import repro
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.observability import end_trace, get_tracer, span_topology, start_trace
-from repro.resilience import EVENTS
+from repro.resilience import event_count
 
 PROMPT = "catalyst particles"
 #: The spans one slice's decode opens, recorded in the worker that decodes it.
@@ -100,9 +100,9 @@ class TestWorkerSpanAdoption:
     def test_failover_spans_adopted_with_slice_attribution(self, monkeypatch, amorphous_sample):
         vol = amorphous_sample.volume.voxels
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash@slice=2")
-        failovers_before = EVENTS.get("pool.failovers")
+        failovers_before = event_count("pool.failovers")
         tracer = _traced_run(vol, 2)
-        assert EVENTS.get("pool.failovers") - failovers_before >= 1
+        assert event_count("pool.failovers") - failovers_before >= 1
 
         (volume,) = tracer.as_dict()["children"]
         flat = _walk(volume)
@@ -143,12 +143,12 @@ class TestWorkerSpansSubprocess:
             "from repro.core.pipeline import ZenesisPipeline\n"
             "from repro.data import make_sample\n"
             "from repro.observability import end_trace, span_topology, start_trace\n"
-            "from repro.resilience import EVENTS\n"
+            "from repro.resilience import event_count\n"
             "vol = make_sample('amorphous', shape=(96, 96), n_slices=4).volume.voxels\n"
             "start_trace('supervisor')\n"
             f"ZenesisPipeline().segment_volume(vol, {PROMPT!r}, n_workers=2)\n"
             "doc = {'topology': span_topology(end_trace().as_dict()), "
-            "'n_failovers': EVENTS.get('pool.failovers')}\n"
+            "'n_failovers': event_count('pool.failovers')}\n"
             "json.dump(doc, open(sys.argv[1], 'w'))\n"
         )
         out = tmp_path / "trace.json"

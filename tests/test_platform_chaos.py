@@ -33,7 +33,7 @@ from repro.io.tiff import write_tiff
 from repro.platform.api import ApiHandler
 from repro.platform.server import PlatformServer
 from repro.platform.session import SessionStore
-from repro.resilience.events import events_snapshot
+from repro.resilience.events import event_count
 from repro.resilience.serving import (
     CLOSED,
     HALF_OPEN,
@@ -193,7 +193,7 @@ class TestServerLifecycle:
             assert life.inflight == 1
         assert life.inflight == 0
         assert life.wait_idle(0.1)
-        assert events_snapshot().get("resilience.server.drained") == 1
+        assert event_count("server.drained") == 1
 
     def test_drain_abort_counts_stragglers(self):
         life = ServerLifecycle()
@@ -209,7 +209,7 @@ class TestServerLifecycle:
         life.begin_drain()
         assert life.draining
         assert not life.wait_idle(0.05)
-        assert events_snapshot().get("resilience.server.drain_aborted") == 1
+        assert event_count("server.drain_aborted") == 1
         release.set()
         t.join(timeout=5)
         life.reset()
@@ -238,7 +238,7 @@ class TestSessionStoreEviction:
             store.get(sid)
         assert exc_info.value.evicted_reason == "ttl"
         assert len(store) == 0
-        assert events_snapshot().get("resilience.server.session_evicted_ttl") == 1
+        assert event_count("server.session_evicted_ttl") == 1
 
     def test_touch_refreshes_ttl(self):
         clk = FakeClock()
@@ -392,7 +392,7 @@ class TestBreakerDegradation:
         assert r["ok"] and "degraded" not in r
         assert gb.state == CLOSED
         assert gb.snapshot()["transitions"] == [OPEN, HALF_OPEN, CLOSED]
-        assert events_snapshot().get("resilience.server.degraded", 0) >= 3
+        assert event_count("server.degraded") >= 3
 
     def test_grounding_fallback_prefers_last_good_boxes(self, monkeypatch):
         breakers = default_breakers(failure_threshold=1)
@@ -609,8 +609,8 @@ class TestServerOverload:
         srv.stop()  # must wait for the in-flight sleep, not abort it
         t.join(timeout=10)
         assert results and results[0][0] == 200 and results[0][1]["slept"]
-        assert events_snapshot().get("resilience.server.drained", 0) >= 1
-        assert events_snapshot().get("resilience.server.drain_aborted", 0) == 0
+        assert event_count("server.drained") >= 1
+        assert event_count("server.drain_aborted") == 0
 
     def test_drain_window_expiry_aborts_stragglers(self):
         srv = PlatformServer(api=_SlowApi(), drain_timeout_s=0.05).start()
@@ -625,7 +625,7 @@ class TestServerOverload:
         start = time.monotonic()
         srv.stop()
         assert time.monotonic() - start < 2.0  # did not wait the full sleep
-        assert events_snapshot().get("resilience.server.drain_aborted", 0) >= 1
+        assert event_count("server.drain_aborted") >= 1
 
     def test_client_disconnect_is_counted_not_500(self):
         srv = PlatformServer()
@@ -643,8 +643,8 @@ class TestServerOverload:
             client.close()  # gone before the response is written
             with contextlib.suppress(OSError):
                 handler_cls(server_side, ("test-client", 0), srv.httpd)
-            assert events_snapshot().get("resilience.server.client_disconnect", 0) >= 1
-            assert events_snapshot().get("resilience.server.handler_errors", 0) == 0
+            assert event_count("server.client_disconnect") >= 1
+            assert event_count("server.handler_errors") == 0
         finally:
             srv.httpd.server_close()
 
@@ -738,4 +738,4 @@ class TestChaosSoakShort:
         assert len(srv.api.store) <= 4
         assert srv.lifecycle.inflight == 0
         # Fault injection actually exercised the degraded path.
-        assert events_snapshot().get("resilience.server.degraded", 0) >= 1
+        assert event_count("server.degraded") >= 1

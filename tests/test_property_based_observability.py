@@ -5,7 +5,7 @@ Pins the invariants the metrics layer is built on:
 * merging histograms == histogramming the concatenation (exact on bucket
   counts and observation counts; float-close on sums);
 * percentiles are monotone in q and always land inside the bucket bounds;
-* the snapshot-monotone counter absorb (``Counter.set_to``) never loses
+* the snapshot-monotone counter publish (``Counter.set_to``) never loses
   increments, whatever order snapshots arrive in.
 """
 
@@ -82,13 +82,14 @@ class TestHistogramProperties:
         assert 0.0 <= h.percentile(q) <= bounds[-1]
 
 
-class TestCounterAbsorbProperties:
+class TestCounterSetTo:
     @SETTINGS
     @given(incs=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20), data=st.data())
-    def test_absorb_never_loses_increments_under_interleaving(self, incs, data):
-        """A legacy source only ever increments; snapshots of it may reach
-        the registry out of order (worker reports racing a live scrape).
-        Monotone-max absorb must converge on the true total regardless."""
+    def test_set_to_never_loses_increments(self, incs, data):
+        """A source that keeps its own count (the cache's stats) only ever
+        increments; its exports may reach the registry out of order (a
+        manifest build racing a live scrape).  Monotone-max ``set_to`` must
+        converge on the true total regardless."""
         snapshots, total = [], 0
         for inc in incs:
             total += inc
@@ -102,10 +103,10 @@ class TestCounterAbsorbProperties:
     @SETTINGS
     @given(
         incs=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=20),
-        absorb_points=st.sets(st.integers(min_value=0, max_value=20)),
+        export_points=st.sets(st.integers(min_value=0, max_value=20)),
     )
-    def test_interleaved_inc_and_absorb_is_monotone(self, incs, absorb_points):
-        """Direct .inc() traffic interleaved with stale-snapshot absorbs:
+    def test_interleaved_inc_and_set_to_monotone(self, incs, export_points):
+        """Direct .inc() traffic interleaved with stale-snapshot exports:
         the counter is monotone throughout and ends >= both sources."""
         source_total = 0
         counter = Counter("repro_x_total")
@@ -113,7 +114,7 @@ class TestCounterAbsorbProperties:
         last = 0.0
         for i, inc in enumerate(incs):
             source_total += inc
-            if i in absorb_points:
+            if i in export_points:
                 counter.set_to(source_total)
             else:
                 counter.inc(inc)

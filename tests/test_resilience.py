@@ -31,13 +31,15 @@ from repro.errors import (
 from repro.eval.dashboard import render_dashboard
 from repro.parallel.pool import run_partitioned
 from repro.parallel.scheduler import block_partition
+from repro.observability import MetricsRegistry, format_profile, get_registry
 from repro.resilience import (
-    EVENTS,
     CheckpointManager,
     Deadline,
     FaultPlan,
     RetryPolicy,
+    event_count,
     get_fault_plan,
+    record_event,
 )
 
 PROMPT = "catalyst particles"
@@ -267,8 +269,8 @@ class TestPoolSupervision:
         assert np.array_equal(np.concatenate(results), data**2)
         assert len(results) == 2
         assert elapsed < 5.0, f"failover took {elapsed:.1f}s"
-        assert EVENTS.get("pool.dead_workers") >= 1
-        assert EVENTS.get("pool.failovers") >= 1
+        assert event_count("pool.dead_workers") >= 1
+        assert event_count("pool.failovers") >= 1
 
     def test_crashed_worker_reported_fast_without_failover(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash@worker=1")
@@ -286,14 +288,14 @@ class TestPoolSupervision:
             run_partitioned(_sleepy_worker, block_partition(8, 2), data, timeout_s=1.0)
         elapsed = time.monotonic() - t0
         assert elapsed < 15.0
-        assert EVENTS.get("pool.hung_workers") >= 1
+        assert event_count("pool.hung_workers") >= 1
 
     def test_worker_exception_still_propagates_after_failover(self):
         # Existing contract: a deterministic worker error surfaces as
         # ParallelError with the traceback, even after the inline retry.
         with pytest.raises(ParallelError, match="deliberate"):
             run_partitioned(_raising_worker, block_partition(4, 2), np.zeros(4))
-        assert EVENTS.get("pool.failover_failures") >= 1
+        assert event_count("pool.failover_failures") >= 1
 
 
 def _raising_worker(partition, values):
@@ -344,9 +346,9 @@ class TestGroundingRetry:
         pipe = ZenesisPipeline(ZenesisConfig(strict_grounding=True))
         result = pipe.segment_image(crystalline_sample.volume.slice_image(0), PROMPT)
         assert result.detection.n_boxes > 0
-        assert EVENTS.get("grounding.retries") >= 1
-        assert EVENTS.get("grounding.recovered") == 1
-        assert result.profiler.counters["resilience.grounding.recovered"] == 1
+        assert event_count("grounding.retries") >= 1
+        assert event_count("grounding.recovered") == 1
+        assert get_registry().value("repro_resilience_grounding_recovered_total") == 1
 
     def test_strict_nonsense_prompt_still_raises_after_retries(self, crystalline_sample):
         pipe = ZenesisPipeline(ZenesisConfig(strict_grounding=True))
@@ -357,7 +359,7 @@ class TestGroundingRetry:
         monkeypatch.setenv("REPRO_FAULTS", "grounding_empty")
         result = pipeline.segment_image(crystalline_sample.volume.slice_image(0), PROMPT)
         assert result.detection.n_boxes == 0  # empty is a valid non-strict answer
-        assert EVENTS.get("grounding.retries") == 0
+        assert event_count("grounding.retries") == 0
 
 
 # -- checkpoint/resume through the pipeline -----------------------------------
@@ -380,8 +382,8 @@ class TestVolumeCheckpointResume:
         assert np.array_equal(result.masks, baseline)
         resumed = [bool(sr.metadata.get("resumed")) for sr in result.slice_results]
         assert resumed == [True, True, False]  # only the remaining slice re-segmented
-        assert EVENTS.get("checkpoint.resumed_slices") == 2
-        assert result.profiler.counters["resilience.checkpoint.resumed_slices"] == 2
+        assert event_count("checkpoint.resumed_slices") == 2
+        assert get_registry().value("repro_resilience_checkpoint_resumed_slices_total") == 2
         assert json.loads((ckdir / "manifest.json").read_text())["complete"] is True
 
     def test_resume_with_different_prompt_rejected(self, tmp_path):
@@ -437,11 +439,11 @@ class TestBatchFaultTolerance:
         vol = amorphous_sample.volume.voxels  # (4, 128, 128) session fixture
         clean = ZenesisPipeline().segment_volume(vol, PROMPT, n_workers=2).masks
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash@slice=2")
-        failovers_before = EVENTS.get("pool.failovers")
+        failovers_before = event_count("pool.failovers")
         faulty = ZenesisPipeline().segment_volume(vol, PROMPT, n_workers=2).masks
         assert np.array_equal(faulty, clean)
-        assert EVENTS.get("pool.failovers") - failovers_before >= 1
-        assert EVENTS.get("pool.dead_workers") >= 1
+        assert event_count("pool.failovers") - failovers_before >= 1
+        assert event_count("pool.dead_workers") >= 1
 
 
 # -- observability ------------------------------------------------------------
@@ -449,25 +451,21 @@ class TestBatchFaultTolerance:
 
 class TestResilienceObservability:
     def test_dashboard_resilience_card(self):
-        html = render_dashboard(
-            {},
-            resilience_counters={
-                "resilience.pool.failovers": 2,
-                "resilience.cache.quarantined": 1,
-            },
-        )
+        record_event("pool.failovers", 2)
+        record_event("cache.quarantined")
+        html = render_dashboard({}, metrics=get_registry())
         assert "Resilience" in html
-        assert "resilience.pool.failovers" in html
+        assert "repro_resilience_pool_failovers_total" in html
         assert "worker failovers" in html
 
     def test_dashboard_without_events(self):
-        html = render_dashboard({}, resilience_counters={})
+        html = render_dashboard({}, metrics=MetricsRegistry())
         assert "no recovery events" in html
 
     def test_profile_counters_include_resilience(self, monkeypatch, crystalline_sample):
         monkeypatch.setenv("REPRO_FAULTS", "grounding_empty")
         pipe = ZenesisPipeline(ZenesisConfig(strict_grounding=True))
         pipe.segment_image(crystalline_sample.volume.slice_image(0), PROMPT)
-        table = pipe.profiler.format_table()
-        assert "resilience.grounding.retries" in table
-        assert "resilience.faults.grounding_empty" in table
+        table = format_profile()
+        assert "repro_resilience_grounding_retries_total" in table
+        assert "repro_resilience_faults_grounding_empty_total" in table

@@ -1,4 +1,4 @@
-"""Tests for repro.utils.timing."""
+"""Tests for repro.utils.timing.Timer and stage timing by trace() spans."""
 
 import sys
 import threading
@@ -6,7 +6,17 @@ import time
 
 import pytest
 
-from repro.utils.timing import StageProfiler, Timer
+from repro.observability import STAGE_SECONDS, format_profile, get_registry, stage_rows, trace
+from repro.resilience.events import event_count, record_event
+from repro.utils.timing import Timer
+
+
+def _hist(stage: str):
+    return get_registry().histogram(STAGE_SECONDS, stage=stage)
+
+
+def _row(stage: str) -> dict:
+    return next(r for r in stage_rows() if r["stage"] == stage)
 
 
 class TestTimer:
@@ -72,110 +82,95 @@ class TestTimer:
         assert not t.running
 
 
-class TestStageProfiler:
+class TestStageTiming:
     def test_records_calls(self):
-        prof = StageProfiler()
         for _ in range(3):
-            with prof.stage("work"):
+            with trace("work"):
                 pass
-        rec = prof.records["work"]
-        assert rec.calls == 3
-        assert rec.total_s >= 0
-        assert rec.min_s <= rec.mean_s <= rec.max_s + 1e-12
+        row = _row("work")
+        assert row["calls"] == 3
+        assert row["total_s"] >= 0
+        assert 0 <= row["p50_s"] <= row["p95_s"] <= row["p99_s"]
 
     def test_records_even_on_exception(self):
-        prof = StageProfiler()
         with pytest.raises(ValueError):
-            with prof.stage("boom"):
+            with trace("boom"):
                 raise ValueError("x")
-        assert prof.records["boom"].calls == 1
+        assert _hist("boom").count == 1
 
-    def test_merge(self):
-        a, b = StageProfiler(), StageProfiler()
-        with a.stage("s"):
+    def test_stage_rows_sorted_by_total(self):
+        with trace("fast"):
             pass
-        with b.stage("s"):
-            pass
-        with b.stage("t"):
-            pass
-        a.merge(b)
-        assert a.records["s"].calls == 2
-        assert a.records["t"].calls == 1
-
-    def test_as_rows_sorted_by_total(self):
-        prof = StageProfiler()
-        with prof.stage("fast"):
-            pass
-        with prof.stage("slow"):
+        with trace("slow"):
             time.sleep(0.01)
-        rows = prof.as_rows()
+        rows = stage_rows()
         assert rows[0]["stage"] == "slow"
 
-    def test_format_table(self):
-        prof = StageProfiler()
-        assert "no stages" in prof.format_table()
-        with prof.stage("x"):
+    def test_format_profile(self):
+        assert "no stages" in format_profile()
+        with trace("x"):
             pass
-        table = prof.format_table()
-        assert "x" in table and "calls" in table
+        record_event("pool.failovers")
+        table = format_profile()
+        assert "x" in table and "calls" in table and "p95[s]" in table
+        assert "repro_resilience_pool_failovers_total" in table
 
-    def test_total(self):
-        prof = StageProfiler()
-        with prof.stage("a"):
+    def test_total_is_histogram_sum(self):
+        with trace("a"):
             pass
-        with prof.stage("b"):
+        with trace("b"):
             pass
-        assert prof.total() == pytest.approx(
-            prof.records["a"].total_s + prof.records["b"].total_s
+        assert sum(r["total_s"] for r in stage_rows()) == pytest.approx(
+            _hist("a").sum + _hist("b").sum
         )
 
     def test_concurrent_stages_lose_no_calls(self):
-        # The adapt-ahead worker and its consumer record into one profiler
-        # at once; a tiny switch interval makes an unlocked ``calls += 1``
-        # lose updates reliably.
-        prof = StageProfiler()
-
+        # The adapt-ahead worker, its consumer and server request threads
+        # close spans and record events at once; a tiny switch interval
+        # makes an unlocked ``count += 1`` lose updates reliably.
         def work():
             for _ in range(10_000):
-                with prof.stage("x"):
+                with trace("x"):
                     pass
-                prof.count("n")
+                record_event("n")
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work) for _ in range(2)]
+            threads = [threading.Thread(target=work) for _ in range(4)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(old)
-        assert prof.records["x"].calls == 20_000
-        assert prof.counters["n"] == 20_000
+        assert not any(t.is_alive() for t in threads)
+        hist = _hist("x")
+        assert hist.count == 40_000
+        assert sum(hist.bucket_counts) == hist.count
+        assert event_count("n") == 40_000
 
 
 class TestObservabilityHooks:
-    """StageProfiler feeds the unified observability layer on every stage."""
+    """Every trace() span feeds the latency histogram; the span tree only
+    exists while a tracer is active."""
 
     def test_stage_observes_latency_histogram(self):
-        from repro.observability import get_registry
-
-        prof = StageProfiler()
+        t0 = time.perf_counter()
         for _ in range(3):
-            with prof.stage("hooked"):
+            with trace("hooked"):
                 pass
-        hist = get_registry().histogram("repro_stage_seconds", stage="hooked")
+        elapsed = time.perf_counter() - t0
+        hist = _hist("hooked")
         assert hist.count == 3
-        assert hist.sum == pytest.approx(prof.records["hooked"].total_s, abs=0.01)
+        assert 0 <= hist.sum <= elapsed
 
     def test_stage_emits_spans_when_tracing(self):
         from repro.observability import end_trace, start_trace
 
-        prof = StageProfiler()
         start_trace("t")
-        with prof.stage("outer"):
-            with prof.stage("inner"):
+        with trace("outer"):
+            with trace("inner"):
                 pass
         tree = end_trace().as_dict()
         (outer,) = tree["children"]
@@ -185,6 +180,6 @@ class TestObservabilityHooks:
     def test_stage_without_tracer_is_spanless(self):
         from repro.observability import get_tracer
 
-        prof = StageProfiler()
-        with prof.stage("quiet"):
+        with trace("quiet"):
             assert get_tracer() is None  # no tracer appears implicitly
+        assert _hist("quiet").count == 1

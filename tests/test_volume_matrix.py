@@ -32,7 +32,8 @@ from repro.errors import PipelineError
 from repro.io.lazy import ArrayLazyVolume
 from repro.io.tiff import write_tiff
 from repro.jobs import SUCCEEDED, JobService
-from repro.resilience import EVENTS, reset_events
+from repro.observability import reset_registry
+from repro.resilience import event_count
 
 from .test_core_pipeline import GOLDEN, PROMPT, _golden_volume
 
@@ -134,7 +135,7 @@ class Paths:
         monkeypatch.delenv("REPRO_FAULTS")
         manifest = json.loads((ckdir / "manifest.json").read_text())
         assert manifest["completed"] == list(range(ABORT_AT)) and not manifest["complete"]
-        reset_events()
+        reset_registry()
 
 
 @pytest.fixture()
@@ -149,7 +150,7 @@ def test_matrix_cell_matches_golden(paths, path, mode, start, tmp_path, monkeypa
         paths.abort(path, mode, ckdir, monkeypatch)
     masks = paths.run(path, mode, ckdir)
     assert _sha1(masks) == GOLDEN[mode]
-    assert EVENTS.get("checkpoint.resumed_slices") == (ABORT_AT if start == "resumed" else 0)
+    assert event_count("checkpoint.resumed_slices") == (ABORT_AT if start == "resumed" else 0)
 
 
 INTERCHANGE = [
@@ -169,7 +170,7 @@ def test_checkpoint_interchange(paths, writer, reader, mode, tmp_path, monkeypat
     paths.abort(writer, mode, ckdir, monkeypatch)
     masks = paths.run(reader, mode, ckdir)
     assert _sha1(masks) == GOLDEN[mode]
-    assert EVENTS.get("checkpoint.resumed_slices") == ABORT_AT
+    assert event_count("checkpoint.resumed_slices") == ABORT_AT
 
 
 def test_pooled_job_forks_safely(tmp_path):
