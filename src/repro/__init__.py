@@ -28,7 +28,8 @@ Subpackages
 ``repro.baselines`` Otsu, SAM-only, and classical extras.
 ``repro.metrics``   accuracy / IoU / Dice / boundary metrics + aggregation.
 ``repro.eval``      Mode C evaluation, paper tables, HTML dashboard.
-``repro.parallel``  supervised worker pool and slice scheduling.
+``repro.parallel``  supervised worker pool, slice scheduling, and the
+                    one-thread BLAS policy applied on import.
 ``repro.platform``  sessions, JSON API, HTTP server, figure rendering.
 ``repro.io``        from-scratch TIFF/PNG codecs and volume bundles.
 ``repro.resilience`` retry/deadline policies, checkpoint/resume, fault
@@ -41,6 +42,7 @@ Subpackages
 from .core.pipeline import ZenesisConfig, ZenesisPipeline
 from .data.datasets import make_benchmark_dataset, make_sample
 from .errors import CheckpointError, DeadlineExceededError, ReproError, RetryExhaustedError
+from .parallel.blas import pin_blas_threads
 
 __version__ = "1.0.0"
 
@@ -55,3 +57,6 @@ __all__ = [
     "make_benchmark_dataset",
     "make_sample",
 ]
+
+# The program's own threads and forked workers own the cores; BLAS gets one.
+pin_blas_threads()

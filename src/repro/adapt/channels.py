@@ -10,9 +10,10 @@ genuinely different information per channel — one of the paper's
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, sobel
+from scipy.ndimage import sobel
 
 from ..utils.validation import ensure_2d
+from .denoise import denoise_gaussian
 
 __all__ = ["gray_to_rgb", "gray_to_multichannel", "rgb_to_gray"]
 
@@ -32,7 +33,7 @@ def gray_to_multichannel(image: np.ndarray, *, detail_sigma: float = 2.0) -> np.
     * channel 2 — Sobel gradient magnitude, normalised to [0, 1].
     """
     img = ensure_2d(image, "image").astype(np.float32)
-    smooth = gaussian_filter(img, sigma=detail_sigma, mode="reflect")
+    smooth = denoise_gaussian(img, sigma=detail_sigma)
     local = np.clip(img - smooth + 0.5, 0.0, 1.0)
     gy = sobel(img, axis=0, mode="reflect")
     gx = sobel(img, axis=1, mode="reflect")

@@ -4,12 +4,19 @@ Four denoisers with increasing edge awareness: Gaussian, median, bilateral,
 and a patch-mean non-local-means variant.  The bilateral and NLM filters are
 implemented with vectorised shift-and-accumulate loops over the (small)
 neighbourhood offsets, never over pixels.
+
+``denoise_gaussian`` is also the one reflect Gaussian blur of the package:
+flat-field correction, unsharp masking, the grounding feature bank and the
+analytic mask head all call it.  Wide kernels run as banded matrix
+products (see its docstring).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.ndimage import gaussian_filter, median_filter, uniform_filter
+from scipy.ndimage import gaussian_filter, gaussian_filter1d, median_filter, uniform_filter
 
 from ..utils.validation import ensure_2d, ensure_positive
 
@@ -50,8 +57,8 @@ def flatfield_correct(image: np.ndarray, *, sigma: float = 48.0, softness: float
     t = float(centers[int(plateau[(len(plateau) - 1) // 2])])
     w = 1.0 / (1.0 + np.exp(-(img - t) / softness))
 
-    num = gaussian_filter(img * w, sigma=sigma, mode="reflect")
-    den = gaussian_filter(w, sigma=sigma, mode="reflect")
+    num = denoise_gaussian(img * w, sigma=sigma)
+    den = denoise_gaussian(w, sigma=sigma)
     illum = num / np.maximum(den, 1e-3)
     sample_mean = float((img * w).sum() / max(w.sum(), 1e-6))
     gain = sample_mean / np.maximum(illum, 0.05)
@@ -68,15 +75,95 @@ def unsharp_mask(image: np.ndarray, *, amount: float = 2.0, sigma: float = 2.0) 
     """
     img = ensure_2d(image, "image").astype(np.float32)
     ensure_positive(sigma, "sigma")
-    blurred = gaussian_filter(img, sigma=sigma, mode="reflect")
+    blurred = denoise_gaussian(img, sigma=sigma)
     return np.clip(img + np.float32(amount) * (img - blurred), 0.0, 1.0)
 
 
+# Kernel radius from which a blur runs as banded matrix products, and the
+# output rows per product (DESIGN.md, "Filter bank and threads", has the
+# timings that fix both).
+_BANDED_MIN_RADIUS = 20
+_BANDED_BLOCK = 128
+
+
 def denoise_gaussian(image: np.ndarray, *, sigma: float = 1.0) -> np.ndarray:
-    """Gaussian smoothing (fast, blurs edges)."""
-    img = ensure_2d(image, "image").astype(np.float32)
+    """Gaussian smoothing (fast, blurs edges), float32, reflect boundary.
+
+    Equal to ``scipy.ndimage.gaussian_filter(img, sigma, mode="reflect")``
+    on the float32 image.  Kernels of radius ``int(4·sigma + 0.5) < 20``
+    call scipy.  Wider ones run each axis as float64 products of 128-row
+    blocks against scipy's reflect-folded kernel (``_reflect_operator``),
+    axis 0 first and rounded to float32 in between, as scipy's float32
+    buffer is.  The sums run in another order than scipy's, so an output
+    can differ from scipy's by one ulp where the float32 rounding ties,
+    which is rare on [0, 1] images.
+
+    The inputs are expected finite.  On the wide path a NaN or inf spreads
+    over every output of the 128-row blocks whose band reaches it, not
+    only over its kernel support.
+    """
+    img = np.asarray(ensure_2d(image, "image"), dtype=np.float32)
     ensure_positive(sigma, "sigma")
-    return gaussian_filter(img, sigma=sigma, mode="reflect")
+    sigma = float(sigma)
+    if int(4.0 * sigma + 0.5) < _BANDED_MIN_RADIUS:
+        return gaussian_filter(img, sigma=sigma, mode="reflect")
+    rows = np.empty_like(img)
+    x = img.astype(np.float64)
+    for a, b, lo, hi, op in _banded_operator(img.shape[0], sigma):
+        rows[a:b] = op @ x[lo:hi]
+    out = np.empty_like(img)
+    x = rows.astype(np.float64)
+    for a, b, lo, hi, op in _banded_operator(img.shape[1], sigma):
+        out[:, a:b] = x[:, lo:hi] @ op.T
+    return out
+
+
+def _reflect_operator(n: int, sigma: float) -> np.ndarray:
+    """The n×n float64 matrix of a reflect Gaussian along one axis.
+
+    Row i holds scipy's kernel folded onto the axis by reflection
+    (``d c b a | a b c d | d c b a``, repeated while the kernel is longer
+    than the axis).  Each entry sums its folded taps in scipy's order
+    (centre, then the symmetric pairs from the outside in), so the matrix
+    equals ``gaussian_filter1d(np.eye(n), sigma, axis=0, mode="reflect")``;
+    building it takes O(n·r) instead of that O(n²·r).
+    """
+    r = int(4.0 * sigma + 0.5)
+    impulse = np.zeros(2 * r + 1)
+    impulse[r] = 1.0
+    kernel = gaussian_filter1d(impulse, sigma, mode="constant")
+    rows = np.arange(n)
+
+    def fold(k: np.ndarray) -> np.ndarray:
+        k = np.mod(k, 2 * n)
+        return np.where(k >= n, 2 * n - 1 - k, k)
+
+    op = np.zeros((n, n))
+    op[rows, rows] = kernel[r]
+    for j in range(r, 0, -1):
+        up, down = fold(rows + j), fold(rows - j)
+        same = up == down
+        op[rows, up] += np.where(same, 2.0 * kernel[r + j], kernel[r + j])
+        op[rows[~same], down[~same]] += kernel[r + j]
+    return op
+
+
+@lru_cache(maxsize=64)
+def _banded_operator(n: int, sigma: float) -> tuple[tuple[int, int, int, int, np.ndarray], ...]:
+    """``_reflect_operator`` cut into 128-row blocks ``(a, b, lo, hi, op)``:
+    output rows ``a:b`` are ``op @ x[lo:hi]``, and ``lo:hi`` spans the
+    rows within the kernel radius of the block.  Read-only, shared by
+    every thread."""
+    r = int(4.0 * sigma + 0.5)
+    full = _reflect_operator(n, sigma)
+    blocks = []
+    for a in range(0, n, _BANDED_BLOCK):
+        b = min(a + _BANDED_BLOCK, n)
+        lo, hi = max(0, a - r), min(n, b + r)
+        op = np.ascontiguousarray(full[a:b, lo:hi])
+        op.flags.writeable = False
+        blocks.append((a, b, lo, hi, op))
+    return tuple(blocks)
 
 
 def denoise_median(image: np.ndarray, *, size: int = 3) -> np.ndarray:

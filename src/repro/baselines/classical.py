@@ -9,10 +9,11 @@ return boolean masks with foreground = brightest phase.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, sobel, uniform_filter
+from scipy.ndimage import sobel, uniform_filter
 from scipy.ndimage import watershed_ift
 
 from ..adapt.bitdepth import robust_normalize
+from ..adapt.denoise import denoise_gaussian
 from ..errors import ValidationError
 from ..utils.validation import ensure_2d
 
@@ -81,7 +82,7 @@ def watershed_segment(
     """
     img = np.asarray(image)
     f = robust_normalize(img) if normalize else ensure_2d(img).astype(np.float32)
-    smooth = gaussian_filter(f, sigma=smooth_sigma, mode="reflect")
+    smooth = denoise_gaussian(f, sigma=smooth_sigma)
     gy = sobel(smooth, axis=0, mode="reflect")
     gx = sobel(smooth, axis=1, mode="reflect")
     grad = np.hypot(gy, gx)

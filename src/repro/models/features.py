@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter, sobel, uniform_filter
+from scipy.ndimage import sobel, uniform_filter
 
+from ..adapt.denoise import denoise_gaussian
 from ..utils.validation import ensure_2d
 
 __all__ = ["FEATURE_NAMES", "PatchFeatureExtractor", "compute_feature_maps", "FeatureGrid"]
@@ -53,13 +54,13 @@ def _robust01(x: np.ndarray, p_lo: float = 2.0, p_hi: float = 98.0) -> np.ndarra
 def compute_feature_maps(image: np.ndarray, *, smooth_sigma: float = 1.0, background_sigma: float = 14.0) -> np.ndarray:
     """Dense feature maps, shape ``(H, W, N_FEATURES)``, each in [0, 1]."""
     img = ensure_2d(image, "image").astype(np.float32)
-    smooth = gaussian_filter(img, sigma=smooth_sigma, mode="reflect")
+    smooth = denoise_gaussian(img, sigma=smooth_sigma)
 
     intensity = np.clip(smooth, 0.0, 1.0)
     darkness = 1.0 - intensity
     midtone = 4.0 * intensity * (1.0 - intensity)
 
-    background = gaussian_filter(smooth, sigma=background_sigma, mode="reflect")
+    background = denoise_gaussian(smooth, sigma=background_sigma)
     # Positive part only: flat regions score 0, locally-bright structures 1.
     pos = np.maximum(smooth - background, 0.0)
     hi = float(np.percentile(pos, 99.5))
@@ -69,16 +70,16 @@ def compute_feature_maps(image: np.ndarray, *, smooth_sigma: float = 1.0, backgr
     gx = sobel(smooth, axis=1, mode="reflect")
     edge = _robust01(np.hypot(gy, gx))
 
-    highpass = img - gaussian_filter(img, sigma=2.5, mode="reflect")
+    highpass = img - denoise_gaussian(img, sigma=2.5)
     # uniform_filter can dip epsilon-negative on flat inputs; clamp before sqrt.
     texture = _robust01(np.sqrt(np.maximum(uniform_filter(highpass**2, size=7, mode="reflect"), 0.0)))
 
     # Structure-tensor coherence: (l1 - l2) / (l1 + l2) of the smoothed
     # gradient outer product; high along thin oriented structures.
     w = 2.5
-    jyy = gaussian_filter(gy * gy, sigma=w, mode="reflect")
-    jxx = gaussian_filter(gx * gx, sigma=w, mode="reflect")
-    jxy = gaussian_filter(gx * gy, sigma=w, mode="reflect")
+    jyy = denoise_gaussian(gy * gy, sigma=w)
+    jxx = denoise_gaussian(gx * gx, sigma=w)
+    jxy = denoise_gaussian(gx * gy, sigma=w)
     tr = jxx + jyy
     det_term = np.sqrt(np.maximum((jxx - jyy) ** 2 + 4.0 * jxy**2, 0.0))
     coherence = np.where(tr > 1e-8, det_term / np.maximum(tr, 1e-8), 0.0)
@@ -125,9 +126,7 @@ class PatchFeatureExtractor:
         gh, gw = h // s, w // s
         if gh < 1 or gw < 1:
             raise ValueError(f"image {h}x{w} smaller than stride {s}")
-        # Max-pool via a maximum filter sampled at patch centres (cheap and
-        # exact for window == stride when sampled on the window grid).
-        pooled = maximum_filter(dense, size=(s, s, 1), mode="nearest")
-        offs = s // 2
-        grid = pooled[offs : gh * s : s, offs : gw * s : s, :]
-        return FeatureGrid(grid=np.ascontiguousarray(grid), stride=s, image_shape=(h, w))
+        # Max over the non-overlapping s×s blocks; rows and columns past
+        # the last whole block are dropped.
+        grid = dense[: gh * s, : gw * s].reshape(gh, s, gw, s, f).max(axis=(1, 3))
+        return FeatureGrid(grid=grid, stride=s, image_shape=(h, w))

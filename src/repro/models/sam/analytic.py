@@ -32,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, label, laplace, sobel
+from scipy.ndimage import label, laplace, sobel
 
+from ...adapt.denoise import denoise_gaussian
 from ...core.boxes import clip_boxes, pad_box
 from ...core.masks import clean_mask, component_containing, dilate, erode
 from ...errors import PromptError
@@ -141,8 +142,8 @@ class AnalyticMaskHead:
         img = np.asarray(image, dtype=np.float32)
         if img.ndim != 2:
             raise PromptError(f"analytic head expects a 2-D float image, got shape {img.shape}")
-        smooth = gaussian_filter(img, sigma=self.smooth_sigma, mode="reflect")
-        tophat = smooth - gaussian_filter(smooth, sigma=10.0, mode="reflect")
+        smooth = denoise_gaussian(img, sigma=self.smooth_sigma)
+        tophat = smooth - denoise_gaussian(smooth, sigma=10.0)
         gy = sobel(smooth, axis=0, mode="reflect")
         gx = sobel(smooth, axis=1, mode="reflect")
         grad = np.hypot(gy, gx).astype(np.float32)

@@ -40,7 +40,7 @@ __all__ = ["run_partitioned", "default_worker_count"]
 
 
 def default_worker_count() -> int:
-    """Workers to use by default: cpu count capped at 4 (NumPy is threaded)."""
+    """Workers to use by default: cpu count capped at 4."""
     return max(1, min(4, os.cpu_count() or 1))
 
 

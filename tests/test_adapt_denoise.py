@@ -92,3 +92,72 @@ class TestUnsharp:
     def test_zero_amount_identity(self, rng):
         img = rng.random((16, 16)).astype(np.float32)
         assert np.allclose(unsharp_mask(img, amount=0.0), img, atol=1e-6)
+
+
+class TestOneGaussian:
+    """``denoise_gaussian`` is scipy's float32 reflect blur on both sides of
+    the radius cut: scipy itself below it, banded products from it on."""
+
+    @staticmethod
+    def _scipy(img, sigma):
+        from scipy.ndimage import gaussian_filter
+
+        return gaussian_filter(np.asarray(img, dtype=np.float32), sigma=sigma, mode="reflect")
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 2.5, 4.0])
+    def test_narrow_kernels_are_scipy(self, sigma):
+        img = np.random.default_rng(11).random((200, 300))
+        np.testing.assert_array_equal(denoise_gaussian(img, sigma=sigma), self._scipy(img, sigma))
+
+    @pytest.mark.parametrize("shape", [(256, 256), (200, 300), (300, 300), (32, 32)])
+    @pytest.mark.parametrize("sigma", [5.0, 10.0, 14.0, 48.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_wide_kernels_within_one_ulp_of_scipy(self, shape, sigma, dtype):
+        rng = np.random.default_rng([int(sigma), *shape])
+        for _ in range(3):
+            img = rng.random(shape).astype(dtype)
+            out = denoise_gaussian(img, sigma=sigma)
+            assert out.dtype == np.float32 and out.shape == shape
+            np.testing.assert_array_max_ulp(out, self._scipy(img, sigma), maxulp=1)
+
+    def test_radius_cut(self):
+        # r = int(4σ + 0.5): σ 4.75 → 19 stays on scipy, σ 4.875 → 20 does not.
+        from repro.adapt.denoise import _banded_operator
+
+        img = np.random.default_rng(5).random((40, 40)).astype(np.float32)
+        _banded_operator.cache_clear()
+        denoise_gaussian(img, sigma=4.75)
+        assert _banded_operator.cache_info().currsize == 0
+        denoise_gaussian(img, sigma=4.875)
+        assert _banded_operator.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("n", [8, 32, 100, 300])
+    @pytest.mark.parametrize("sigma", [5.0, 10.0, 48.0])
+    def test_operator_is_scipy_on_the_identity(self, n, sigma):
+        from scipy.ndimage import gaussian_filter1d
+
+        from repro.adapt.denoise import _reflect_operator
+
+        expected = gaussian_filter1d(np.eye(n), sigma, axis=0, mode="reflect")
+        np.testing.assert_array_equal(_reflect_operator(n, sigma), expected)
+
+    @pytest.mark.parametrize("n", [8, 300])
+    def test_blocks_tile_the_operator(self, n):
+        from repro.adapt.denoise import _banded_operator, _reflect_operator
+
+        full = _reflect_operator(n, 10.0)
+        rebuilt = np.zeros_like(full)
+        for a, b, lo, hi, op in _banded_operator(n, 10.0):
+            assert not op.flags.writeable
+            rebuilt[a:b, lo:hi] = op
+        np.testing.assert_array_equal(rebuilt, full)
+
+    def test_adapted_slice_is_bit_identical(self):
+        from repro.core.pipeline import ZenesisPipeline
+        from repro.data import make_sample
+
+        raw = make_sample("crystalline", seed=1, shape=(256, 256), n_slices=1).volume.voxels[0]
+        det_img, seg_img = ZenesisPipeline().adapt(raw)
+        for img in (det_img, seg_img):
+            for sigma in (10.0, 14.0, 48.0):
+                np.testing.assert_array_equal(denoise_gaussian(img, sigma=sigma), self._scipy(img, sigma))

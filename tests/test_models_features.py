@@ -83,6 +83,21 @@ class TestPatchExtractor:
         # Some patch must carry a strong needle response despite 8x pooling.
         assert rel.max() > 0.5
 
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("shape", [(255, 257), (7, 9), (64, 48)])
+    def test_block_max_equals_strided_maximum_filter(self, stride, shape):
+        from scipy.ndimage import maximum_filter
+
+        img = np.random.default_rng([stride, *shape]).random(shape).astype(np.float32)
+        dense = compute_feature_maps(img)
+        gh, gw = shape[0] // stride, shape[1] // stride
+        offs = stride // 2
+        pooled = maximum_filter(dense, size=(stride, stride, 1), mode="nearest")
+        expected = pooled[offs : gh * stride : stride, offs : gw * stride : stride, :]
+        got = PatchFeatureExtractor(stride=stride)(img).grid
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, expected)
+
     def test_stride_validation(self):
         with pytest.raises(ValueError):
             PatchFeatureExtractor(stride=0)
