@@ -91,17 +91,20 @@ def test_batched_decode_identical_and_single_pass():
     decoder_cls.decode_batch = counting
     try:
         result = pipe.segment_image(img, PROMPT)
+        k = result.n_boxes
+        assert k >= 2, "benchmark image should ground multiple boxes"
+        # The grounded path picks masks with the analytic head alone.
+        assert calls == [], f"the grounded path ran the decoder: {calls}"
+
+        # An explicit batched decode runs one pass for all K boxes and is
+        # identical to the serial per-box path, bit for bit.
+        serial_pipe = ZenesisPipeline(ZenesisConfig(use_cache=False))
+        serial_pipe.predictor.set_image(pipe.predictor._image)
+        boxes = result.detection.boxes
+        batched = serial_pipe.predictor.predict_boxes(boxes)
+        assert calls == [k], f"expected one decoder pass for {k} boxes, saw {calls}"
     finally:
         decoder_cls.decode_batch = orig
-    k = result.n_boxes
-    assert k >= 2, "benchmark image should ground multiple boxes"
-    assert calls == [k], f"expected one decoder pass for {k} boxes, saw {calls}"
-
-    # Identical to the serial per-box path, bit for bit.
-    serial_pipe = ZenesisPipeline(ZenesisConfig(use_cache=False))
-    serial_pipe.predictor.set_image(pipe.predictor._image)
-    boxes = result.detection.boxes
-    batched = serial_pipe.predictor.predict_boxes(boxes)
     for box, (bm, bs, bl) in zip(boxes, batched):
         sm, ss, sl = serial_pipe.predictor.predict(box=box, multimask_output=True)
         assert np.array_equal(sm, bm)

@@ -468,11 +468,6 @@ class ZenesisPipeline:
         per_box_masks: list[np.ndarray] = []
         per_box_kinds: list[str] = []
         with trace("sam.box_prompts"):
-            if len(use_boxes):
-                # Keep the transformer path exercised (tokens/logits exposed
-                # on the predictor) while the analytic head picks the masks —
-                # all K box prompts decoded in ONE batched pass.
-                self.predictor.decode_boxes(np.asarray(use_boxes))
             # Box-independent selection masks, hoisted out of the loop.
             hi = detection.relevance >= cfg.box_threshold
             hi_dilated = dilate(hi, 2)
@@ -517,10 +512,8 @@ class ZenesisPipeline:
             if hints is not None and hints.has_points:
                 coords, labels = hints.point_arrays()
                 with trace("sam.point_prompts"):
-                    masks, _, _ = self.predictor.predict(
-                        point_coords=coords, point_labels=labels, multimask_output=False
-                    )
-                mask = mask | masks[0]
+                    hyps = self.predictor.masks_from_points(coords, labels)
+                mask = mask | max(hyps, key=lambda hh: hh.score).mask
         get_registry().counter("repro_pipeline_images_total").inc()
         return SliceResult(
             mask=mask,

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cache import MISS, array_content_key, combine_keys
+from ..cache import array_content_key
 from ..errors import PipelineError
 from ..observability.metrics import get_registry
 from ..observability.trace import trace
@@ -418,7 +418,7 @@ class PropagationEngine:
             detection = pipe.ground(det_img, self.prompt, slice_index=z)
             mask, per_box, kinds = pipe.segment_with_boxes(seg_img, detection)
         self.last_detection = detection
-        embedding = pipe.predictor._embedding  # set by segment_with_boxes
+        embedding = pipe.predictor.embedding  # encoded here: keyframes only
 
         comps = connected_components(mask, min_area=cfg.min_object_area)
         comps.sort(key=lambda m: int(m.sum()), reverse=True)
@@ -453,8 +453,7 @@ class PropagationEngine:
                     if obj.ema_area <= 0.0
                     else self.update_confidence(obj.ema_area, area, cfg.ema_alpha)
                 )
-                if embedding is not None:
-                    obj.centroid = _embedding_centroid(embedding, observed)
+                obj.centroid = _embedding_centroid(embedding, observed)
                 survivors.append(obj)
             else:
                 obj.misses += 1
@@ -468,11 +467,7 @@ class PropagationEngine:
         for comp in births:
             if len(st.objects) >= cfg.max_objects:
                 break
-            centroid = (
-                _embedding_centroid(embedding, comp)
-                if embedding is not None
-                else np.zeros(0, dtype=np.float32)
-            )
+            centroid = _embedding_centroid(embedding, comp)
             object_id = self._resurrect(centroid)
             if object_id is None:
                 object_id = st.next_object_id
@@ -535,22 +530,11 @@ class PropagationEngine:
     # -- propagated slice (no DINO, no ViT encode) -----------------------------
 
     def _analytic_ctx(self, raw: np.ndarray):
-        """Analytic decode context for a slice without paying the ViT encode.
-
-        Reuses a full ``sam.image`` cache entry when one exists (the tuple
-        already holds the context); otherwise computes and caches the
-        context alone — propagated slices never need the embedding.
-        """
+        """Analytic decode context for a slice; ``set_image`` never encodes."""
         pipe = self.pipeline
         _, seg_img = pipe.adapt(raw)
-        img = pipe.predictor._normalize_image(seg_img)
-        key = combine_keys(array_content_key(img), pipe.predictor._fingerprint)
-        cached = pipe.cache.get("sam.image", key)
-        if cached is not MISS:
-            return cached[1]
-        return pipe.cache.get_or_compute(
-            "pipeline.analytic_ctx", key, lambda: pipe.sam.analytic.prepare(img)
-        )
+        pipe.predictor.set_image(seg_img)
+        return pipe.predictor.analytic_context
 
     def _propagate_step(self, z: int, raw: np.ndarray) -> np.ndarray:
         cfg = self.config

@@ -59,12 +59,9 @@ class SamAutomaticMaskGenerator:
         self.predictor.set_image(image)
         candidates: list[dict] = []
         for point in self._point_grid(np.asarray(image).shape[:2]):
-            masks, scores, _ = self.predictor.predict(
-                point_coords=point[None, :],
-                point_labels=np.array([1]),
-                multimask_output=True,
-            )
-            for mask, score in zip(masks, scores):
+            hyps = self.predictor.masks_from_points(point[None, :], np.array([1]))
+            for hyp in sorted(hyps, key=lambda hh: -hh.score):
+                mask, score = hyp.mask, np.float32(hyp.score)
                 area = int(mask.sum())
                 if area < self.min_mask_area:
                     continue

@@ -1,14 +1,16 @@
 """The Sam facade and :class:`SamPredictor` (the segment-anything API).
 
 ``SamPredictor`` mirrors the upstream interface: ``set_image`` once per
-image (runs the ViT encoder and the analytic precomputation), then
-``predict`` per prompt.  Internally both paths run on every call:
+image, then ``predict`` per prompt.  Two paths sit behind it:
 
-* the **transformer path** — prompt encoder → two-way mask decoder — whose
-  token outputs and logits are exposed via ``last_decoder_output``;
-* the **analytic path** — :class:`AnalyticMaskHead` — which supplies the
-  returned masks and quality scores (the substitution for pretrained
-  hypernetwork weights; see DESIGN.md).
+* the **analytic path** — :class:`AnalyticMaskHead` — which supplies every
+  returned mask and quality score (the substitution for pretrained
+  hypernetwork weights; see DESIGN.md).  ``set_image`` prepares only its
+  context, and ``masks_from_box`` / ``masks_from_points`` read nothing else;
+* the **transformer path** — ViT encoder → prompt encoder → two-way mask
+  decoder — which runs on demand: the :attr:`SamPredictor.embedding` is
+  encoded on first read, and ``predict`` / ``decode_boxes`` decode from it,
+  exposing token outputs and logits via ``last_decoder_output``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,16 @@ from .mask_decoder import DecoderOutput, MaskDecoder
 from .prompt_encoder import PromptEncoder
 
 __all__ = ["SamConfig", "Sam", "SamPredictor"]
+
+
+def _ctx_key(image_key: str) -> str:
+    """``sam.image`` key of an image's analytic context.
+
+    The suffix keeps a context from ever being served a cache entry filed
+    under the bare image key, such as an ``(embedding, context)`` tuple
+    written to a shared disk tier by an older layout.
+    """
+    return combine_keys(image_key, "ctx")
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,7 @@ class SamPredictor:
         self.cache = cache if cache is not None else get_cache()
         self._fingerprints: dict[str, str] = {}
         self._image: np.ndarray | None = None
+        self._content_key: str | None = None
         self._image_key: str | None = None
         self._embedding: np.ndarray | None = None
         self._dense_pe: np.ndarray | None = None
@@ -141,34 +154,59 @@ class SamPredictor:
         return img
 
     def set_image(self, image: np.ndarray) -> None:
-        """Encode a float [0,1] grayscale image; heavy work happens once here."""
+        """Take a float [0,1] grayscale image and prepare its analytic context.
+
+        The context (smoothed image, gradients, noise level, Otsu split) is
+        all the analytic head reads, so this is the only per-image work;
+        it is cached in ``sam.image``.  The ViT embedding is not computed
+        here: :attr:`embedding` encodes it on first read.
+        """
         img = self._normalize_image(image)
         self._image = img
-        self._image_key = combine_keys(array_content_key(img), self._fingerprint)
-        cached = self.cache.get("sam.image", self._image_key)
-        if cached is MISS:
-            embedding = self.sam.image_encoder(img)
-            ctx = self.sam.analytic.prepare(img)
-            self.cache.put("sam.image", self._image_key, (embedding, ctx))
-        else:
-            embedding, ctx = cached
-        self._embedding = embedding
-        self._ctx = ctx
-        gh, gw, _ = embedding.shape
-        pe_key = combine_keys(f"{gh}x{gw}", self._fingerprint)
-        self._dense_pe = self.cache.get_or_compute(
-            "sam.dense_pe", pe_key, lambda: self.sam.prompt_encoder.dense_pe((gh, gw))
+        self._content_key = array_content_key(img)
+        self._image_key = combine_keys(self._content_key, self._fingerprint)
+        self._ctx = self.cache.get_or_compute(
+            "sam.image", _ctx_key(self._image_key), lambda: self.sam.analytic.prepare(img)
         )
+        self._embedding = None
+        self._dense_pe = None
         self.last_decoder_output = None
 
-    def precompute_images(self, images) -> dict[str, int]:
-        """Warm the ``sam.image`` cache for N images in one batched encode.
+    @property
+    def embedding(self) -> np.ndarray:
+        """The ViT embedding ``(gh, gw, D)`` of the current image, encoded on first read.
 
-        Computes exactly the ``(embedding, analytic context)`` tuple that
-        :meth:`set_image` would store, under the identical content key, so
-        a later ``set_image`` on any of these images — in this process or
-        any replica sharing the disk tier — is a pure cache hit.  Images
-        already cached (or repeated within the batch) are skipped.
+        Cached in ``sam.embedding``; the dense positional encoding the
+        decoder pairs with it is filled at the same time.  The key takes
+        the precision tier active at this read, which is the tier the
+        encoder runs under, so a tier flipped since :meth:`set_image` can
+        never file its embedding under the other tier's key.
+        """
+        if self._image is None:
+            raise PromptError("call set_image before predicting")
+        if self._embedding is None:
+            img = self._image
+            key = combine_keys(self._content_key, self._fingerprint)
+            embedding = self.cache.get_or_compute(
+                "sam.embedding", key, lambda: self.sam.image_encoder(img)
+            )
+            gh, gw, _ = embedding.shape
+            pe_key = combine_keys(f"{gh}x{gw}", self._fingerprint)
+            self._dense_pe = self.cache.get_or_compute(
+                "sam.dense_pe", pe_key, lambda: self.sam.prompt_encoder.dense_pe((gh, gw))
+            )
+            self._embedding = embedding
+        return self._embedding
+
+    def precompute_images(self, images) -> dict[str, int]:
+        """Warm the ``sam.embedding`` and ``sam.image`` caches in one batched encode.
+
+        Computes exactly the embedding and analytic context that
+        :meth:`set_image` and :attr:`embedding` would store, under the
+        identical keys, so both are pure cache hits afterwards on any of
+        these images — in this process or any replica sharing the disk
+        tier.  Images with both entries cached (or repeated within the
+        batch) are skipped.
 
         Returns ``{"hits": already-cached, "encoded": newly-computed}``.
         With caching disabled this is a no-op: there is nowhere to put the
@@ -185,19 +223,23 @@ class SamPredictor:
         pending: list[int] = []
         seen: set[str] = set()
         for i, key in enumerate(keys):
-            if key in seen or self.cache.get("sam.image", key) is not MISS:
+            if key in seen or (
+                self.cache.get("sam.embedding", key) is not MISS
+                and self.cache.get("sam.image", _ctx_key(key)) is not MISS
+            ):
                 continue
             seen.add(key)
             pending.append(i)
         if pending:
             embeddings = self.sam.image_encoder.encode_batch([normalized[i] for i in pending])
             for i, embedding in zip(pending, embeddings):
-                ctx = self.sam.analytic.prepare(normalized[i])
-                self.cache.put("sam.image", keys[i], (embedding, ctx))
+                self.cache.put("sam.embedding", keys[i], embedding)
+                self.cache.put("sam.image", _ctx_key(keys[i]), self.sam.analytic.prepare(normalized[i]))
         return {"hits": len(keys) - len(pending), "encoded": len(pending)}
 
     def reset_image(self) -> None:
         self._image = None
+        self._content_key = None
         self._image_key = None
         self._embedding = None
         self._dense_pe = None
@@ -218,10 +260,9 @@ class SamPredictor:
         Returns ``(masks, scores, low_res_logits)`` with masks sorted by
         score descending; ``multimask_output=False`` keeps only the best.
         """
-        if self._image is None or self._embedding is None or self._ctx is None:
-            raise PromptError("call set_image before predicting")
+        embedding = self.embedding
         h, w = self._image.shape
-        gh, gw, _ = self._embedding.shape
+        gh, gw, _ = embedding.shape
 
         sparse, dense = self.sam.prompt_encoder.encode(
             (h, w),
@@ -231,23 +272,14 @@ class SamPredictor:
             mask_input=mask_input,
             grid=(gh, gw),
         )
-        self.last_decoder_output = self.sam.mask_decoder(
-            self._embedding, self._dense_pe, sparse, dense
-        )
+        self.last_decoder_output = self.sam.mask_decoder(embedding, self._dense_pe, sparse, dense)
 
-        hyps: list[MaskHypothesis]
+        # The prompt encoder has rejected a call with neither box nor points.
+        hyps: list[MaskHypothesis] = []
         if box is not None:
-            hyps = self.masks_from_box(np.asarray(box))
-            if point_coords is not None:
-                hyps += self.sam.analytic.masks_from_points(
-                    self._ctx, np.asarray(point_coords), np.asarray(point_labels)
-                )
-        elif point_coords is not None:
-            hyps = self.sam.analytic.masks_from_points(
-                self._ctx, np.asarray(point_coords), np.asarray(point_labels)
-            )
-        else:
-            raise PromptError("predict needs a box and/or points")
+            hyps += self.masks_from_box(np.asarray(box))
+        if point_coords is not None:
+            hyps += self.masks_from_points(point_coords, point_labels)
 
         hyps = sorted(hyps, key=lambda hh: -hh.score)
         if not multimask_output:
@@ -270,8 +302,7 @@ class SamPredictor:
         output, matching a serial prompt loop.  Decoder outputs are cached
         per (image content, box set).
         """
-        if self._image is None or self._embedding is None:
-            raise PromptError("call set_image before predicting")
+        embedding = self.embedding
         b = np.asarray(boxes, dtype=np.float32).reshape(-1, 4)
         if b.shape[0] == 0:
             return []
@@ -280,7 +311,7 @@ class SamPredictor:
         if outputs is MISS:
             h, w = self._image.shape
             sparse = self.sam.prompt_encoder.encode_boxes((h, w), b)
-            outputs = self.sam.mask_decoder.decode_batch(self._embedding, self._dense_pe, sparse)
+            outputs = self.sam.mask_decoder.decode_batch(embedding, self._dense_pe, sparse)
             self.cache.put("sam.decode", key, outputs)
         self.last_decoder_output = outputs[-1]
         return outputs
@@ -321,6 +352,21 @@ class SamPredictor:
         return self.cache.get_or_compute(
             "sam.analytic_box", key, lambda: self.sam.analytic.masks_from_box(self._ctx, b)
         )
+
+    def masks_from_points(self, coords: np.ndarray, labels: np.ndarray) -> list[MaskHypothesis]:
+        """Analytic hypotheses for point prompts on the current image.
+
+        ``coords`` are (x, y) and ``labels`` 1 (foreground) or 0
+        (background).  Callers that want SAM's best mask take the highest
+        score; :meth:`predict` ranks these same hypotheses.
+        """
+        if self._ctx is None:
+            raise PromptError("call set_image before predicting")
+        pts = np.asarray(coords).reshape(-1, 2)
+        labs = np.asarray(labels).reshape(-1)
+        if labs.shape[0] != pts.shape[0]:
+            raise PromptError(f"{pts.shape[0]} points but {labs.shape[0]} labels")
+        return self.sam.analytic.masks_from_points(self._ctx, pts, labs)
 
     def score_terms(self, mask: np.ndarray) -> dict[str, float]:
         """Quality decomposition for an arbitrary mask on the current image."""

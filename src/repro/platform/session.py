@@ -336,10 +336,8 @@ class Session:
         if detection is not None and hints is not None and hints.has_points:
             coords, labels = hints.point_arrays()
             with trace("sam.point_prompts"):
-                masks, _, _ = self.pipeline.predictor.predict(
-                    point_coords=coords, point_labels=labels, multimask_output=False
-                )
-            mask = mask | masks[0]
+                hyps = self.pipeline.predictor.masks_from_points(coords, labels)
+            mask = mask | max(hyps, key=lambda hh: hh.score).mask
         if detection is None:
             h, w = np.asarray(seg_img).shape[:2]
             detection = Detection(

@@ -455,7 +455,9 @@ class TestMetricsEndpoint:
 #: The ``repro_stage_seconds``, ``repro_cache_*`` and ``repro_resilience_*``
 #: series ``GET /metrics`` serves for the scenario in
 #: :class:`TestMetricsSeries`.  Dashboards and alerts key on these names, so
-#: a change may add series but never drop one.
+#: a change may add series but drops one only together with the work it
+#: counts (the cache namespaces of the SAM transformer went when the grounded
+#: path stopped encoding and decoding).
 METRICS_SERIES = {
     'repro_cache_bytes{tier="memory"}',
     'repro_cache_entries{tier="memory"}',
@@ -467,16 +469,12 @@ METRICS_SERIES = {
     'repro_cache_ns_hits_total{namespace="dino.text"}',
     'repro_cache_ns_hits_total{namespace="pipeline.adapt"}',
     'repro_cache_ns_hits_total{namespace="sam.analytic_box"}',
-    'repro_cache_ns_hits_total{namespace="sam.decode"}',
-    'repro_cache_ns_hits_total{namespace="sam.dense_pe"}',
     'repro_cache_ns_hits_total{namespace="sam.image"}',
     'repro_cache_ns_misses_total{namespace="dino.ground"}',
     'repro_cache_ns_misses_total{namespace="dino.image"}',
     'repro_cache_ns_misses_total{namespace="dino.text"}',
     'repro_cache_ns_misses_total{namespace="pipeline.adapt"}',
     'repro_cache_ns_misses_total{namespace="sam.analytic_box"}',
-    'repro_cache_ns_misses_total{namespace="sam.decode"}',
-    'repro_cache_ns_misses_total{namespace="sam.dense_pe"}',
     'repro_cache_ns_misses_total{namespace="sam.image"}',
     'repro_cache_quarantined_total{tier="memory"}',
     'repro_resilience_faults_grounding_error_total',
@@ -531,6 +529,9 @@ class TestMetricsSeries:
         served = _series_keys(text)
         assert METRICS_SERIES <= served
         assert re.search(r'repro_cache_ns_hits_total\{namespace="sam.image"\} [1-9]', text)
+        # A grounded segment never touches the transformer path.
+        for ns in ("sam.embedding", "sam.dense_pe", "sam.decode"):
+            assert f'namespace="{ns}"' not in text, ns
         assert "repro_stage_calls_total" not in text and "repro_stage_seconds_total" not in text
 
 

@@ -90,16 +90,20 @@ class TestPrecomputeImages:
         imgs = [rng.random((64, 64)).astype(np.float32) for _ in range(3)]
         stats = predictor.precompute_images(imgs)
         assert stats == {"hits": 0, "encoded": 3}
-        # The entries must be exactly what set_image would have stored:
-        # set_image afterwards is a pure hit and yields the same embedding.
+        # The entries must be exactly what set_image and the lazy embedding
+        # would have stored: both are pure hits afterwards and yield the
+        # same context and embedding.
+        misses = {ns: cache.stats.namespace(ns).misses for ns in ("sam.image", "sam.embedding")}
         for img in imgs:
             key = combine_keys(array_content_key(np.asarray(img, np.float32)), predictor._fingerprint)
-            cached = cache.get("sam.image", key)
-            assert cached is not MISS
-            embedding, ctx = cached
+            embedding = cache.get("sam.embedding", key)
+            ctx = cache.get("sam.image", combine_keys(key, "ctx"))
+            assert embedding is not MISS and ctx is not MISS
             predictor.set_image(img)
-            assert predictor._embedding is embedding  # identity: served from cache
+            assert predictor.analytic_context is ctx  # identity: served from cache
+            assert predictor.embedding is embedding
             assert np.array_equal(embedding, predictor.sam.image_encoder(img))
+        assert {ns: cache.stats.namespace(ns).misses for ns in misses} == misses
 
     def test_second_call_all_hits(self, rng):
         predictor, _ = self._predictor()
@@ -151,10 +155,27 @@ class TestTierKeySegregation:
         exact_key = combine_keys(array_content_key(img), predictor._fingerprint)
         with precision("fast"):
             predictor.set_image(img)
+            predictor.embedding
             fast_key = combine_keys(array_content_key(img), predictor._fingerprint)
-            assert cache.get("sam.image", fast_key) is not MISS
+            assert cache.get("sam.image", combine_keys(fast_key, "ctx")) is not MISS
+            assert cache.get("sam.embedding", fast_key) is not MISS
         assert fast_key != exact_key
-        assert cache.get("sam.image", exact_key) is MISS  # exact tier untouched
+        # exact tier untouched
+        assert cache.get("sam.image", combine_keys(exact_key, "ctx")) is MISS
+        assert cache.get("sam.embedding", exact_key) is MISS
+
+    def test_lazy_embedding_keys_by_tier_at_read(self, rng):
+        # set_image under exact, first embedding read under fast: the
+        # fast-tier encode must land under the fast key, not the exact one.
+        predictor, cache = self._predictor()
+        img = rng.random((64, 64)).astype(np.float32)
+        exact_key = combine_keys(array_content_key(img), predictor._fingerprint)
+        predictor.set_image(img)
+        with precision("fast"):
+            predictor.embedding
+            fast_key = combine_keys(array_content_key(img), predictor._fingerprint)
+        assert cache.get("sam.embedding", fast_key) is not MISS
+        assert cache.get("sam.embedding", exact_key) is MISS
 
     def test_precompute_inside_fast_scope_never_poisons_exact(self, rng):
         predictor, cache = self._predictor()

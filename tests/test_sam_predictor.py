@@ -52,6 +52,16 @@ class TestPredictor:
         assert p.last_decoder_output is not None
         assert p.last_decoder_output.tokens.shape[1] == p.sam.config.prompt_dim
 
+    def test_box_and_points_leave_cached_box_hypotheses_alone(self, rng):
+        img, _ = disk_phantom((64, 64), noise=0.02, rng=rng)
+        p = SamPredictor(build_sam())
+        p.set_image(img)
+        box = np.array([10.0, 10.0, 50.0, 50.0])
+        kinds = [h.kind for h in p.masks_from_box(box)]
+        masks, _, _ = p.predict(box=box, point_coords=np.array([[32, 32]]), point_labels=np.array([1]))
+        assert masks.shape[0] == len(kinds) + 3  # box and point hypotheses, ranked together
+        assert [h.kind for h in p.masks_from_box(box)] == kinds
+
     def test_requires_unit_range(self):
         p = SamPredictor(build_sam())
         with pytest.raises(PromptError, match="adaptation"):
