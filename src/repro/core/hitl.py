@@ -114,7 +114,7 @@ class RectifySession:
             # overlapping candidates, and the second visit is free.
             hyps = self.predictor.masks_from_box(box)
             for hyp in hyps:
-                if hyp.kind == "dark" or not hyp.mask.any():
+                if hyp.kind == "dark" or not hyp.window_mask.any():
                     continue
                 for comp in connected_components(hyp.mask, min_area=8)[:6]:
                     area = int(comp.sum())

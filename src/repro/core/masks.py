@@ -181,11 +181,9 @@ def clean_mask(
     if min_area > 0 and m.any():
         labels, n = label(m)
         if n:
-            areas = np.bincount(labels.ravel())
-            small = np.nonzero(areas < min_area)[0]
-            small = small[small != 0]
-            if small.size:
-                m[np.isin(labels, small)] = False
+            drop = np.bincount(labels.ravel()) < min_area
+            drop[0] = False
+            m[drop[labels]] = False
     return m
 
 

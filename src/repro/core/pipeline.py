@@ -409,9 +409,10 @@ class ZenesisPipeline:
         the dilated high-relevance region) × √(coverage of the box's
         high-relevance pixels).  Returns None when every hypothesis is empty.
 
-        Each hypothesis is scored inside its ``window`` (the full frame when
-        ``None``): its mask is zero outside it, and the gathered pixels keep
-        their row-major order, so the terms equal full-frame ones bit for bit.
+        Each hypothesis is scored on its ``window_mask``: its mask is zero
+        outside the window, and the gathered pixels keep their row-major
+        order, so the terms equal full-frame ones bit for bit.  Neither a
+        full-frame mask nor the head's quality score is read.
 
         ``hi``/``hi_dilated`` are box-independent; callers looping over many
         boxes pass them precomputed so the dilation runs once per image.
@@ -430,9 +431,9 @@ class ZenesisPipeline:
         n_hi = max(int(np.count_nonzero(hi[by0:by1, bx0:bx1])), 1)
         best: tuple[MaskHypothesis, float] | None = None
         for hyp in hyps:
-            wy0, wy1, wx0, wx1 = hyp.window or (0, h, 0, w)
-            win = (slice(wy0, wy1), slice(wx0, wx1))
-            m = hyp.mask[win]
+            wy0, wy1, wx0, wx1 = hyp.window
+            win = hyp.window_slices
+            m = hyp.window_mask
             n = int(m.sum())
             if n == 0:
                 continue
@@ -478,9 +479,10 @@ class ZenesisPipeline:
                 )
                 if picked is None or picked[1] <= cfg.selection_floor:
                     continue
-                per_box_masks.append(picked[0].mask)
-                per_box_kinds.append(picked[0].kind)
-                union |= picked[0].mask
+                hyp = picked[0]
+                union[hyp.window_slices] |= hyp.window_mask
+                per_box_masks.append(hyp.mask)
+                per_box_kinds.append(hyp.kind)
         with trace("gate.relevance"):
             if cfg.gate_dilation > 0:
                 union &= dilate(hi, cfg.gate_dilation)

@@ -563,15 +563,14 @@ class PropagationEngine:
                             analytic.crop_context(ctx, roi),
                             points - np.array([x0, y0], dtype=np.float64),
                             labels,
-                            score=False,
                         )
                     else:
-                        hyps = analytic.masks_from_points(ctx, points, labels, score=False)
+                        hyps = analytic.masks_from_points(ctx, points, labels)
                     best_iou, best_mask = 0.0, None
                     for hyp in hyps:
-                        if not hyp.mask.any():
-                            continue
                         mask = hyp.mask
+                        if not mask.any():
+                            continue
                         if roi is not None:
                             full = np.zeros(raw.shape[:2], dtype=bool)
                             full[y0:y1, x0:x1] = mask

@@ -3,7 +3,10 @@
 SAM's hypernetwork decoder needs web-scale pretraining to emit semantic
 masks; offline, this head supplies the equivalent *function*: given a prompt
 (box or points) it forms competing object hypotheses from seeded intensity
-statistics and ranks them by SAM-style quality scores.
+statistics, scored by SAM-style quality terms.  A hypothesis holds only the
+mask inside its window; its full-frame mask and its score are computed when
+a caller reads them, so a caller that selects by other criteria (grounded
+selection, propagation's IoU-vs-memory pick) pays for neither.
 
 Hypotheses per prompt:
 
@@ -30,6 +33,8 @@ Quality terms per mask (each in [0, 1], exposed for calibration):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.ndimage import label, laplace, sobel
@@ -80,18 +85,56 @@ class AnalyticContext:
 
 @dataclass(frozen=True)
 class MaskHypothesis:
-    """One candidate mask with its quality decomposition.
+    """One candidate mask, stored as its window, scored on first read.
 
-    ``window`` is a ``(y0, y1, x0, x1)`` region the mask is known to be
-    zero outside of (``None``: the full frame), so consumers can restrict
-    their per-pixel work to it.
+    ``window_mask`` is the mask inside ``window`` = ``(y0, y1, x0, x1)``;
+    the mask is zero elsewhere in the ``frame_shape`` frame, so consumers
+    can restrict their per-pixel work to the window (point hypotheses use
+    the whole frame as their window).  :attr:`mask` pastes it into a new
+    full-frame array on every read and keeps nothing, so a cached
+    hypothesis stays window-sized and a caller mutating ``.mask`` cannot
+    change it.  :attr:`score` and :attr:`terms` run the head's
+    :meth:`~AnalyticMaskHead.score_mask` on the window on first read and
+    memoise the result on the instance.
+
+    ``scorer`` is that ``score_mask`` call bound to the window's context,
+    a view of the image's context (which the ``sam.image`` cache entry
+    already holds), so a hypothesis carries no per-pixel data beyond its
+    window mask.  It is a :func:`functools.partial`, not a closure, so
+    hypotheses pickle for the disk tier.
     """
 
-    mask: np.ndarray
+    window_mask: np.ndarray
     kind: str
-    score: float
-    terms: dict[str, float] = field(default_factory=dict)
-    window: tuple[int, int, int, int] | None = None
+    window: tuple[int, int, int, int]
+    frame_shape: tuple[int, int]
+    scorer: Callable[[np.ndarray], tuple[float, dict[str, float]]] = field(repr=False, compare=False)
+
+    @property
+    def window_slices(self) -> tuple[slice, slice]:
+        y0, y1, x0, x1 = self.window
+        return slice(y0, y1), slice(x0, x1)
+
+    @property
+    def mask(self) -> np.ndarray:
+        full = np.zeros(self.frame_shape, dtype=bool)
+        full[self.window_slices] = self.window_mask
+        return full
+
+    def _scored(self) -> tuple[float, dict[str, float]]:
+        scored = self.__dict__.get("_score")
+        if scored is None:
+            scored = self.scorer(self.window_mask)
+            object.__setattr__(self, "_score", scored)
+        return scored
+
+    @property
+    def score(self) -> float:
+        return self._scored()[0]
+
+    @property
+    def terms(self) -> dict[str, float]:
+        return self._scored()[1]
 
 
 def _otsu_threshold_float(values: np.ndarray, n_bins: int = 128) -> float:
@@ -223,10 +266,6 @@ class AnalyticMaskHead:
         score = float(sum(self.score_weights[k] * terms[k] for k in self.score_weights))
         return score, terms
 
-    def _hypothesis(self, ctx: AnalyticContext, mask: np.ndarray, kind: str) -> MaskHypothesis:
-        score, terms = self.score_mask(ctx, mask)
-        return MaskHypothesis(mask=mask, kind=kind, score=score, terms=terms)
-
     # -- band masks -----------------------------------------------------------
 
     def _clean(self, mask: np.ndarray) -> np.ndarray:
@@ -261,13 +300,14 @@ class AnalyticMaskHead:
         """Bright / dark / region hypotheses for a box prompt.
 
         Every hypothesis lies inside the box padded by 6% + 2 px, so all of
-        them are built and scored on the padded box grown by
-        :data:`BOX_HALO` (clipped to the frame) and pasted into full-frame
-        masks.  A decode costs O(box), not O(frame), and is bit-identical
-        to one on the full frame: pixels past the window are zero either
-        way, gathered pixels keep their row-major order, and ``area`` is
-        still a fraction of the frame.  Each hypothesis carries that
-        window, so grounded selection can score it there too.
+        them are built on the padded box grown by :data:`BOX_HALO` (clipped
+        to the frame) and kept as masks of that window.  A decode costs
+        O(box), not O(frame), and is bit-identical to one on the full
+        frame: pixels past the window are zero either way.  Scores are not
+        computed here; a hypothesis scores itself inside the window when
+        its :attr:`~MaskHypothesis.score` is read, which equals a
+        full-frame score bit for bit (gathered pixels keep their row-major
+        order, and ``area`` is still a fraction of the frame).
         """
         h, w = ctx.image.shape
         b = clip_boxes(box, (h, w))[0]
@@ -281,16 +321,13 @@ class AnalyticMaskHead:
         within = np.zeros(win.image.shape, dtype=bool)
         within[y0:y1, x0:x1] = True
         crop = win.smooth[y0:y1, x0:x1]
+        scorer = partial(self.score_mask, win, frame_pixels=h * w)
 
         def _hyp(mask: np.ndarray, kind: str) -> MaskHypothesis:
-            score, terms = self.score_mask(win, mask, frame_pixels=h * w)
-            full = np.zeros((h, w), dtype=bool)
-            full[wy0:wy1, wx0:wx1] = mask
-            return MaskHypothesis(mask=full, kind=kind, score=score, terms=terms, window=(wy0, wy1, wx0, wx1))
+            return MaskHypothesis(mask, kind, (wy0, wy1, wx0, wx1), (h, w), scorer)
 
         hyps: list[MaskHypothesis] = []
-        hi = np.percentile(crop, self.seed_quantile)
-        lo = np.percentile(crop, 100.0 - self.seed_quantile)
+        hi, lo = np.percentile(crop, [self.seed_quantile, 100.0 - self.seed_quantile])
         bright_seed = within & (win.smooth >= hi)
         dark_seed = within & (win.smooth <= lo)
         hyps.append(_hyp(self._band_mask(win, bright_seed, within=within), "bright"))
@@ -337,16 +374,14 @@ class AnalyticMaskHead:
         ctx: AnalyticContext,
         points: np.ndarray,
         labels: np.ndarray,
-        *,
-        score: bool = True,
     ) -> list[MaskHypothesis]:
         """Tight-band / loose-band / region hypotheses for point prompts.
 
         ``points`` are (x, y); positive points seed the object, negative
-        points veto components containing them.  ``score=False`` skips the
-        quality decomposition (scores come back 0.0) — for callers that
-        rank the hypotheses themselves, e.g. propagation's IoU-vs-memory
-        selection, where scoring is half the decode cost.
+        points veto components containing them.  The window of each
+        hypothesis is the whole frame, and it is scored only when its
+        score is read, so callers that rank the hypotheses themselves
+        (propagation's IoU-vs-memory selection) never pay for scoring.
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         labs = np.asarray(labels).reshape(-1)
@@ -387,10 +422,10 @@ class AnalyticMaskHead:
                 mask = mask & ~np.isin(labelled, sorted(bad))
             return mask
 
+        scorer = partial(self.score_mask, ctx, frame_pixels=h * w)
+
         def _hyp(mask: np.ndarray, kind: str) -> MaskHypothesis:
-            if score:
-                return self._hypothesis(ctx, mask, kind)
-            return MaskHypothesis(mask=mask, kind=kind, score=0.0)
+            return MaskHypothesis(mask, kind, (0, h, 0, w), (h, w), scorer)
 
         hyps = []
         tight = _veto(_connected(self._band_mask(ctx, seed, k=self.band_k * 0.75)))

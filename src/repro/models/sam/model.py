@@ -343,12 +343,17 @@ class SamPredictor:
         """Analytic hypotheses for one box on the current image, cached.
 
         HITL loops and grounded selection revisit the same (image, box)
-        pairs; content addressing makes the second visit free.
+        pairs; content addressing makes the second visit free.  Each
+        hypothesis holds only its window mask and is scored when its
+        ``score`` is first read, so a cached list costs O(box) bytes and
+        a caller that never ranks by score never pays for scoring.  The
+        ``win`` key suffix keeps full-frame, eagerly scored lists that an
+        older layout wrote to a shared disk tier from ever being served.
         """
         if self._ctx is None:
             raise PromptError("call set_image before predicting")
         b = np.asarray(box, dtype=np.float64).reshape(4)
-        key = combine_keys(self._image_key, array_content_key(b))
+        key = combine_keys(self._image_key, array_content_key(b), "win")
         return self.cache.get_or_compute(
             "sam.analytic_box", key, lambda: self.sam.analytic.masks_from_box(self._ctx, b)
         )

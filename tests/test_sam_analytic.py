@@ -379,8 +379,13 @@ class TestScipyDifferential:
             hi = detection.relevance >= pipeline.config.box_threshold
             for i, box in enumerate(boxes):
                 hyps = head.masks_from_box(ctx, box)
-                assert all(hyp.window is not None for hyp in hyps)
-                full = [dataclasses.replace(hyp, window=None) for hyp in hyps]
+                h, w = ctx.image.shape
+                for hyp in hyps:
+                    wy0, wy1, wx0, wx1 = hyp.window
+                    assert hyp.window_mask.shape == (wy1 - wy0, wx1 - wx0)
+                full = [
+                    dataclasses.replace(hyp, window_mask=hyp.mask, window=(0, h, 0, w)) for hyp in hyps
+                ]
                 # The decoded box, and another box only partly inside the window.
                 for scored in (box, boxes[i - 1]):
                     got = pipeline._select_mask(hyps, detection.relevance, scored, hi=hi)

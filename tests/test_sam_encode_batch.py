@@ -11,7 +11,7 @@ from repro.models.nn.embeddings import (
 from repro.models.nn.init import ParamFactory
 from repro.models.nn.precision import precision
 from repro.models.sam.image_encoder import ImageEncoderViT
-from repro.models.sam.model import Sam, SamConfig, SamPredictor
+from repro.models.sam.model import Sam, SamConfig, SamPredictor, _ctx_key
 
 
 def _encoder(window=0, global_idx=None):
@@ -183,8 +183,10 @@ class TestTierKeySegregation:
         with precision("fast"):
             assert predictor.precompute_images(imgs) == {"hits": 0, "encoded": 2}
         for img in imgs:
+            # The exact-tier keys (the scope has closed) of both entries.
             key = combine_keys(array_content_key(img), predictor._fingerprint)
-            assert cache.get("sam.image", key) is MISS
+            assert cache.get("sam.embedding", key) is MISS
+            assert cache.get("sam.image", _ctx_key(key)) is MISS
         # An exact-tier warm-up therefore recomputes rather than serving
         # fast-tier bytes.
         assert predictor.precompute_images(imgs) == {"hits": 0, "encoded": 2}
