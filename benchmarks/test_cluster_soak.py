@@ -22,7 +22,7 @@ a worker busy without burning CPU, so throughput is *capacity*-bound and
 measurable on a single-core runner) is drained through 1 replica and then
 4; the jobs/s ratio must be ≥ 2.5×.  The report lands in
 ``benchmarks/_artifacts/BENCH_cluster.json`` (commit it to the repo root
-to refresh the baseline, as with ``BENCH_encoder.json``).
+to refresh the baseline).
 """
 
 from __future__ import annotations

@@ -59,17 +59,14 @@ def config_fingerprint(*objs) -> str:
     keyed with it — the content-addressing answer to "is this result still
     valid under my current model?".
 
-    The active numeric precision tier (``repro.models.nn.precision``) is
-    folded in as well, so entries computed under ``fast`` math can never
-    satisfy an ``exact`` lookup (or vice versa) — including on the disk
-    tier shared across processes.
+    The trailing ``"precision=exact"`` literal is the term a since-removed
+    precision-tier option appended for its bit-exact tier, which is now the
+    only numeric path.  Keeping it leaves every cache key, checkpoint
+    fingerprint and durable-job identity byte-identical, so disk-tier
+    entries and checkpoints written before the option went stay valid.
     """
-    # Imported lazily: repro.models pulls in modules that import repro.cache
-    # at module scope, so a top-level import here would be circular.
-    from ..models.nn.precision import precision_tag
-
     return hashlib.sha1(
-        repr([_canonical(o) for o in objs] + [precision_tag()]).encode()
+        repr([_canonical(o) for o in objs] + ["precision=exact"]).encode()
     ).hexdigest()
 
 

@@ -30,24 +30,11 @@ import numpy as np
 __all__ = ["main", "build_parser"]
 
 
-def _add_precision_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--precision",
-        choices=["exact", "fast"],
-        default=None,
-        help="numeric tier: 'exact' (default) keeps bit-identical fp32 math; "
-        "'fast' enables fp16 activation storage and streaming-softmax kernels "
-        "(cache entries are fingerprint-segregated per tier). Overrides "
-        "REPRO_PRECISION for this run",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("segment", help="segment a file from a text prompt")
-    _add_precision_flag(p)
     p.add_argument("path", type=Path)
     p.add_argument("prompt")
     p.add_argument("--out", type=Path, default=None, help="output .npz (default: alongside input)")
@@ -114,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Mode B batch segmentation: a volume file + prompt, or a whole "
         "directory of volumes fanned out as durable zoo jobs (--task)",
     )
-    _add_precision_flag(p)
     p.add_argument("path", type=Path)
     p.add_argument("prompt", nargs="?", default=None, help="text prompt (file mode only)")
     p.add_argument("--out", type=Path, default=None)
@@ -210,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     zp.add_argument("--jobs-dir", type=Path, default=None)
 
     p = sub.add_parser("evaluate", help="run the paper's table experiments")
-    _add_precision_flag(p)
     p.add_argument("--methods", nargs="+", default=["otsu", "sam_only", "zenesis"])
     p.add_argument("--size", type=int, default=256, help="slice edge length")
     p.add_argument("--slices", type=int, default=10, help="slices per volume")
@@ -236,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-gt", action="store_true", help="bundle ground truth (npz output)")
 
     p = sub.add_parser("serve", help="run the platform HTTP server")
-    _add_precision_flag(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
     p.add_argument(
@@ -317,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("jobs", help="durable background jobs over a jobs directory")
-    _add_precision_flag(p)
     p.add_argument(
         "--jobs-dir",
         type=Path,
@@ -964,10 +947,4 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "precision", None) is not None:
-        # Set before any model/cache object exists so every fingerprint
-        # computed in this run carries the selected tier.
-        from .models.nn.precision import set_precision
-
-        set_precision(args.precision)
     return _COMMANDS[args.command](args)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import binary_fill_holes, label
+from scipy.ndimage import binary_fill_holes, generate_binary_structure, label
 
 from ..errors import ValidationError
 from ..utils.validation import ensure_mask
@@ -70,10 +70,22 @@ def rle_decode(rle: dict) -> np.ndarray:
     return vals.reshape((h, w), order="F")
 
 
+@lru_cache(maxsize=None)
+def _cross(ndim: int) -> np.ndarray:
+    """scipy's default (cross) labelling element, built once per ``ndim``."""
+    structure = generate_binary_structure(ndim, 1)
+    structure.setflags(write=False)
+    return structure
+
+
+def _label(m: np.ndarray) -> tuple[np.ndarray, int]:
+    return label(m, structure=_cross(m.ndim))
+
+
 def connected_components(mask: np.ndarray, *, min_area: int = 1) -> list[np.ndarray]:
     """Split a mask into per-component masks, largest first."""
     m = ensure_mask(mask)
-    labels, n = label(m)
+    labels, n = _label(m)
     if n == 0:
         return []
     areas = np.bincount(labels.ravel())[1:]
@@ -95,7 +107,7 @@ def component_containing(mask: np.ndarray, point_yx: tuple[float, float]) -> np.
     y, x = int(round(point_yx[0])), int(round(point_yx[1]))
     if not (0 <= y < m.shape[0] and 0 <= x < m.shape[1]) or not m[y, x]:
         return None
-    labels, _ = label(m)
+    labels, _ = _label(m)
     return labels == labels[y, x]
 
 
@@ -179,7 +191,7 @@ def clean_mask(
     if fill_holes:
         m = binary_fill_holes(m)
     if min_area > 0 and m.any():
-        labels, n = label(m)
+        labels, n = _label(m)
         if n:
             drop = np.bincount(labels.ravel()) < min_area
             drop[0] = False

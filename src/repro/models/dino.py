@@ -35,7 +35,6 @@ from ..errors import ModelConfigError
 from ..utils.rng import derive_seed
 from .features import FEATURE_NAMES, FeatureGrid, PatchFeatureExtractor
 from .nn import ParamFactory, TransformerEncoder, attention_scores
-from .nn.precision import get_precision
 from .text import ConceptLexicon, TextEncoding, default_lexicon
 
 __all__ = ["DinoConfig", "Detection", "GroundingDino"]
@@ -101,7 +100,7 @@ class GroundingDino:
         self.config = config or DinoConfig()
         self.lexicon = lexicon or default_lexicon()
         self.cache = cache if cache is not None else get_cache()
-        self._config_fps: dict[str, str] = {}
+        self._config_fp_memo: str | None = None
         params = ParamFactory(derive_seed(self.config.seed, "groundingdino"))
         self.extractor = PatchFeatureExtractor(stride=self.config.stride)
         # Shared orthonormal alignment: QR of a seeded Gaussian matrix.
@@ -132,19 +131,10 @@ class GroundingDino:
     # -- encoding -----------------------------------------------------------
 
     def _config_fp(self) -> str:
-        """Config fingerprint under the ACTIVE precision tier (per-tier memo).
-
-        Resolved per cache lookup rather than snapshotted at construction:
-        the tier can change after the detector exists, and the text/image
-        encoders route through the precision-sensitive kernels — a stale
-        snapshot would mix fast-tier products into exact-tier keys.
-        """
-        tier = get_precision()
-        fp = self._config_fps.get(tier)
-        if fp is None:
-            fp = config_fingerprint(self.config)
-            self._config_fps[tier] = fp
-        return fp
+        """Config fingerprint, memoised on first call."""
+        if self._config_fp_memo is None:
+            self._config_fp_memo = config_fingerprint(self.config)
+        return self._config_fp_memo
 
     def _fingerprint(self) -> str:
         """Config ⊕ lexicon content hash: any calibration invalidates text caches."""

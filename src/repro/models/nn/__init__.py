@@ -11,7 +11,6 @@ from .embeddings import (
 )
 from .init import ParamFactory
 from .layers import LayerNorm, Linear, Mlp, gelu, relu, softmax
-from .precision import get_precision, precision, precision_tag, set_precision
 from .transformer import TransformerBlock, TransformerEncoder, TwoWayBlock
 
 __all__ = [
@@ -29,12 +28,8 @@ __all__ = [
     "attention_scores",
     "clear_sincos_cache",
     "gelu",
-    "get_precision",
     "kernels",
-    "precision",
-    "precision_tag",
     "relu",
-    "set_precision",
     "sincos_position_embedding",
     "softmax",
 ]

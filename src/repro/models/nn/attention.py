@@ -10,7 +10,7 @@ between text tokens and image patches is the core of GroundingDINO).
 
 The heavy lifting lives in :mod:`repro.models.nn.kernels`: self-attention
 projects Q/K/V through one fused gemm, and the softmax·V product routes
-through the blocked (exact tier) or online-softmax (fast tier) kernel.
+through the L2-blocked kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def attention_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     Exposed separately because GroundingDINO's grounding head thresholds
     these relevance scores directly (text/box thresholds).  Scaling happens
     on the cheaper side when that is errorless — see
-    :func:`repro.models.nn.kernels.scaled_scores`; the exact tier stays
+    :func:`repro.models.nn.kernels.scaled_scores`; the result stays
     bit-compatible with the historical divide-the-logits form.
     """
     return kernels.scaled_scores(q, k)

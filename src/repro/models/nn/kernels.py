@@ -1,44 +1,37 @@
 """Fused/blocked NumPy kernels for the transformer hot path.
 
-This module is the leaf of the NN stack (imports only NumPy and
-:mod:`repro.models.nn.precision`); ``layers.py`` / ``attention.py`` build on
-it.  Three kernel families live here:
+This module is the leaf of the NN stack (imports only NumPy);
+``layers.py`` / ``attention.py`` build on it.  Every kernel is bit-exact
+fp32: each fused or in-place form performs the same per-element arithmetic
+as the expression it replaces.  Three kernel families live here:
 
 * **Scaled attention** — :func:`scaled_scores`, :func:`naive_attention`,
-  :func:`blocked_attention`, :func:`online_attention`, and the
-  :func:`attention` dispatcher.  The exact tier tiles over the *leading*
-  (batch × windows × heads) axis only: on this BLAS, slicing a gemm along
-  the reduction-visible row axis changes low bits, but batched-matmul
-  per-slice results are bit-identical to the full stacked call — so
-  leading-axis tiles keep ``blocked == naive`` exactly while the logits
-  tile stays L2-resident.  The fast tier streams over the key axis with an
-  online-softmax accumulator (fp32 accumulation, fp16-storable inputs).
+  :func:`blocked_attention`, and :func:`attention`, which is the blocked
+  path.  Blocking tiles over the *leading* (batch × windows × heads) axis
+  only: on this BLAS, slicing a gemm along the reduction-visible row axis
+  changes low bits, but batched-matmul per-slice results are bit-identical
+  to the full stacked call — so leading-axis tiles keep ``blocked ==
+  naive`` exactly while the logits tile stays L2-resident.
+  :func:`naive_attention` is the test reference.
 * **In-place activations** — :func:`gelu_` and :func:`layernorm_` rewrite
   the multi-temporary expressions in ``layers.py`` as in-place ufunc
   chains.  ``np.power(x, 3)`` in the old GELU went through the generic pow
   path and dominated encoder time; ``x*x*x`` is the same polynomial ~35×
   faster.  In-place ufuncs (``out=``) are bit-identical to their
-  out-of-place forms, so the exact tier keeps within-version bit parity
-  between every code path that shares these kernels.
+  out-of-place forms, so every code path that shares these kernels keeps
+  within-version bit parity.
 * **Fused projections** — :func:`fuse_linear` concatenates Q/K/V weights
   column-wise so one gemm replaces three; column slices of the fused
   product are bit-identical to the separate products.
 
-Kernel selection: ``REPRO_KERNEL=blocked|naive`` (default ``blocked``) or
-:func:`set_kernel_mode` / :func:`kernel_mode`; the naive mode exists for
-benchmarking and differential testing.  Tile sizes auto-fit half the
-detected L2 cache and can be pinned with ``REPRO_ATTN_TILE``.
+Attention tiles fit half the detected L2 cache.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
-
-from .precision import is_fast
 
 __all__ = [
     "L2_BYTES",
@@ -48,14 +41,10 @@ __all__ = [
     "fuse_linear",
     "gelu",
     "gelu_",
-    "get_kernel_mode",
-    "kernel_mode",
     "layernorm",
     "layernorm_",
     "naive_attention",
-    "online_attention",
     "scaled_scores",
-    "set_kernel_mode",
     "softmax_",
 ]
 
@@ -94,51 +83,9 @@ _TILE_BUDGET = max(L2_BYTES // 2, 1 << 18)
 
 
 def attention_tile(t_q: int, t_k: int) -> int:
-    """Leading-axis tile (slices per block) sized so the logits fit the budget.
-
-    ``REPRO_ATTN_TILE`` pins it explicitly (benchmarks sweep this).
-    """
-    env = os.environ.get("REPRO_ATTN_TILE")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+    """Leading-axis tile (slices per block) sized so the logits fit the budget."""
     per_slice = max(t_q * t_k * 4, 1)
     return max(1, _TILE_BUDGET // per_slice)
-
-
-# -- kernel mode --------------------------------------------------------------
-
-_KERNEL_ENV = "REPRO_KERNEL"
-_KERNEL_MODES = ("blocked", "naive")
-_kernel_override: str | None = None
-
-
-def get_kernel_mode() -> str:
-    if _kernel_override is not None:
-        return _kernel_override
-    env = os.environ.get(_KERNEL_ENV, "").strip().lower()
-    return env if env in _KERNEL_MODES else "blocked"
-
-
-def set_kernel_mode(mode: str | None) -> str | None:
-    """Set the attention kernel (``blocked``/``naive``); ``None`` resets."""
-    global _kernel_override
-    if mode is not None and mode not in _KERNEL_MODES:
-        raise ValueError(f"unknown kernel mode {mode!r}; expected one of {_KERNEL_MODES}")
-    previous = _kernel_override
-    _kernel_override = mode
-    return previous
-
-
-@contextmanager
-def kernel_mode(mode: str):
-    previous = set_kernel_mode(mode)
-    try:
-        yield
-    finally:
-        set_kernel_mode(previous)
 
 
 # -- scaled attention ---------------------------------------------------------
@@ -160,15 +107,14 @@ def scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     When ``sqrt(d)`` is a power of two the scale is errorless, so
     pre-scaling ``q`` (the smaller operand, one pass) is bit-identical to
-    dividing the full logits matrix and always taken.  Otherwise the exact
-    tier keeps the historical divide (in place, on the fresh matmul
-    output) and only the fast tier pre-scales.
+    dividing the full logits matrix and always taken.  Otherwise the
+    historical divide runs in place on the fresh matmul output.
     """
     q = _f32(q)
     k = _f32(k)
     d = q.shape[-1]
     k_t = np.swapaxes(k, -1, -2)
-    if _pow2_sqrt(d) or is_fast():
+    if _pow2_sqrt(d):
         return (q * np.float32(1.0 / math.sqrt(d))) @ k_t
     out = q @ k_t
     np.divide(out, np.float32(np.sqrt(d)), out=out)
@@ -205,8 +151,8 @@ def blocked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, *, tile: int 
 
     Slices the flattened leading (batch × heads) axis into tiles whose
     logits fit in L2; every per-tile gemm and in-place softmax performs the
-    same per-slice arithmetic as the stacked naive call, so the exact tier
-    stays bit-exact — including ragged final tiles.
+    same per-slice arithmetic as the stacked naive call, so the result is
+    bit-exact — including ragged final tiles.
     """
     q, k, v = _f32(q), _f32(k), _f32(v)
     lead = q.shape[:-2]
@@ -224,73 +170,8 @@ def blocked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, *, tile: int 
     return out.reshape(*lead, t_q, d_v)
 
 
-def online_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    *,
-    key_tile: int | None = None,
-    tile: int | None = None,
-) -> np.ndarray:
-    """Streaming attention with an online-softmax accumulator (fast tier).
-
-    Pre-scales ``q``, walks the key axis in L2-sized tiles, and maintains
-    running max / normaliser / output in fp32 regardless of input storage
-    dtype — the key axis never needs to be materialised as a full logits
-    matrix.  Reductions are reordered relative to the naive path, so
-    results agree within fp32 tolerance, not bitwise.
-    """
-    q, k, v = _f32(q), _f32(k), _f32(v)
-    lead = q.shape[:-2]
-    d = q.shape[-1]
-    q3 = _as_3d(q) * np.float32(1.0 / math.sqrt(d))
-    k3, v3 = _as_3d(k), _as_3d(v)
-    n_lead, t_q, _ = q3.shape
-    t_k = k3.shape[-2]
-    d_v = v3.shape[-1]
-    k_step = key_tile if key_tile is not None else max(64, _TILE_BUDGET // max(t_q * 4, 1))
-    if k_step >= t_k:
-        # Single key tile: plain blocked pass over the (pre-scaled) logits.
-        step = tile if tile is not None else attention_tile(t_q, t_k)
-        out = np.empty((n_lead, t_q, d_v), dtype=np.float32)
-        for s in range(0, n_lead, step):
-            e = min(s + step, n_lead)
-            logits = q3[s:e] @ np.swapaxes(k3[s:e], -1, -2)
-            softmax_(logits)
-            np.matmul(logits, v3[s:e], out=out[s:e])
-        return out.reshape(*lead, t_q, d_v)
-
-    step = tile if tile is not None else attention_tile(t_q, k_step)
-    out = np.empty((n_lead, t_q, d_v), dtype=np.float32)
-    for s in range(0, n_lead, step):
-        e = min(s + step, n_lead)
-        b = e - s
-        running_max = np.full((b, t_q, 1), -np.inf, dtype=np.float32)
-        denom = np.zeros((b, t_q, 1), dtype=np.float32)
-        acc = np.zeros((b, t_q, d_v), dtype=np.float32)
-        for j in range(0, t_k, k_step):
-            je = min(j + k_step, t_k)
-            logits = q3[s:e] @ np.swapaxes(k3[s:e, j:je], -1, -2)
-            tile_max = logits.max(axis=-1, keepdims=True)
-            new_max = np.maximum(running_max, tile_max)
-            np.subtract(logits, new_max, out=logits)
-            np.exp(logits, out=logits)
-            correction = np.exp(running_max - new_max)
-            np.multiply(denom, correction, out=denom)
-            denom += logits.sum(axis=-1, keepdims=True)
-            np.multiply(acc, correction, out=acc)
-            acc += logits @ v3[s:e, j:je]
-            running_max = new_max
-        np.divide(acc, denom, out=out[s:e])
-    return out.reshape(*lead, t_q, d_v)
-
-
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dispatch to the configured kernel under the active precision tier."""
-    if get_kernel_mode() == "naive":
-        return naive_attention(q, k, v)
-    if is_fast():
-        return online_attention(q, k, v)
+    """Scaled dot-product attention through the blocked kernel."""
     return blocked_attention(q, k, v)
 
 
@@ -304,7 +185,7 @@ def fuse_linear(
 
     ``x @ fused`` sliced column-wise is bit-identical to the separate
     ``x @ w_i`` products (each output column is the same dot product), so
-    fusing Q/K/V is exact-tier safe.  All weights must share ``d_in``.
+    fusing Q/K/V is bit-exact.  All weights must share ``d_in``.
 
     The result is a COPY, not a view: mutating the source weights in place
     afterwards (e.g. a future checkpoint-loading path) would silently
@@ -350,18 +231,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
 def layernorm_(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: np.float32) -> np.ndarray:
     """In-place layer norm over the last axis of a float32 array.
 
-    Exact tier mirrors the historical two-pass mean/var expression op for
-    op (bit-identical); fast tier folds the variance into one data pass via
-    ``E[x²] − mean²`` (clamped at zero against cancellation).
+    Mirrors the historical two-pass mean/var expression op for op
+    (bit-identical).
     """
     mu = x.mean(axis=-1, keepdims=True)
-    if is_fast():
-        n = x.shape[-1]
-        mean_sq = np.einsum("...i,...i->...", x, x)[..., None] / np.float32(n)
-        var = mean_sq - mu * mu
-        np.maximum(var, np.float32(0.0), out=var)
-    else:
-        var = x.var(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     np.subtract(x, mu, out=x)
     np.divide(x, np.sqrt(var + eps), out=x)
     np.multiply(x, gamma, out=x)

@@ -7,7 +7,6 @@ import numpy as np
 from .attention import MultiHeadAttention
 from .init import ParamFactory
 from .layers import LayerNorm, Mlp
-from .precision import activation_dtype, is_fast
 
 __all__ = ["TransformerBlock", "TransformerEncoder", "TwoWayBlock"]
 
@@ -29,10 +28,6 @@ class TransformerBlock:
         h += x
         out = self.mlp(self.norm2(h))
         out += h
-        if is_fast():
-            # Fast tier: store inter-block activations fp16 (compute stays
-            # fp32 — every kernel upcasts on entry).
-            return out.astype(activation_dtype())
         return out
 
 

@@ -16,6 +16,7 @@ image, then ``predict`` per prompt.  Two paths sit behind it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from ...cache import MISS, InferenceCache, array_content_key, combine_keys, conf
 from ...errors import ModelConfigError, PromptError
 from ...utils.rng import derive_seed
 from ..nn import ParamFactory
-from ..nn.precision import get_precision
 from .analytic import AnalyticContext, AnalyticMaskHead, MaskHypothesis
 from .image_encoder import ImageEncoderViT
 from .mask_decoder import DecoderOutput, MaskDecoder
@@ -98,7 +98,6 @@ class SamPredictor:
     def __init__(self, sam: Sam | None = None, *, cache: InferenceCache | None = None) -> None:
         self.sam = sam or Sam()
         self.cache = cache if cache is not None else get_cache()
-        self._fingerprints: dict[str, str] = {}
         self._image: np.ndarray | None = None
         self._content_key: str | None = None
         self._image_key: str | None = None
@@ -107,25 +106,14 @@ class SamPredictor:
         self._ctx: AnalyticContext | None = None
         self.last_decoder_output: DecoderOutput | None = None
 
-    @property
+    @cached_property
     def _fingerprint(self) -> str:
-        """Cache-key fingerprint: config ⊕ analytic head ⊕ ACTIVE precision tier.
+        """Cache-key fingerprint: config ⊕ analytic head, memoised on first read.
 
-        Resolved at every key construction, not snapshotted in ``__init__``:
-        ``set_precision()`` / the ``precision()`` scope may flip the tier
-        after this predictor exists, and a construction-time snapshot would
-        file fast-tier embeddings under exact-tier keys — poisoning the
-        shared (disk-tier) cache with non-bit-exact entries.  Any config or
-        analytic-head change still invalidates every cached product.
+        Any config or analytic-head change made before the first key is
+        built invalidates every cached product of this predictor.
         """
-        tier = get_precision()
-        fp = self._fingerprints.get(tier)
-        if fp is None:
-            # config_fingerprint folds in precision_tag() for the tier that
-            # is active right now, so memoising per tier is exact.
-            fp = config_fingerprint(self.sam.config, self.sam.analytic)
-            self._fingerprints[tier] = fp
-        return fp
+        return config_fingerprint(self.sam.config, self.sam.analytic)
 
     @property
     def is_image_set(self) -> bool:
@@ -177,10 +165,7 @@ class SamPredictor:
         """The ViT embedding ``(gh, gw, D)`` of the current image, encoded on first read.
 
         Cached in ``sam.embedding``; the dense positional encoding the
-        decoder pairs with it is filled at the same time.  The key takes
-        the precision tier active at this read, which is the tier the
-        encoder runs under, so a tier flipped since :meth:`set_image` can
-        never file its embedding under the other tier's key.
+        decoder pairs with it is filled at the same time.
         """
         if self._image is None:
             raise PromptError("call set_image before predicting")

@@ -80,6 +80,8 @@ class _Knobs:
 class TestConfigFingerprint:
     def test_equal_configs_equal_fingerprint(self):
         assert config_fingerprint(_Knobs()) == config_fingerprint(_Knobs())
+        cfg = {"dim": 96, "depth": 4}
+        assert config_fingerprint(cfg) == config_fingerprint(cfg)  # stable across calls
 
     def test_any_field_change_invalidates(self):
         base = config_fingerprint(_Knobs())
@@ -115,6 +117,18 @@ class TestConfigFingerprint:
         assert config_fingerprint(ZenesisConfig(box_threshold=0.5)) != config_fingerprint(
             ZenesisConfig()
         )
+
+    def test_sam_predictor_fingerprint_is_pinned(self):
+        # Keys every sam.image / sam.embedding / sam.dense_pe entry.
+        from repro.models.sam.model import SamPredictor
+
+        assert SamPredictor()._fingerprint == "d3e180205761d982a8181e36a8b59f3bb0a43864"
+
+    def test_grounding_dino_config_fingerprint_is_pinned(self):
+        # Keys every dino.* entry (the text side also folds in the lexicon).
+        from repro.models.dino import GroundingDino
+
+        assert GroundingDino()._config_fp() == "ea1f8302b9b11939dd7f02b65bf2b8b4540e1497"
 
 
 class TestMemoryTier:

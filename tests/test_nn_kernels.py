@@ -1,45 +1,22 @@
-"""Property tests for the kernel fast path and the precision policy.
+"""Property tests for the kernel layer.
 
-The contracts under test (see DESIGN.md "Precision policy & kernel fast
-path"):
-
-* exact tier — ``blocked_attention`` is **bit-identical** to
-  ``naive_attention`` over window sizes, head counts, ragged leading
-  tiles, and cross-attention shapes; ``attention_scores`` is bit-compatible
-  with the historical divide-the-logits formula; fused Q/K/V projection is
-  bit-identical to three separate gemms; in-place GELU/LayerNorm are
-  bit-identical to their historical out-of-place expressions.
-* fast tier — the online-softmax kernel agrees with the naive reference
-  within fp32 tolerance; the tier is folded into ``config_fingerprint`` so
-  cache entries never cross tiers.
+The contracts under test (see DESIGN.md "Kernel layer"):
+``blocked_attention`` is **bit-identical** to ``naive_attention`` over
+window sizes, head counts, ragged leading tiles, and cross-attention
+shapes; ``attention_scores`` is bit-compatible with the historical
+divide-the-logits formula; fused Q/K/V projection is bit-identical to three
+separate gemms; in-place GELU/LayerNorm are bit-identical to their
+historical out-of-place expressions.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import config_fingerprint
 from repro.models.nn import kernels
 from repro.models.nn.attention import MultiHeadAttention, attention_scores
 from repro.models.nn.init import ParamFactory
 from repro.models.nn.layers import LayerNorm, gelu, softmax
-from repro.models.nn.precision import (
-    EXACT,
-    FAST,
-    get_precision,
-    precision,
-    set_precision,
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_precision_and_kernel():
-    set_precision(None)
-    kernels.set_kernel_mode(None)
-    yield
-    set_precision(None)
-    kernels.set_kernel_mode(None)
 
 
 def _qkv(seed, lead, t_q, t_k, d, d_v):
@@ -73,23 +50,6 @@ def test_blocked_equals_naive_bit_exact(seed, n_lead, extra_lead, t_q, t_k, d, d
     assert np.array_equal(naive, blocked)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    n_lead=st.integers(1, 8),
-    t_q=st.sampled_from([4, 16, 25]),
-    t_k=st.sampled_from([16, 37, 64]),
-    d=st.sampled_from([8, 24, 64]),
-    key_tile=st.sampled_from([4, 7, 16, None]),
-)
-def test_online_softmax_matches_naive_within_tolerance(seed, n_lead, t_q, t_k, d, key_tile):
-    q, k, v = _qkv(seed, (n_lead,), t_q, t_k, d, d)
-    with precision(FAST):
-        reference = kernels.naive_attention(q, k, v)
-        streamed = kernels.online_attention(q, k, v, key_tile=key_tile)
-    assert np.allclose(streamed, reference, atol=2e-5, rtol=2e-4)
-
-
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**16), d=st.sampled_from([4, 16, 24, 36, 64, 80]))
 def test_attention_scores_bit_compatible_with_legacy(seed, d):
@@ -107,32 +67,6 @@ class TestDispatcher:
     def test_exact_blocked_default(self, rng):
         q, k, v = _qkv(0, (6,), 16, 16, 24, 24)
         assert np.array_equal(kernels.attention(q, k, v), kernels.naive_attention(q, k, v))
-
-    def test_naive_mode_env_and_context(self, rng):
-        q, k, v = _qkv(1, (4,), 9, 9, 16, 16)
-        with kernels.kernel_mode("naive"):
-            assert kernels.get_kernel_mode() == "naive"
-            out = kernels.attention(q, k, v)
-        assert kernels.get_kernel_mode() == "blocked"
-        assert np.array_equal(out, kernels.naive_attention(q, k, v))
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_kernel_mode("turbo")
-
-    def test_fast_tier_routes_to_online(self, rng):
-        q, k, v = _qkv(2, (4,), 16, 48, 24, 24)
-        with precision(FAST):
-            out = kernels.attention(q, k, v)
-            ref = kernels.naive_attention(q, k, v)
-        assert np.allclose(out, ref, atol=2e-5, rtol=2e-4)
-
-    def test_fp16_inputs_accepted(self, rng):
-        q, k, v = _qkv(3, (4,), 16, 16, 16, 16)
-        with precision(FAST):
-            out = kernels.attention(q.astype(np.float16), k.astype(np.float16), v.astype(np.float16))
-        assert out.dtype == np.float32
-        assert np.isfinite(out).all()
 
 
 class TestFusedQKV:
@@ -198,16 +132,6 @@ class TestInPlaceActivations:
         legacy = (x - mu) / np.sqrt(var + eps) * gamma + beta
         assert np.array_equal(kernels.layernorm(x, gamma, beta, eps), legacy)
 
-    def test_layernorm_fast_one_pass_close(self, rng):
-        x = rng.normal(size=(40, 16)).astype(np.float32)
-        gamma = np.ones(16, np.float32)
-        beta = np.zeros(16, np.float32)
-        eps = np.float32(1e-5)
-        exact = kernels.layernorm(x, gamma, beta, eps)
-        with precision(FAST):
-            fast = kernels.layernorm(x, gamma, beta, eps)
-        assert np.allclose(fast, exact, atol=1e-4)
-
     def test_layernorm_class_delegates(self, rng):
         ln = LayerNorm(ParamFactory(3), "ln", 16)
         x = rng.normal(size=(5, 16)).astype(np.float32)
@@ -218,49 +142,3 @@ class TestInPlaceActivations:
     def test_softmax_inplace_matches_layers_softmax(self, rng):
         x = rng.normal(size=(6, 9)).astype(np.float32)
         assert np.array_equal(kernels.softmax_(x.copy()), softmax(x, axis=-1))
-
-
-class TestPrecisionPolicy:
-    def test_default_is_exact(self):
-        assert get_precision() == EXACT
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRECISION", "fast")
-        assert get_precision() == FAST
-        monkeypatch.setenv("REPRO_PRECISION", "bogus")
-        assert get_precision() == EXACT  # fail closed
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PRECISION", "fast")
-        set_precision(EXACT)
-        assert get_precision() == EXACT
-
-    def test_context_manager_restores(self):
-        with precision(FAST):
-            assert get_precision() == FAST
-            with precision(EXACT):
-                assert get_precision() == EXACT
-            assert get_precision() == FAST
-        assert get_precision() == EXACT
-
-    def test_invalid_tier_rejected(self):
-        with pytest.raises(ValueError):
-            set_precision("float8")
-
-    def test_fingerprint_segregates_tiers(self):
-        cfg = {"dim": 96, "depth": 4}
-        exact_fp = config_fingerprint(cfg)
-        with precision(FAST):
-            fast_fp = config_fingerprint(cfg)
-        assert exact_fp != fast_fp
-        # and the exact fingerprint is stable across calls
-        assert exact_fp == config_fingerprint(cfg)
-
-    def test_transformer_block_stores_fp16_under_fast(self, rng):
-        from repro.models.nn.transformer import TransformerBlock
-
-        block = TransformerBlock(ParamFactory(3), "b", dim=16, n_heads=4)
-        x = rng.normal(size=(9, 16)).astype(np.float32)
-        assert block(x).dtype == np.float32
-        with precision(FAST):
-            assert block(x).dtype == np.float16

@@ -100,7 +100,9 @@ class TestTransformer:
     def test_block_shape_preserved(self, params, rng):
         block = TransformerBlock(params, "b", dim=16, n_heads=4)
         x = rng.normal(size=(9, 16)).astype(np.float32)
-        assert block(x).shape == x.shape
+        out = block(x)
+        assert out.shape == x.shape
+        assert out.dtype == np.float32
 
     def test_encoder_depth(self, params, rng):
         enc = TransformerEncoder(params, "e", dim=16, depth=3, n_heads=4)

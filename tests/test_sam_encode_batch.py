@@ -9,9 +9,8 @@ from repro.models.nn.embeddings import (
     sincos_position_embedding,
 )
 from repro.models.nn.init import ParamFactory
-from repro.models.nn.precision import precision
 from repro.models.sam.image_encoder import ImageEncoderViT
-from repro.models.sam.model import Sam, SamConfig, SamPredictor, _ctx_key
+from repro.models.sam.model import Sam, SamConfig, SamPredictor
 
 
 def _encoder(window=0, global_idx=None):
@@ -69,15 +68,6 @@ class TestEncodeBatch:
         for out in outs:
             assert out.flags.owndata and out.flags.c_contiguous
 
-    def test_fast_tier_close_to_exact(self, rng):
-        enc = _encoder(4, global_idx=(1,))
-        imgs = [rng.random((64, 64)).astype(np.float32) for _ in range(3)]
-        exact = enc.encode_batch(imgs)
-        with precision("fast"):
-            fast = enc.encode_batch(imgs)
-        for e, f in zip(exact, fast):
-            assert np.allclose(e, f, atol=5e-2, rtol=5e-2)
-
 
 class TestPrecomputeImages:
     def _predictor(self):
@@ -127,78 +117,6 @@ class TestPrecomputeImages:
             "encoded": 0,
         }
         assert calls == []
-
-
-class TestTierKeySegregation:
-    """The predictor resolves the precision tier at KEY time, not __init__.
-
-    A predictor built outside a ``precision("fast")`` scope and used inside
-    it must file its (fast-tier) embeddings under fast keys — never under
-    the contractually bit-exact tier's keys (REVIEW: cache poisoning).
-    """
-
-    def _predictor(self):
-        cache = InferenceCache(CacheConfig(enabled=True, disk_enabled=False))
-        sam = Sam(SamConfig(patch_size=16, encoder_dim=32, encoder_depth=2, encoder_heads=2))
-        return SamPredictor(sam, cache=cache), cache
-
-    def test_fingerprint_tracks_active_tier(self):
-        predictor, _ = self._predictor()
-        exact_fp = predictor._fingerprint
-        with precision("fast"):
-            assert predictor._fingerprint != exact_fp
-        assert predictor._fingerprint == exact_fp  # restored after the scope
-
-    def test_set_image_inside_fast_scope_uses_fast_keys(self, rng):
-        predictor, cache = self._predictor()
-        img = rng.random((64, 64)).astype(np.float32)
-        exact_key = combine_keys(array_content_key(img), predictor._fingerprint)
-        with precision("fast"):
-            predictor.set_image(img)
-            predictor.embedding
-            fast_key = combine_keys(array_content_key(img), predictor._fingerprint)
-            assert cache.get("sam.image", combine_keys(fast_key, "ctx")) is not MISS
-            assert cache.get("sam.embedding", fast_key) is not MISS
-        assert fast_key != exact_key
-        # exact tier untouched
-        assert cache.get("sam.image", combine_keys(exact_key, "ctx")) is MISS
-        assert cache.get("sam.embedding", exact_key) is MISS
-
-    def test_lazy_embedding_keys_by_tier_at_read(self, rng):
-        # set_image under exact, first embedding read under fast: the
-        # fast-tier encode must land under the fast key, not the exact one.
-        predictor, cache = self._predictor()
-        img = rng.random((64, 64)).astype(np.float32)
-        exact_key = combine_keys(array_content_key(img), predictor._fingerprint)
-        predictor.set_image(img)
-        with precision("fast"):
-            predictor.embedding
-            fast_key = combine_keys(array_content_key(img), predictor._fingerprint)
-        assert cache.get("sam.embedding", fast_key) is not MISS
-        assert cache.get("sam.embedding", exact_key) is MISS
-
-    def test_precompute_inside_fast_scope_never_poisons_exact(self, rng):
-        predictor, cache = self._predictor()
-        imgs = [rng.random((64, 64)).astype(np.float32) for _ in range(2)]
-        with precision("fast"):
-            assert predictor.precompute_images(imgs) == {"hits": 0, "encoded": 2}
-        for img in imgs:
-            # The exact-tier keys (the scope has closed) of both entries.
-            key = combine_keys(array_content_key(img), predictor._fingerprint)
-            assert cache.get("sam.embedding", key) is MISS
-            assert cache.get("sam.image", _ctx_key(key)) is MISS
-        # An exact-tier warm-up therefore recomputes rather than serving
-        # fast-tier bytes.
-        assert predictor.precompute_images(imgs) == {"hits": 0, "encoded": 2}
-
-    def test_dino_keys_track_active_tier(self):
-        from repro.models.dino import GroundingDino
-
-        dino = GroundingDino()
-        exact_fp = dino._config_fp()
-        with precision("fast"):
-            assert dino._config_fp() != exact_fp
-        assert dino._config_fp() == exact_fp
 
 
 class TestSincosCache:
