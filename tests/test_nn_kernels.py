@@ -6,13 +6,18 @@ window sizes, head counts, ragged leading tiles, and cross-attention
 shapes; ``attention_scores`` is bit-compatible with the historical
 divide-the-logits formula; fused Q/K/V projection is bit-identical to three
 separate gemms; in-place GELU/LayerNorm are bit-identical to their
-historical out-of-place expressions.
+historical out-of-place expressions.  The one numeric tier, ``exact``, is
+recorded in every config fingerprint, and the environment switches of the
+removed ``fast`` tier and kernel modes change no result and no key.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import config_fingerprint
+from repro.cli import build_parser
 from repro.models.nn import kernels
 from repro.models.nn.attention import MultiHeadAttention, attention_scores
 from repro.models.nn.init import ParamFactory
@@ -67,6 +72,24 @@ class TestDispatcher:
     def test_exact_blocked_default(self, rng):
         q, k, v = _qkv(0, (6,), 16, 16, 24, 24)
         assert np.array_equal(kernels.attention(q, k, v), kernels.naive_attention(q, k, v))
+
+    def test_naive_mode_env_and_context(self, monkeypatch):
+        # The naive mode needs no switch: the blocked kernel already gives
+        # its bytes, so a leftover REPRO_KERNEL=naive reads the same result.
+        monkeypatch.setenv("REPRO_KERNEL", "naive")
+        q, k, v = _qkv(1, (4,), 9, 9, 16, 16)
+        assert np.array_equal(kernels.attention(q, k, v), kernels.naive_attention(q, k, v))
+        assert not hasattr(kernels, "kernel_mode")
+        assert not hasattr(kernels, "set_kernel_mode")
+
+    def test_fp16_inputs_accepted(self):
+        q, k, v = _qkv(3, (4,), 16, 16, 16, 16)
+        half = [x.astype(np.float16) for x in (q, k, v)]
+        out = kernels.attention(*half)
+        assert out.dtype == np.float32
+        assert np.isfinite(out).all()
+        # Inputs are widened to float32 first, so fp16 goes the exact path.
+        assert np.array_equal(out, kernels.naive_attention(*(x.astype(np.float32) for x in half)))
 
 
 class TestFusedQKV:
@@ -142,3 +165,63 @@ class TestInPlaceActivations:
     def test_softmax_inplace_matches_layers_softmax(self, rng):
         x = rng.normal(size=(6, 9)).astype(np.float32)
         assert np.array_equal(kernels.softmax_(x.copy()), softmax(x, axis=-1))
+
+
+class TestPrecisionPolicy:
+    """One tier, ``exact``, kept as a term of every config fingerprint.
+
+    No environment variable or flag selects another tier or tile.  Cache keys, checkpoint fingerprints and job identities written before
+    the ``fast`` tier was removed stay valid, and entries that tier filed
+    under its own keys are never served.
+    """
+
+    CFG = {"dim": 96, "depth": 4}
+    #: ``config_fingerprint(CFG)`` under the exact tier, and under the
+    #: removed fast tier, as the tiered code computed them.
+    EXACT_FP = "8c6860a76eb848228cdb7e215c596ea9e7ea421a"
+    LEGACY_FAST_FP = "b92afd1d641c2969f78ba418736ac7ccd630f59a"
+
+    def test_default_is_exact(self):
+        assert config_fingerprint(self.CFG) == self.EXACT_FP
+
+    def test_env_variable(self, monkeypatch, rng):
+        from repro.models.nn.transformer import TransformerBlock
+
+        block = TransformerBlock(ParamFactory(3), "b", dim=16, n_heads=4)
+        x = rng.normal(size=(9, 16)).astype(np.float32)
+        reference = block(x)
+        for value in ("fast", "bogus"):
+            monkeypatch.setenv("REPRO_PRECISION", value)
+            assert config_fingerprint(self.CFG) == self.EXACT_FP
+            out = block(x)
+            assert out.dtype == np.float32
+            assert np.array_equal(out, reference)
+
+    def test_override_beats_env(self, monkeypatch):
+        # The tile follows the detected L2 size alone; REPRO_ATTN_TILE no
+        # longer pins it, and an explicit ``tile=`` is the only override.
+        budgeted = kernels.attention_tile(16, 16)
+        monkeypatch.setenv("REPRO_ATTN_TILE", "1")
+        assert kernels.attention_tile(16, 16) == budgeted
+        q, k, v = _qkv(4, (7,), 16, 16, 16, 16)
+        assert np.array_equal(kernels.blocked_attention(q, k, v, tile=3), kernels.naive_attention(q, k, v))
+
+    def test_invalid_tier_rejected(self):
+        # Every tier name is now unknown to the CLI: a run that asks for one
+        # fails at parse time instead of silently running exact.
+        parser = build_parser()
+        for argv in (
+            ["segment", "x.tif", "catalyst"],
+            ["batch", "x.tif", "catalyst"],
+            ["evaluate"],
+            ["serve"],
+        ):
+            parser.parse_args(argv)
+            for tier in ("fast", "exact"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([*argv, "--precision", tier])
+
+    def test_fingerprint_segregates_tiers(self):
+        exact_fp = config_fingerprint(self.CFG)
+        assert exact_fp != self.LEGACY_FAST_FP
+        assert exact_fp == config_fingerprint(self.CFG)  # stable across calls

@@ -10,7 +10,7 @@ from repro.models.nn.embeddings import (
 )
 from repro.models.nn.init import ParamFactory
 from repro.models.sam.image_encoder import ImageEncoderViT
-from repro.models.sam.model import Sam, SamConfig, SamPredictor
+from repro.models.sam.model import Sam, SamConfig, SamPredictor, _ctx_key
 
 
 def _encoder(window=0, global_idx=None):
@@ -68,6 +68,16 @@ class TestEncodeBatch:
         for out in outs:
             assert out.flags.owndata and out.flags.c_contiguous
 
+    def test_fast_tier_close_to_exact(self, rng, monkeypatch):
+        # A REPRO_PRECISION=fast left in the environment now gets the exact
+        # bytes, the closest a result can be.
+        enc = _encoder(4, global_idx=(1,))
+        imgs = [rng.random((64, 64)).astype(np.float32) for _ in range(3)]
+        exact = enc.encode_batch(imgs)
+        monkeypatch.setenv("REPRO_PRECISION", "fast")
+        for e, f in zip(exact, enc.encode_batch(imgs)):
+            assert np.array_equal(e, f)
+
 
 class TestPrecomputeImages:
     def _predictor(self):
@@ -117,6 +127,79 @@ class TestPrecomputeImages:
             "encoded": 0,
         }
         assert calls == []
+
+
+class TestTierKeySegregation:
+    """Every SAM and DINO key is the exact tier's key.
+
+    The keys equal those the tiered code filed exact entries under, so those
+    entries stay valid; the keys its fast tier used are never read or
+    written; and a REPRO_PRECISION=fast left in the environment moves no key.
+    """
+
+    #: ``_fingerprint`` of ``_predictor()`` and ``GroundingDino()._config_fp()``
+    #: under the exact tier and under the removed fast tier, as the tiered
+    #: code computed them.
+    SAM_EXACT_FP = "1154d2324b596c0276e5451e2d5081166d358822"
+    SAM_LEGACY_FAST_FP = "adc1da37b9ed17ecc7e018c6e0a7a087721ebafa"
+    DINO_EXACT_FP = "ea1f8302b9b11939dd7f02b65bf2b8b4540e1497"
+    DINO_LEGACY_FAST_FP = "f62851f9940059806a5f614d100fe83143ef9803"
+
+    def _predictor(self):
+        cache = InferenceCache(CacheConfig(enabled=True, disk_enabled=False))
+        sam = Sam(SamConfig(patch_size=16, encoder_dim=32, encoder_depth=2, encoder_heads=2))
+        return SamPredictor(sam, cache=cache), cache
+
+    def test_fingerprint_tracks_active_tier(self, monkeypatch):
+        predictor, _ = self._predictor()
+        assert predictor._fingerprint == self.SAM_EXACT_FP
+        monkeypatch.setenv("REPRO_PRECISION", "fast")
+        assert predictor._fingerprint == self.SAM_EXACT_FP
+        assert self._predictor()[0]._fingerprint == self.SAM_EXACT_FP
+
+    def test_lazy_embedding_keys_by_tier_at_read(self, rng, monkeypatch):
+        # set_image, then the first embedding read with the fast tier asked
+        # for: the encode still lands under the exact key.
+        predictor, cache = self._predictor()
+        img = rng.random((64, 64)).astype(np.float32)
+        predictor.set_image(img)
+        monkeypatch.setenv("REPRO_PRECISION", "fast")
+        embedding = predictor.embedding
+        content = array_content_key(img)
+        assert cache.get("sam.embedding", combine_keys(content, self.SAM_EXACT_FP)) is embedding
+        assert cache.get("sam.embedding", combine_keys(content, self.SAM_LEGACY_FAST_FP)) is MISS
+
+    def test_precompute_inside_fast_scope_never_poisons_exact(self, rng, monkeypatch):
+        predictor, cache = self._predictor()
+        imgs = [rng.random((64, 64)).astype(np.float32) for _ in range(2)]
+        expected = [predictor.sam.image_encoder(img) for img in imgs]
+        monkeypatch.setenv("REPRO_PRECISION", "fast")
+        assert predictor.precompute_images(imgs) == {"hits": 0, "encoded": 2}
+        for img, want in zip(imgs, expected):
+            content = array_content_key(img)
+            key = combine_keys(content, self.SAM_EXACT_FP)
+            # The exact key holds the exact bytes, and nothing is filed
+            # under the fast tier's keys.
+            assert np.array_equal(cache.get("sam.embedding", key), want)
+            assert cache.get("sam.image", _ctx_key(key)) is not MISS
+            fast_key = combine_keys(content, self.SAM_LEGACY_FAST_FP)
+            assert cache.get("sam.embedding", fast_key) is MISS
+            assert cache.get("sam.image", _ctx_key(fast_key)) is MISS
+        monkeypatch.delenv("REPRO_PRECISION")
+        assert predictor.precompute_images(imgs) == {"hits": 2, "encoded": 0}
+
+    def test_dino_keys_track_active_tier(self, rng, monkeypatch):
+        from repro.models.dino import GroundingDino
+
+        cache = InferenceCache(CacheConfig(enabled=True, disk_enabled=False))
+        monkeypatch.setenv("REPRO_PRECISION", "fast")
+        dino = GroundingDino(cache=cache)
+        assert dino._config_fp() == self.DINO_EXACT_FP
+        img = rng.random((64, 64)).astype(np.float32)
+        encoded = dino.encode_image(img)
+        content = array_content_key(img)
+        assert cache.get("dino.image", combine_keys(content, self.DINO_EXACT_FP)) is encoded
+        assert cache.get("dino.image", combine_keys(content, self.DINO_LEGACY_FAST_FP)) is MISS
 
 
 class TestSincosCache:
