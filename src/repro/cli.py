@@ -6,9 +6,7 @@ Commands mirror the platform's no-code surface for shell users:
 * ``batch``      — Mode B over a volume with workers/temporal options
 * ``evaluate``   — Mode C on the built-in benchmark, prints paper tables
 * ``synthesize`` — generate a synthetic FIB-SEM acquisition to disk
-* ``serve``      — run the HTTP platform server (``--replicas N`` for a
-  supervised multi-replica cluster behind a routing proxy)
-* ``cluster``    — cluster utilities (``cluster status`` against a router)
+* ``serve``      — run the HTTP platform server
 * ``jobs``       — durable background jobs (``submit|status|watch|cancel|gc``)
 * ``readiness``  — score a file's AI-readiness
 * ``metrics``    — observability utilities (``metrics diff a/run.json b/run.json``)
@@ -224,21 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
     p.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run N supervised replica processes behind a routing proxy on --port "
-        "(consistent-hash session affinity, health-checked failover, crash restart); "
-        "1 = a single in-process server",
-    )
-    p.add_argument(
-        "--cluster-log-dir",
-        type=Path,
-        default=None,
-        help="directory for per-replica logs + boot handshakes (default: a temp dir)",
-    )
-    p.add_argument(
         "--max-inflight",
         type=int,
         default=8,
@@ -360,15 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     jp.add_argument("job_id")
     jp = jsub.add_parser("gc", help="delete old terminal jobs and compact the journal")
     jp.add_argument("--max-age", type=float, default=24 * 3600.0, metavar="SECONDS")
-
-    p = sub.add_parser("cluster", help="multi-replica cluster utilities")
-    csub = p.add_subparsers(dest="cluster_command", required=True)
-    cp = csub.add_parser("status", help="print a running cluster's replica state as JSON")
-    cp.add_argument(
-        "--url",
-        default="http://127.0.0.1:8765",
-        help="the router's base url (the --port a `repro serve --replicas N` listens on)",
-    )
 
     p = sub.add_parser("io", help="volume ingestion utilities (verify/checksum)")
     iosub = p.add_subparsers(dest="io_command", required=True)
@@ -734,8 +708,6 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    if args.replicas > 1:
-        return _cmd_serve_cluster(args)
     from .platform.server import PlatformServer
 
     server = PlatformServer(
@@ -763,56 +735,6 @@ def _cmd_serve(args) -> int:
     finally:
         server.stop()
     return 0
-
-
-def _cmd_serve_cluster(args) -> int:
-    """``serve --replicas N``: coordinator + router instead of one server."""
-    from .cluster import ClusterCoordinator
-
-    coordinator = ClusterCoordinator(
-        args.replicas,
-        host=args.host,
-        port=args.port,
-        jobs_dir=str(args.jobs_dir) if args.jobs_dir is not None else None,
-        log_dir=args.cluster_log_dir,
-        replica_args={
-            "max_inflight": args.max_inflight,
-            "request_deadline": args.request_deadline,
-            "session_ttl": args.session_ttl,
-            "max_sessions": args.max_sessions,
-            "drain_timeout": args.drain_timeout,
-            "job_workers": args.job_workers,
-            "job_lease_ttl": args.job_lease_ttl,
-            "auto_job_slices": args.auto_job_slices,
-        },
-    )
-    coordinator.start()
-    jobs_note = f" (shared jobs -> {args.jobs_dir})" if args.jobs_dir is not None else ""
-    print(
-        f"routing {args.replicas} replicas at {coordinator.url}{jobs_note} "
-        f"(logs -> {coordinator.log_dir}) — Ctrl-C to stop"
-    )
-    for entry in coordinator.status()["replicas"]:
-        print(f"  replica {entry['index']}: {entry['url']} (pid {entry['pid']})")
-    try:
-        import threading
-
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        coordinator.stop()
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    import urllib.request
-
-    if args.cluster_command == "status":
-        with urllib.request.urlopen(args.url.rstrip("/") + "/cluster/status", timeout=5) as resp:
-            print(json.dumps(json.loads(resp.read()), indent=2))
-        return 0
-    return 2
 
 
 def _cmd_jobs(args) -> int:
@@ -937,7 +859,6 @@ _COMMANDS = {
     "metrics": _cmd_metrics,
     "synthesize": _cmd_synthesize,
     "serve": _cmd_serve,
-    "cluster": _cmd_cluster,
     "jobs": _cmd_jobs,
     "io": _cmd_io,
     "readiness": _cmd_readiness,

@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import label
 
 from ..errors import SessionError
 from ..models.sam.model import SamPredictor
 from ..utils.rng import as_rng
 from .boxes import random_boxes
-from .masks import connected_components
+from .masks import connected_components, label
 
 __all__ = ["RectifyConfig", "RectifyStep", "RectifySession", "SimulatedAnnotator"]
 

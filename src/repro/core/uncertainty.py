@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import label, uniform_filter
+from scipy.ndimage import uniform_filter
 
 from ..errors import EvaluationError
-from .masks import dilate, erode
+from .masks import dilate, erode, label
 from .results import SliceResult
 
 __all__ = ["uncertainty_map", "UncertaintyAnnotator", "mean_confidence"]

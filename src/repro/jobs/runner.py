@@ -62,7 +62,7 @@ class JobGuard:
     layering the job's cooperative cancel flag — and, when ``worker_id`` is
     given, a *lease-ownership* check — on top of an optional wall-clock
     budget.  The ownership check is what stops a stalled worker from
-    finishing a job another replica already reclaimed and double-writing
+    finishing a job another worker already reclaimed and double-writing
     the result: the moment the record names a different owner, the next
     ``check`` aborts the run with :class:`JobCancelledError`.
 
@@ -173,9 +173,10 @@ class JobRunner:
             return self
         self._stop.clear()
         for i in range(self.n_workers):
-            # The pid prefix makes worker ids unique across replica
-            # processes sharing one jobs directory — two replicas both
-            # running a "w0" would satisfy each other's lease-owner checks.
+            # The pid prefix makes worker ids unique across processes
+            # sharing one jobs directory (`repro jobs` beside `repro
+            # serve`) — two processes both running a "w0" would satisfy
+            # each other's lease-owner checks.
             t = threading.Thread(
                 target=self._worker_loop, args=(f"{os.getpid()}-w{i}",), daemon=True
             )
@@ -187,9 +188,9 @@ class JobRunner:
     def healthy(self) -> bool:
         """False once any started worker thread died unexpectedly.
 
-        A replica whose runner threads are gone still answers HTTP but can
-        never execute the async work routed to it — ``GET /ready`` folds
-        this in so the router stops handing jobs to a zombie.
+        A server whose runner threads are gone still answers HTTP but can
+        never execute the async work submitted to it — ``GET /ready`` folds
+        this in so a load balancer stops handing jobs to a zombie.
         """
         if self._stop.is_set():
             return True  # deliberate stop in progress, not a crash

@@ -29,10 +29,10 @@ twice.
 Process-safety: the mutex is a :class:`_TransitionLock` — the RLock above
 plus an advisory ``flock`` on ``<jobs-dir>/scheduler.lock`` taken at the
 outermost entry.  The journal alone is multi-*writer* durable but not
-transactional: two replica processes sharing one jobs directory could both
-refresh, both see the same queued job, and both lease it.  With the file
-lock, refresh→select→lease is atomic across processes too, so a job is
-executed by exactly one worker cluster-wide.
+transactional: two processes sharing one jobs directory (``repro jobs``
+beside ``repro serve``) could both refresh, both see the same queued job,
+and both lease it.  With the file lock, refresh→select→lease is atomic
+across processes too, so a job is executed by exactly one worker.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class _TransitionLock:
     The thread RLock serializes this process's runner threads; the
     ``flock`` (taken only at the outermost acquisition, tracked by a depth
     counter so nested transitions like acquire→reclaim_expired don't
-    deadlock on the non-reentrant file lock) serializes replica processes
+    deadlock on the non-reentrant file lock) serializes the processes
     sharing one jobs directory.  If the lock file cannot be opened the
     scheduler degrades to thread-level safety — correct for every
     single-process deployment, which is all that can exist then.
@@ -130,7 +130,7 @@ class JobScheduler:
         self.retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self._clock = clock
         # Serializes whole transitions (see module docstring): reentrant so
-        # acquire -> reclaim_expired nests, and flock-backed so replica
+        # acquire -> reclaim_expired nests, and flock-backed so separate
         # processes sharing the jobs directory cannot double-lease.
         self._mutex = _TransitionLock(store.root / "scheduler.lock")
 
@@ -150,7 +150,7 @@ class JobScheduler:
         if kind not in JOB_KINDS:
             raise JobError(f"unknown job kind {kind!r}; known: {sorted(JOB_KINDS)}")
         with self._mutex:
-            # Pick up peer replicas' journal lines first so submit_seq is
+            # Pick up peer processes' journal lines first so submit_seq is
             # FIFO-ordered across every process sharing the directory.
             self.store.refresh()
             job_id, seq = self.store.new_job_id()
@@ -219,7 +219,7 @@ class JobScheduler:
         another worker already owns (or finished) the reclaimed attempt.
         """
         with self._mutex:
-            # Refresh first: a peer replica may have reclaimed this lease
+            # Refresh first: a peer process may have reclaimed this lease
             # after we went silent, and its journal lines are the truth.
             self.store.refresh()
             rec = self.store.maybe_get(job_id)

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import label, zoom
+from scipy.ndimage import zoom
 
 from ..cache import MISS, InferenceCache, array_content_key, combine_keys, config_fingerprint, get_cache
 from ..core.boxes import as_boxes, merge_overlapping
+from ..core.masks import label
 from ..errors import ModelConfigError
 from ..utils.rng import derive_seed
 from .features import FEATURE_NAMES, FeatureGrid, PatchFeatureExtractor

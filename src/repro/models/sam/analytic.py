@@ -37,11 +37,11 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import label, laplace, sobel
+from scipy.ndimage import laplace, sobel
 
 from ...adapt.denoise import denoise_gaussian
 from ...core.boxes import clip_boxes, pad_box
-from ...core.masks import clean_mask, component_containing, dilate, erode
+from ...core.masks import clean_mask, component_containing, dilate, erode, label
 from ...errors import PromptError
 
 __all__ = ["AnalyticContext", "MaskHypothesis", "AnalyticMaskHead", "DEFAULT_SCORE_WEIGHTS"]

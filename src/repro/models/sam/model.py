@@ -189,7 +189,7 @@ class SamPredictor:
         Computes exactly the embedding and analytic context that
         :meth:`set_image` and :attr:`embedding` would store, under the
         identical keys, so both are pure cache hits afterwards on any of
-        these images — in this process or any replica sharing the disk
+        these images — in this process or any other sharing the disk
         tier.  Images with both entries cached (or repeated within the
         batch) are skipped.
 

@@ -130,9 +130,9 @@ class ApiHandler:
             deadline = self._request_deadline(request)
             with request_scope(deadline):
                 sid = request.get("session_id")
-                # create_session may carry a *proposed* id (the cluster
-                # router's affinity contract) — it must not be resolved as
-                # an existing session; drop_session is idempotent on gone
+                # create_session may carry a *proposed* id (a client's
+                # idempotent-retry key) — it must not be resolved as an
+                # existing session; drop_session is idempotent on gone
                 # sessions; both bypass the store lookup.
                 if sid is None or action in ("drop_session", "create_session"):
                     payload = handler(request)

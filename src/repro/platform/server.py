@@ -63,9 +63,8 @@ class _PlatformHTTPServer(ThreadingHTTPServer):
     kernel's SYN queue.
 
     ``allow_reuse_address`` is inherited True from HTTPServer but pinned
-    here explicitly: a killed replica's restart must rebind its port while
-    the old sockets sit in TIME_WAIT, and the cluster coordinator depends
-    on that rebind being immediate.
+    here explicitly: a restarted server must rebind its port at once while
+    the old sockets sit in TIME_WAIT.
     """
 
     request_queue_size = 128
@@ -116,7 +115,7 @@ def _make_handler(
             elif self.path == "/ready":
                 # Readiness is richer than liveness: a draining server or
                 # one whose job-runner threads died must read not-ready so
-                # a router never hands work to a zombie replica.
+                # a load balancer never hands work to a zombie server.
                 if health is not None:
                     ready, detail = health()
                 else:
@@ -314,9 +313,9 @@ class PlatformServer:
     def _health(self) -> tuple[bool, dict]:
         """Full readiness verdict: serving state, drain state, runner liveness.
 
-        ``GET /ready`` reports all three so a router (or an operator) can
-        tell *why* a replica left rotation; dead job-runner threads make
-        the replica not-ready even though its HTTP side still answers.
+        ``GET /ready`` reports all three so a load balancer (or an operator)
+        can tell *why* a server left rotation; dead job-runner threads make
+        the server not-ready even though its HTTP side still answers.
         """
         draining = self.lifecycle.draining
         runner_alive = self.jobs is None or self.jobs.runner.healthy
@@ -340,7 +339,7 @@ class PlatformServer:
 
         Readiness flips to 503 (a load balancer stops routing), then the
         *listening socket closes immediately* so the port is free for a
-        restarting replica before the drain window even starts; in-flight
+        restarted server before the drain window even starts; in-flight
         requests are unaffected (they run on accepted connections, and the
         threading server never joins its daemon handler threads).  They get
         up to ``drain_timeout_s`` to finish; stragglers past the window are

@@ -516,11 +516,10 @@ class SessionStore:
     def create(self, session_id: str | None = None) -> Session:
         """Create a session, optionally under a caller-proposed id.
 
-        Proposed ids exist for the cluster router: it mints the id *before*
-        forwarding ``create_session`` so consistent hashing lands the
-        session on the replica that will actually hold it.  Re-proposing an
-        existing id returns the live session unchanged (idempotent), so a
-        rerouted retry of an unsent create never builds a second workspace.
+        Proposed ids make ``create_session`` safe to retry: a client mints
+        the id *before* sending, so a retry after a lost response names the
+        same session.  Re-proposing an existing id returns the live session
+        unchanged (idempotent), so the retry never builds a second workspace.
         """
         if session_id is not None:
             sid = str(session_id)

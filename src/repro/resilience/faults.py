@@ -36,16 +36,6 @@ Supported kinds (hook sites in parentheses):
                      (``line=N`` matches the Nth append of the process) —
                      a power cut mid-append, exercising torn-tail recovery
                      in :class:`repro.jobs.JobStore`.
-``replica_crash``    hard-exit a cluster replica at boot, *before* it binds
-                     (``replica=N`` matches the replica index).  A freshly
-                     spawned replica re-parses ``REPRO_FAULTS``, so the
-                     default ``times=1`` budget fires on every boot —
-                     exactly the crash loop the coordinator's restart
-                     breaker must contain.
-``proxy_timeout``    make the cluster router treat one forward as timed
-                     out (``replica=N``) without touching the replica —
-                     exercising the structured-504 path and the
-                     never-retry-a-timeout rule.
 ``io_transient``     raise ``OSError`` from one lazy-volume tile fetch
                      (``slice=N``) — an NFS hiccup; exercises the bounded
                      retry-with-backoff in :class:`repro.io.TileStream`.

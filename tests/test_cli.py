@@ -37,6 +37,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "--replicas", "2"], ["cluster", "status", "--url", "http://127.0.0.1:8765"]],
+        ids=["serve-replicas", "cluster-status"],
+    )
+    def test_multi_replica_surface_is_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2  # an argparse usage error
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSegment:
     def test_single_slice(self, volume_file, tmp_path, capsys):

@@ -13,6 +13,7 @@ from repro.core.masks import (
     connected_components,
     dilate,
     erode,
+    label,
     largest_component,
     mask_boundary,
     masks_iou,
@@ -87,6 +88,17 @@ class TestComponents:
         m[0:2, 0:2] = True
         assert component_containing(m, (5, 5)) is None
         assert component_containing(m, (50, 50)) is None
+
+    @pytest.mark.parametrize("shape", [(17, 23), (6, 9, 11)])
+    def test_label_is_scipy_label(self, shape):
+        rng = np.random.default_rng(len(shape))
+        for density in (0.1, 0.4, 0.7):
+            m = rng.random(shape) < density
+            labels, n = label(m)
+            ref, ref_n = ndi.label(m)
+            assert n == ref_n
+            assert labels.dtype == ref.dtype
+            np.testing.assert_array_equal(labels, ref)
 
 
 class TestBoundaryMorphology:

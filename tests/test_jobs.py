@@ -409,10 +409,11 @@ class TestJobGuard:
 class TestLeaseLossRace:
     """Two runners racing one reclaimed job: the stalled one must abort.
 
-    This is the cluster's double-write hazard in miniature — worker A (one
-    replica) goes silent past its lease TTL, worker B (a peer replica,
-    modelled by a second store/scheduler over the same directory) reclaims
-    and finishes the job.  A's :class:`JobGuard` must abort A's attempt the
+    This is the double-write hazard of two processes sharing one jobs
+    directory, in miniature — worker A (one process) goes silent past its
+    lease TTL, worker B (a peer process, modelled by a second
+    store/scheduler over the same directory) reclaims and finishes the
+    job.  A's :class:`JobGuard` must abort A's attempt the
     moment the record names a new owner, and every completion path A could
     still try must bounce, so the journal ends with exactly one terminal
     state.

@@ -1,6 +1,9 @@
 """Tests for the platform layer: sessions, modes, JSON API, HTTP server."""
 
 import json
+import threading
+import time
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -227,3 +230,144 @@ class TestServer:
             assert exc_info.value.code == 413
             body = json.loads(exc_info.value.read())
             assert body["ok"] is False and "limit" in body["error"]
+
+
+# -- proposed session ids (idempotent create_session retries) -----------------
+
+
+class TestProposedSessionIds:
+    def test_create_honors_proposed_id(self):
+        store = SessionStore(max_sessions=4)
+        session = store.create(session_id="cs-deadbeef0123")
+        assert session.session_id == "cs-deadbeef0123"
+        assert store.get("cs-deadbeef0123") is session
+
+    def test_reproposing_is_idempotent(self):
+        store = SessionStore(max_sessions=4)
+        first = store.create(session_id="cs-aa")
+        second = store.create(session_id="cs-aa")  # a rerouted retry
+        assert second is first
+        assert len(store) == 1
+
+    def test_invalid_proposed_ids_rejected(self):
+        store = SessionStore(max_sessions=4)
+        with pytest.raises(SessionError):
+            store.create(session_id="")
+        with pytest.raises(SessionError):
+            store.create(session_id="x" * 129)
+
+
+def _post(url: str, payload: dict, timeout: float = 15.0):
+    req = urllib.request.Request(
+        url + "/api",
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return resp.status, json.loads(resp.read() or b"{}"), dict(resp.headers)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read() or b"{}"), dict(exc.headers)
+
+
+def _get(url: str, path: str, timeout: float = 5.0):
+    try:
+        with urllib.request.urlopen(url + path, timeout=timeout) as resp:
+            return resp.status, json.loads(resp.read() or b"{}")
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read() or b"{}")
+
+
+# -- /ready liveness (zombie job runners) -------------------------------------
+
+
+class TestReadyProbe:
+    def test_dead_runner_thread_flips_ready_to_503(self, tmp_path):
+        server = PlatformServer(jobs_dir=str(tmp_path / "jobs"), job_workers=1)
+        server.start()
+        try:
+            code, doc = _get(server.url, "/ready")
+            assert code == 200
+            assert doc["job_runner_alive"] is True and doc["draining"] is False
+            zombie = threading.Thread(target=lambda: None)
+            zombie.start()
+            zombie.join()  # a worker thread that has died
+            server.jobs.runner._threads.append(zombie)
+            try:
+                code, doc = _get(server.url, "/ready")
+                assert code == 503
+                assert doc["ready"] is False and doc["job_runner_alive"] is False
+            finally:
+                server.jobs.runner._threads.remove(zombie)
+            code, _ = _get(server.url, "/ready")
+            assert code == 200  # recovered view once the zombie is gone
+        finally:
+            server.stop()
+
+    def test_draining_reported_in_readiness_detail(self):
+        server = PlatformServer()
+        server.start()
+        try:
+            assert server.ready is True
+            server.lifecycle.begin_drain()
+            ready, detail = server._health()
+            assert ready is False and detail["draining"] is True
+        finally:
+            server.stop()
+
+
+# -- shutdown frees the port before the drain window --------------------------
+
+
+class _SlowApi:
+    """A handler that holds its request long enough to straddle a restart."""
+
+    def __init__(self, hold_s: float) -> None:
+        self.hold_s = hold_s
+
+    def handle(self, request: dict) -> dict:
+        time.sleep(self.hold_s)
+        return {"ok": True, "held_s": self.hold_s}
+
+
+class TestListenerClosesBeforeDrain:
+    def test_same_port_rebinds_while_old_request_drains(self):
+        old = PlatformServer(api=_SlowApi(hold_s=1.5), drain_timeout_s=5.0)
+        old.start()
+        port = old.address[1]
+        result: dict = {}
+
+        def client():
+            result["response"] = _post(old.url, {"action": "anything"}, timeout=15)
+            result["done_at"] = time.monotonic()
+
+        t = threading.Thread(target=client)
+        t.start()
+        time.sleep(0.3)  # the slow request is now in flight
+        stopper = threading.Thread(target=old.stop)
+        stopper.start()
+        # The listener must close within shutdown's poll interval — long
+        # before the 1.5 s in-flight request finishes — so a restarting
+        # replica can take the port back immediately.
+        deadline = time.monotonic() + 3.0
+        fresh = None
+        while fresh is None and time.monotonic() < deadline:
+            try:
+                fresh = PlatformServer(host="127.0.0.1", port=port)
+            except OSError:
+                time.sleep(0.05)
+        assert fresh is not None, f"port {port} never freed during drain"
+        bound_at = time.monotonic()
+        fresh.start()
+        try:
+            code, doc = _get(fresh.url, "/health")
+            assert code == 200
+            assert fresh.address[1] == port
+        finally:
+            fresh.stop()
+        t.join(timeout=10)
+        stopper.join(timeout=10)
+        code, doc, _ = result["response"]
+        assert code == 200 and doc["held_s"] == 1.5  # the drain kept it alive
+        assert bound_at < result["done_at"], "rebind should beat the drain"
