@@ -9,10 +9,11 @@ is a handful of tiles, never the array.
 
 Three front ends cover what instruments actually produce:
 
-* :class:`TiffLazyVolume` — multi-page TIFF stacks, read via a
-  bounds-checked IFD walk over a read-only memory map.  Every offset and
-  length is validated against the file size before it is dereferenced, so a
-  truncated or bit-rotted file yields a structured
+* :class:`TiffLazyVolume` — multi-page TIFF stacks over a read-only
+  memory map.  It is the lenient reader on the one TIFF parser in
+  :mod:`repro.io.tiff` (the strict one is :func:`~repro.io.tiff.read_tiff`):
+  the parser's bounds-checked IFD walk and strip decoder turn a truncated
+  or bit-rotted file into a structured
   :class:`~repro.errors.CorruptTileError` (classified torn / flip /
   unreadable), never a raw ``struct.error``.  A stack whose IFD chain is
   torn mid-file opens with the pages that survive and flags
@@ -31,8 +32,6 @@ from __future__ import annotations
 
 import mmap
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 from hashlib import sha1
 from pathlib import Path
@@ -41,7 +40,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import CorruptTileError, FormatError, UnknownFormatError, ValidationError
-from .tiff import TiffPageInfo
+from .tiff import decode_strips, walk_ifds
 
 __all__ = [
     "LazyVolume",
@@ -160,144 +159,8 @@ def _json_safe(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# TIFF front end: bounds-checked IFD walk over a memory map
+# TIFF front end: the lenient reader over the shared parser in .tiff
 # ---------------------------------------------------------------------------
-
-_TAG_WIDTH = 256
-_TAG_HEIGHT = 257
-_TAG_BITS = 258
-_TAG_COMPRESSION = 259
-_TAG_DESCRIPTION = 270
-_TAG_STRIP_OFFSETS = 273
-_TAG_SAMPLES_PER_PIXEL = 277
-_TAG_STRIP_BYTE_COUNTS = 279
-_TAG_XRES = 282
-_TAG_YRES = 283
-_TAG_PLANAR = 284
-_TAG_SAMPLE_FORMAT = 339
-
-_TYPE_SIZE = {1: 1, 2: 1, 3: 2, 4: 4, 5: 8}
-
-
-@dataclass
-class _TiffPage:
-    """Validated layout of one page: everything a tile read needs."""
-
-    info: TiffPageInfo
-    strip_offsets: tuple[int, ...]
-    strip_counts: tuple[int, ...]
-    ifd_offset: int
-
-
-class _BoundedReader:
-    """Checked primitive reads over a buffer; every access is validated."""
-
-    def __init__(self, buf, endian: str) -> None:
-        self.buf = buf
-        self.size = len(buf)
-        self.endian = endian
-
-    def require(self, offset: int, length: int, what: str) -> None:
-        if offset < 0 or length < 0 or offset + length > self.size:
-            raise CorruptTileError(
-                f"TIFF {what} at offset {offset} (+{length} bytes) exceeds "
-                f"file size {self.size}",
-                kind="torn",
-            )
-
-    def u16(self, offset: int, what: str) -> int:
-        self.require(offset, 2, what)
-        return struct.unpack_from(self.endian + "H", self.buf, offset)[0]
-
-    def u32(self, offset: int, what: str) -> int:
-        self.require(offset, 4, what)
-        return struct.unpack_from(self.endian + "I", self.buf, offset)[0]
-
-    def bytes_at(self, offset: int, length: int, what: str) -> bytes:
-        self.require(offset, length, what)
-        return bytes(self.buf[offset : offset + length])
-
-
-def _read_tag_values(r: _BoundedReader, typ: int, count: int, raw: bytes) -> tuple:
-    """Decode one IFD entry's values with full bounds checking."""
-    size = _TYPE_SIZE.get(typ)
-    if size is None:
-        return ()
-    total = size * count
-    if total <= 4:
-        payload = raw[:total]
-    else:
-        (offset,) = struct.unpack(r.endian + "I", raw)
-        payload = r.bytes_at(offset, total, "tag payload")
-    try:
-        if typ == 2:  # ASCII
-            return (payload.rstrip(b"\x00").decode("ascii", "replace"),)
-        if typ == 1:  # BYTE
-            return tuple(payload)
-        if typ == 3:  # SHORT
-            return struct.unpack(r.endian + "H" * count, payload)
-        if typ == 4:  # LONG
-            return struct.unpack(r.endian + "I" * count, payload)
-        if typ == 5:  # RATIONAL
-            vals = struct.unpack(r.endian + "II" * count, payload)
-            return tuple(
-                (vals[2 * i] / vals[2 * i + 1]) if vals[2 * i + 1] else 0.0
-                for i in range(count)
-            )
-    except struct.error as exc:
-        raise CorruptTileError(f"corrupt TIFF tag payload: {exc}", kind="unreadable") from exc
-    return ()
-
-
-def _parse_page(r: _BoundedReader, ifd_offset: int) -> tuple[_TiffPage, int]:
-    """Parse one IFD into a validated page layout; returns (page, next_ifd)."""
-    n = r.u16(ifd_offset, "IFD entry count")
-    tags: dict[int, tuple] = {}
-    pos = ifd_offset + 2
-    r.require(pos, 12 * n + 4, "IFD entries")
-    for _ in range(n):
-        tag, typ, count = struct.unpack_from(r.endian + "HHI", r.buf, pos)
-        raw = bytes(r.buf[pos + 8 : pos + 12])
-        tags[tag] = _read_tag_values(r, typ, count, raw)
-        pos += 12
-    next_ifd = r.u32(pos, "next-IFD pointer")
-
-    def one(tag, default=None):
-        v = tags.get(tag)
-        return v[0] if v else default
-
-    width, height = one(_TAG_WIDTH), one(_TAG_HEIGHT)
-    if width is None or height is None:
-        raise CorruptTileError("TIFF page missing width/height", kind="unreadable")
-    info = TiffPageInfo(
-        width=int(width),
-        height=int(height),
-        bits_per_sample=int(one(_TAG_BITS, 8)),
-        samples_per_pixel=int(one(_TAG_SAMPLES_PER_PIXEL, 1)),
-        sample_format=int(one(_TAG_SAMPLE_FORMAT, 1)),
-        compression=int(one(_TAG_COMPRESSION, 1)),
-        description=str(one(_TAG_DESCRIPTION, "")),
-        tags=tags,
-    )
-    if _TAG_XRES in tags and _TAG_YRES in tags and tags[_TAG_XRES] and tags[_TAG_YRES]:
-        info.resolution = (float(tags[_TAG_XRES][0]), float(tags[_TAG_YRES][0]))
-    if int(one(_TAG_PLANAR, 1)) != 1:
-        raise CorruptTileError("planar TIFF not supported", kind="unreadable")
-    if info.compression not in (1, 8):
-        raise CorruptTileError(
-            f"unsupported TIFF compression {info.compression}", kind="unreadable"
-        )
-    offsets = tags.get(_TAG_STRIP_OFFSETS)
-    counts = tags.get(_TAG_STRIP_BYTE_COUNTS)
-    if not offsets or not counts or len(offsets) != len(counts):
-        raise CorruptTileError("TIFF page missing strip layout", kind="unreadable")
-    page = _TiffPage(
-        info=info,
-        strip_offsets=tuple(int(o) for o in offsets),
-        strip_counts=tuple(int(c) for c in counts),
-        ifd_offset=ifd_offset,
-    )
-    return page, next_ifd
 
 
 class TiffLazyVolume(LazyVolume):
@@ -306,7 +169,8 @@ class TiffLazyVolume(LazyVolume):
     The IFD chain is walked once at open time (headers only — strip data is
     untouched until :meth:`read_tile`).  A chain torn mid-file keeps the
     pages whose IFDs parsed and sets ``meta["truncated_tail"]``; a first
-    page that does not parse raises :class:`~repro.errors.FormatError`.
+    page that does not parse raises :class:`~repro.errors.FormatError`, as
+    do multi-channel pages and pages of differing shape or dtype.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -319,64 +183,31 @@ class TiffLazyVolume(LazyVolume):
             raise UnknownFormatError(
                 f"{self.source_path!r} is empty (0 bytes)", reason="empty"
             ) from exc
-        if len(self._mm) < 8:
-            self.close()
-            raise FormatError(f"{self.source_path!r} too short to be a TIFF")
-        head = bytes(self._mm[:2])
-        if head == b"II":
-            endian = "<"
-        elif head == b"MM":
-            endian = ">"
-        else:
-            self.close()
-            raise FormatError("not a TIFF: bad byte-order mark")
-        self._r = _BoundedReader(self._mm, endian)
-        if self._r.u16(2, "magic") != 42:
-            self.close()
-            raise FormatError("not a TIFF: magic != 42")
-
-        pages: list[_TiffPage] = []
-        truncated = False
-        ifd_offset = self._r.u32(4, "first IFD offset")
-        seen: set[int] = set()
-        while ifd_offset:
-            if ifd_offset in seen:
-                self.close()
-                raise FormatError("TIFF IFD chain loops")
-            seen.add(ifd_offset)
-            try:
-                page, ifd_offset = _parse_page(self._r, ifd_offset)
-            except CorruptTileError as exc:
-                if not pages:
-                    self.close()
-                    raise FormatError(
-                        f"first TIFF page unreadable in {self.source_path!r}: {exc}"
-                    ) from exc
-                # A torn tail ate this IFD: keep the surviving prefix.
-                truncated = True
-                break
-            pages.append(page)
-        if not pages:
-            self.close()
-            raise FormatError(f"TIFF {self.source_path!r} contains no pages")
-
-        first = pages[0].info
-        if first.samples_per_pixel != 1:
-            self.close()
-            raise FormatError("lazy TIFF volumes must be single-channel grayscale stacks")
-        for i, page in enumerate(pages):
-            if (page.info.height, page.info.width) != (first.height, first.width) or (
-                page.info.dtype != first.dtype
-            ):
-                self.close()
+        try:
+            self._endian, self._pages, error = walk_ifds(self._mm)
+            if error is not None and not self._pages:
                 raise FormatError(
-                    f"TIFF pages have ragged shapes/dtypes: page {i} is "
-                    f"{page.info.height}x{page.info.width} {page.info.dtype}, "
-                    f"page 0 is {first.height}x{first.width} {first.dtype}"
-                )
-        self._pages = pages
-        self._endian = endian
-        self.shape = (len(pages), first.height, first.width)
+                    f"first TIFF page unreadable in {self.source_path!r}: {error}"
+                ) from error
+            if not self._pages:
+                raise FormatError(f"TIFF {self.source_path!r} contains no pages")
+            first = self._pages[0].info
+            if first.samples_per_pixel != 1:
+                raise FormatError("lazy TIFF volumes must be single-channel grayscale stacks")
+            for page in self._pages:
+                info = page.info
+                if (info.height, info.width, info.dtype) != (
+                    first.height, first.width, first.dtype
+                ):
+                    raise FormatError(
+                        f"TIFF pages have ragged shapes/dtypes: page {page.index} is "
+                        f"{info.height}x{info.width} {info.dtype}, "
+                        f"page 0 is {first.height}x{first.width} {first.dtype}"
+                    )
+        except FormatError:
+            self.close()
+            raise
+        self.shape = (len(self._pages), first.height, first.width)
         self.dtype = np.dtype(first.dtype)
         voxel_size = None
         if first.resolution is not None and all(first.resolution):
@@ -384,61 +215,21 @@ class TiffLazyVolume(LazyVolume):
             voxel_size = (1e7 / first.resolution[0], 1e7 / first.resolution[1])
         self.meta = {
             "format": "tiff",
-            "endian": "little" if endian == "<" else "big",
+            "endian": "little" if self._endian == "<" else "big",
             "bit_depth": first.bits_per_sample,
             "compression": first.compression,
             "description": first.description,
             "pixel_size_nm": list(voxel_size) if voxel_size else None,
-            "truncated_tail": truncated,
+            # A torn tail ate the IFD after the last surviving page.
+            "truncated_tail": error is not None,
         }
 
     def _read_tile_raw(self, z: int) -> np.ndarray:
-        page = self._pages[z]
-        info = page.info
-        n_expected = info.width * info.height
-        expected_bytes = n_expected * info.dtype.itemsize
-        blob = bytearray()
-        short = False
-        for off, cnt in zip(page.strip_offsets, page.strip_counts):
-            try:
-                self._r.require(off, cnt, f"page {z} strip")
-            except CorruptTileError:
-                # Strip extends past EOF: a torn tail.  Salvage what exists.
-                avail = max(0, min(cnt, self._r.size - off)) if off < self._r.size else 0
-                blob += self._r.bytes_at(off, avail, "salvage") if avail else b""
-                short = True
-                continue
-            chunk = self._r.bytes_at(off, cnt, f"page {z} strip")
-            if info.compression == 8:
-                try:
-                    chunk = zlib.decompress(chunk)
-                except zlib.error as exc:
-                    raise CorruptTileError(
-                        f"TIFF page {z} has a corrupt zlib stream: {exc}",
-                        kind="unreadable",
-                        tile=z,
-                        path=self.source_path,
-                    ) from exc
-            blob += chunk
-        if short or len(blob) < expected_bytes:
-            # Zero-fill the missing tail so degrade mode can salvage.
-            salvage = np.zeros(n_expected, dtype=info.dtype)
-            got = min(len(blob), expected_bytes) // info.dtype.itemsize
-            if got:
-                dtype = info.dtype.newbyteorder(self._endian)
-                salvage[:got] = np.frombuffer(
-                    bytes(blob[: got * info.dtype.itemsize]), dtype=dtype
-                ).astype(info.dtype)
-            raise CorruptTileError(
-                f"TIFF page {z} truncated: {len(blob)} of {expected_bytes} bytes",
-                kind="torn",
-                tile=z,
-                path=self.source_path,
-                salvage=salvage.reshape(info.height, info.width),
-            )
-        dtype = info.dtype.newbyteorder(self._endian)
-        arr = np.frombuffer(bytes(blob), dtype=dtype, count=n_expected)
-        return arr.astype(info.dtype).reshape(info.height, info.width)
+        try:
+            return decode_strips(self._mm, self._endian, self._pages[z])
+        except CorruptTileError as exc:
+            exc.path = self.source_path
+            raise
 
     def close(self) -> None:
         mm = getattr(self, "_mm", None)

@@ -1,18 +1,26 @@
-"""A from-scratch baseline TIFF codec.
+"""The one TIFF parser: a baseline writer and two readers over one walk.
 
 FIB-SEM instruments ship volumes as multi-page TIFF stacks with unusual
 sample formats (8/16/32-bit unsigned, 32-bit float), which is exactly the
-"non-AI-ready" input the paper targets.  This module implements:
+"non-AI-ready" input the paper targets.  This module owns TIFF structure:
 
 * **Writer** — little-endian baseline TIFF, one strip per page, uncompressed
   or zlib ("Deflate", tag value 8) compressed; grayscale ``uint8``/``uint16``/
   ``uint32``/``float32`` and RGB ``uint8``; multi-page stacks for volumes;
   optional X/Y resolution tags carrying the voxel size.
-* **Reader** — both byte orders, strips (any strip layout), compression 1
-  (none) and 8 (zlib), PlanarConfiguration 1, the sample formats above.
+* **Parser** — :func:`walk_ifds` walks the IFD chain of a ``bytes`` or
+  ``mmap`` buffer, checks every offset and length against the buffer size
+  before reading it, and returns validated page layouts
+  (:class:`TiffPageLayout`): both byte orders, any strip layout,
+  compression 1 or 8, PlanarConfiguration 1, the sample formats above.
+  :func:`decode_strips` decodes one page, or raises
+  :class:`~repro.errors.CorruptTileError` classified ``torn`` (with the
+  surviving prefix as salvage) or ``unreadable``.
 
-Only the features the library needs are implemented, but malformed input is
-diagnosed with specific errors rather than silent garbage.
+Two readers sit on the parser.  :func:`read_tiff_pages` / :func:`read_tiff`
+are strict: any damage raises :class:`~repro.errors.FormatError`.
+:class:`repro.io.lazy.TiffLazyVolume` is lenient: it keeps the pages before
+a torn IFD chain and decodes one tile at a time over ``mmap``.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CodecError, FormatError, ValidationError
+from ..errors import CodecError, CorruptTileError, FormatError, ValidationError
 
 __all__ = ["write_tiff", "read_tiff", "read_tiff_pages", "TiffPageInfo"]
 
@@ -54,6 +62,8 @@ _TYPE_SIZE = {_TYPE_BYTE: 1, _TYPE_ASCII: 1, _TYPE_SHORT: 2, _TYPE_LONG: 4, _TYP
 
 _SF_UINT = 1
 _SF_FLOAT = 3
+
+_MAX_DEFLATE_RATIO = 1032  # no deflate stream inflates by more than this
 
 
 @dataclass
@@ -237,145 +247,227 @@ def _write_page(fh, page: np.ndarray, compress: bool, description: str, resoluti
 
 
 # ---------------------------------------------------------------------------
-# Reader
+# Reader: one bounds-checked IFD walk and one strip decoder.  The strict
+# read_tiff_pages below and the lenient repro.io.lazy.TiffLazyVolume are both
+# built on these two functions.
 # ---------------------------------------------------------------------------
 
 
-def _read_value(data: bytes, endian: str, typ: int, count: int, raw: bytes) -> tuple:
+@dataclass
+class TiffPageLayout:
+    """A validated page: its metadata and where its strips lie."""
+
+    index: int
+    info: TiffPageInfo
+    strip_offsets: tuple[int, ...]
+    strip_counts: tuple[int, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        info = self.info
+        if info.samples_per_pixel == 1:
+            return (info.height, info.width)
+        return (info.height, info.width, info.samples_per_pixel)
+
+
+def _require(buf, offset: int, length: int, what: str) -> None:
+    if offset + length > len(buf):
+        raise CorruptTileError(
+            f"TIFF {what} at offset {offset} (+{length} bytes) runs past the end "
+            f"of the {len(buf)}-byte file (truncated?)",
+            kind="torn",
+        )
+
+
+def _tag_values(buf, endian: str, typ: int, count: int, entry: int) -> tuple:
+    """Decode the values of the IFD entry at ``entry``; bounds-checked."""
     size = _TYPE_SIZE.get(typ)
     if size is None:
-        return ()
+        return ()  # a type this codec does not read counts as absent
     total = size * count
-    if total <= 4:
-        payload = raw[:total]
-    else:
-        (offset,) = struct.unpack(endian + "I", raw)
-        payload = data[offset : offset + total]
-        if len(payload) < total:
-            raise FormatError("TIFF tag payload out of bounds")
+    offset = entry + 8
+    if total > 4:
+        (offset,) = struct.unpack_from(endian + "I", buf, offset)
+        _require(buf, offset, total, "tag payload")
+    payload = bytes(buf[offset : offset + total])
     if typ == _TYPE_ASCII:
         return (payload.rstrip(b"\x00").decode("ascii", "replace"),)
     if typ == _TYPE_BYTE:
         return tuple(payload)
-    if typ == _TYPE_SHORT:
-        return struct.unpack(endian + "H" * count, payload)
-    if typ == _TYPE_LONG:
-        return struct.unpack(endian + "I" * count, payload)
     if typ == _TYPE_RATIONAL:
-        vals = struct.unpack(endian + "II" * count, payload)
-        return tuple(
-            (vals[2 * i] / vals[2 * i + 1]) if vals[2 * i + 1] else 0.0 for i in range(count)
-        )
-    return ()
+        vals = struct.unpack(f"{endian}{2 * count}I", payload)
+        return tuple(num / den if den else 0.0 for num, den in zip(vals[::2], vals[1::2]))
+    return struct.unpack(f"{endian}{count}{'H' if typ == _TYPE_SHORT else 'I'}", payload)
 
 
-def _parse_ifd(data: bytes, endian: str, offset: int) -> tuple[dict[int, tuple], int]:
-    if offset < 0 or offset + 2 > len(data):
-        raise FormatError("TIFF IFD offset out of bounds")
-    (n,) = struct.unpack_from(endian + "H", data, offset)
-    pos = offset + 2
-    if pos + 12 * n + 4 > len(data):
-        # The IFD table itself runs past EOF: a truncated tail.
-        raise FormatError(
-            f"TIFF IFD at offset {offset} declares {n} entries but the file "
-            f"ends at {len(data)} bytes (truncated?)"
-        )
+def _parse_page(buf, endian: str, ifd_offset: int, index: int) -> tuple[TiffPageLayout, int]:
+    """Parse and validate one IFD; returns (layout, next IFD offset)."""
+    _require(buf, ifd_offset, 2, "IFD entry count")
+    (n,) = struct.unpack_from(endian + "H", buf, ifd_offset)
+    table_end = ifd_offset + 2 + 12 * n
+    _require(buf, ifd_offset + 2, 12 * n + 4, f"IFD table of {n} entries")
     tags: dict[int, tuple] = {}
-    for _ in range(n):
-        tag, typ, count = struct.unpack_from(endian + "HHI", data, pos)
-        raw = data[pos + 8 : pos + 12]
-        try:
-            tags[tag] = _read_value(data, endian, typ, count, raw)
-        except struct.error as exc:
-            raise FormatError(f"corrupt TIFF tag {tag}") from exc
-        pos += 12
-    (next_ifd,) = struct.unpack_from(endian + "I", data, pos)
-    return tags, next_ifd
+    for entry in range(ifd_offset + 2, table_end, 12):
+        tag, typ, count = struct.unpack_from(endian + "HHI", buf, entry)
+        tags[tag] = _tag_values(buf, endian, typ, count, entry)
+    (next_ifd,) = struct.unpack_from(endian + "I", buf, table_end)
 
+    def layout(tag: int, *default: int) -> tuple[int, ...]:
+        # A layout tag fixes where pixels lie and how to decode them; one
+        # whose type was damaged into text or a fraction must not be guessed.
+        values = tags.get(tag) or default
+        if not all(isinstance(v, int) for v in values):
+            raise CorruptTileError(
+                f"TIFF tag {tag} holds {values[0]!r}, not an integer", kind="unreadable"
+            )
+        return values
 
-def _decode_page(data: bytes, endian: str, tags: dict[int, tuple]) -> tuple[np.ndarray, TiffPageInfo]:
-    def one(tag, default=None):
-        v = tags.get(tag)
-        return v[0] if v else default
-
-    width = one(_TAG_WIDTH)
-    height = one(_TAG_HEIGHT)
-    if width is None or height is None:
-        raise FormatError("TIFF page missing width/height")
+    width, height = layout(_TAG_WIDTH), layout(_TAG_HEIGHT)
+    if not width or not height:
+        raise CorruptTileError("TIFF page missing width/height", kind="unreadable")
     info = TiffPageInfo(
-        width=int(width),
-        height=int(height),
-        bits_per_sample=int(one(_TAG_BITS, 8)),
-        samples_per_pixel=int(one(_TAG_SAMPLES_PER_PIXEL, 1)),
-        sample_format=int(one(_TAG_SAMPLE_FORMAT, _SF_UINT)),
-        compression=int(one(_TAG_COMPRESSION, 1)),
-        description=str(one(_TAG_DESCRIPTION, "")),
+        width=width[0],
+        height=height[0],
+        bits_per_sample=layout(_TAG_BITS, 8)[0],
+        samples_per_pixel=layout(_TAG_SAMPLES_PER_PIXEL, 1)[0],
+        sample_format=layout(_TAG_SAMPLE_FORMAT, _SF_UINT)[0],
+        compression=layout(_TAG_COMPRESSION, 1)[0],
+        description=str((tags.get(_TAG_DESCRIPTION) or ("",))[0]),
         tags=tags,
     )
-    if _TAG_XRES in tags and _TAG_YRES in tags:
-        info.resolution = (float(tags[_TAG_XRES][0]), float(tags[_TAG_YRES][0]))
-    if int(one(_TAG_PLANAR, 1)) != 1:
+    xres, yres = tags.get(_TAG_XRES), tags.get(_TAG_YRES)
+    if xres and yres and all(isinstance(v, (int, float)) for v in (xres[0], yres[0])):
+        info.resolution = (float(xres[0]), float(yres[0]))
+    if layout(_TAG_PLANAR, 1)[0] != 1:
         raise CodecError("planar TIFF not supported")
     if info.compression not in (1, 8):
         raise CodecError(f"unsupported TIFF compression {info.compression}")
-    offsets = tags.get(_TAG_STRIP_OFFSETS)
-    counts = tags.get(_TAG_STRIP_BYTE_COUNTS)
-    if not offsets or not counts or len(offsets) != len(counts):
-        raise FormatError("TIFF page missing strip layout")
-    blob = bytearray()
-    for off, cnt in zip(offsets, counts):
-        chunk = data[off : off + cnt]
-        if len(chunk) < cnt:
-            raise FormatError("TIFF strip out of bounds")
-        if info.compression == 8:
-            try:
-                chunk = zlib.decompress(chunk)
-            except zlib.error as exc:
-                raise FormatError(f"corrupt TIFF strip (zlib): {exc}") from exc
-        blob += chunk
-    dtype = info.dtype.newbyteorder("<" if endian == "<" else ">")
-    n_expected = info.width * info.height * info.samples_per_pixel
-    if len(blob) < n_expected * dtype.itemsize:
-        raise FormatError(
-            f"TIFF page holds {len(blob)} bytes of pixel data, "
-            f"needs {n_expected * dtype.itemsize}"
-        )
-    arr = np.frombuffer(bytes(blob), dtype=dtype, count=n_expected)
-    arr = arr.astype(info.dtype)  # native byte order
-    if info.samples_per_pixel == 1:
-        arr = arr.reshape(info.height, info.width)
-    else:
-        arr = arr.reshape(info.height, info.width, info.samples_per_pixel)
-    return arr, info
+    info.dtype  # raises CodecError for a bit depth this codec cannot decode
+    offsets, counts = layout(_TAG_STRIP_OFFSETS), layout(_TAG_STRIP_BYTE_COUNTS)
+    if not offsets or len(offsets) != len(counts):
+        raise CorruptTileError("TIFF page missing strip layout", kind="unreadable")
+    return TiffPageLayout(index, info, offsets, counts), next_ifd
 
 
-def read_tiff_pages(path) -> list[tuple[np.ndarray, TiffPageInfo]]:
-    """Read every page of a TIFF file as (array, info) pairs."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8:
+def walk_ifds(buf) -> tuple[str, list[TiffPageLayout], FormatError | None]:
+    """Walk the IFD chain of a TIFF held in ``buf`` (``bytes`` or ``mmap``).
+
+    Every offset and length is checked against ``len(buf)`` before it is
+    read.  Returns ``(endian, pages, error)``: the pages that parsed, in
+    chain order, and the error that stopped the walk early (``None`` when
+    the chain ended cleanly).  The error is a
+    :class:`~repro.errors.CorruptTileError` — ``kind="torn"`` when the IFD
+    lies past the end of the buffer, ``"unreadable"`` when a layout tag is
+    missing or not an integer — or a :class:`~repro.errors.CodecError` for
+    a feature this codec does not decode.  A bad header or a looping chain
+    raises :class:`~repro.errors.FormatError`.
+    """
+    if len(buf) < 8:
         raise FormatError("file too short to be a TIFF")
-    if data[:2] == b"II":
-        endian = "<"
-    elif data[:2] == b"MM":
-        endian = ">"
-    else:
+    bom = bytes(buf[:2])
+    if bom not in (b"II", b"MM"):
         raise FormatError("not a TIFF: bad byte-order mark")
-    (magic,) = struct.unpack_from(endian + "H", data, 2)
+    endian = "<" if bom == b"II" else ">"
+    magic, ifd_offset = struct.unpack_from(endian + "HI", buf, 2)
     if magic != 42:
         raise FormatError(f"not a TIFF: magic {magic} != 42")
-    (ifd_offset,) = struct.unpack_from(endian + "I", data, 4)
-    pages = []
-    seen = set()
+    pages: list[TiffPageLayout] = []
+    seen: set[int] = set()
     while ifd_offset:
         if ifd_offset in seen:
             raise FormatError("TIFF IFD chain loops")
         seen.add(ifd_offset)
-        tags, ifd_offset = _parse_ifd(data, endian, ifd_offset)
-        pages.append(_decode_page(data, endian, tags))
-    if not pages:
-        raise FormatError("TIFF contains no pages")
-    return pages
+        try:
+            page, ifd_offset = _parse_page(buf, endian, ifd_offset, len(pages))
+        except FormatError as exc:
+            return endian, pages, exc
+        pages.append(page)
+    return endian, pages, None
+
+
+def _inflate_prefix(data: bytes) -> bytes:
+    """What a torn deflate stream inflates to before it breaks off."""
+    try:
+        return zlib.decompressobj().decompress(data)
+    except zlib.error:
+        return b""
+
+
+def decode_strips(buf, endian: str, page: TiffPageLayout) -> np.ndarray:
+    """Decode one page's strips into a native-byte-order array.
+
+    Raises :class:`~repro.errors.CorruptTileError` with ``kind="unreadable"``
+    for a corrupt zlib stream or strips too short to ever fill the page,
+    and with ``kind="torn"`` when the strips run past the end of ``buf`` or
+    inflate to fewer bytes than the page needs; a torn page carries the
+    pixels that survive, zero-filled to full shape, as ``salvage``.
+    """
+    info = page.info
+    file_dtype = info.dtype.newbyteorder(endian)
+    n_expected = info.width * info.height * info.samples_per_pixel
+    expected_bytes = n_expected * file_dtype.itemsize
+    declared = sum(page.strip_counts)
+    if expected_bytes > declared * (_MAX_DEFLATE_RATIO if info.compression == 8 else 1):
+        # No decode of these strips fills the page: its size tags are
+        # damaged, and a salvage buffer of that size must not be allocated.
+        raise CorruptTileError(
+            f"TIFF page {page.index} needs {expected_bytes} bytes of pixels but "
+            f"its strips declare {declared}",
+            kind="unreadable",
+            tile=page.index,
+        )
+    chunks: list[bytes] = []
+    short = False
+    for off, cnt in zip(page.strip_offsets, page.strip_counts):
+        chunk = buf[off : off + cnt]
+        if len(chunk) < cnt:
+            # The strip runs past the end of the file: keep what decodes.
+            short = True
+            if info.compression == 8:
+                chunk = _inflate_prefix(chunk)
+        elif info.compression == 8:
+            try:
+                chunk = zlib.decompress(chunk)
+            except zlib.error as exc:
+                raise CorruptTileError(
+                    f"TIFF page {page.index} has a corrupt zlib stream: {exc}",
+                    kind="unreadable",
+                    tile=page.index,
+                ) from exc
+        chunks.append(chunk)
+    blob = b"".join(chunks)
+    if short or len(blob) < expected_bytes:
+        got = min(len(blob), expected_bytes) // file_dtype.itemsize
+        salvage = np.zeros(n_expected, dtype=info.dtype)
+        salvage[:got] = np.frombuffer(blob, dtype=file_dtype, count=got)
+        raise CorruptTileError(
+            f"TIFF page {page.index} truncated: {len(blob)} of {expected_bytes} bytes",
+            kind="torn",
+            tile=page.index,
+            salvage=salvage.reshape(page.shape),
+        )
+    arr = np.frombuffer(blob, dtype=file_dtype, count=n_expected)
+    return arr.astype(info.dtype).reshape(page.shape)  # native byte order
+
+
+def read_tiff_pages(path) -> list[tuple[np.ndarray, TiffPageInfo]]:
+    """Read every page of a TIFF file as (array, info) pairs.
+
+    The strict reader: any damage, even past an intact first page, raises
+    :class:`~repro.errors.FormatError`.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    endian, layouts, error = walk_ifds(data)
+    try:
+        if error is not None:
+            raise error
+        if not layouts:
+            raise FormatError("TIFF contains no pages")
+        return [(decode_strips(data, endian, page), page.info) for page in layouts]
+    except CorruptTileError as exc:
+        # Tile damage is the lenient reader's notion; here it is a bad file.
+        raise FormatError(str(exc)) from exc
 
 
 def read_tiff(path) -> np.ndarray:

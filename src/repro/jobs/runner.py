@@ -123,7 +123,8 @@ class JobGuard:
 
 
 #: Per-process pipeline memo, so consecutive jobs with one config share the
-#: models and the adaptation / inference caches of one pipeline.
+#: models and the adaptation / inference caches of one pipeline.  The zoo
+#: ensemble builds its members through it too.
 _PIPELINE_MEMO: dict[str, ZenesisPipeline] = {}
 
 

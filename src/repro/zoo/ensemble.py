@@ -27,9 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cache import array_content_key, config_fingerprint
-from ..core.pipeline import ZenesisConfig, ZenesisPipeline
+from ..cache import array_content_key
+from ..core.pipeline import ZenesisConfig
 from ..errors import ZooError
+from ..jobs.runner import _memo_pipeline
 from ..observability.metrics import get_registry
 from .registry import TaskPreset
 
@@ -180,20 +181,6 @@ def fuse_masks(
     if total <= 0:
         return np.zeros(masks[0].shape, dtype=bool)
     return votes >= vote_floor * total - 1e-12
-
-
-# One pipeline per distinct member config, shared across files in a batch —
-# members differ only in thresholds/band_k, so the adaptation cache underneath
-# is shared too (same _adapt_fp for every member of a preset).
-_PIPELINE_MEMO: dict[str, ZenesisPipeline] = {}
-
-
-def _memo_pipeline(config: ZenesisConfig) -> ZenesisPipeline:
-    key = config_fingerprint(config)
-    pipeline = _PIPELINE_MEMO.get(key)
-    if pipeline is None:
-        pipeline = _PIPELINE_MEMO[key] = ZenesisPipeline(config)
-    return pipeline
 
 
 def _relevance_overlap(result, box_threshold: float) -> tuple[float, int]:

@@ -105,6 +105,7 @@ import struct
 
 from repro.errors import CorruptTileError, UnknownFormatError
 from repro.io.lazy import TiffLazyVolume
+from repro.io.tiff import decode_strips, walk_ifds
 
 
 def _mk_tiff(pages, endian="<"):
@@ -201,6 +202,34 @@ class TestDamagedFiles:
             assert 1 <= lazy.n_tiles < 4
             assert np.array_equal(lazy.read_tile(0), vol[0])
 
+    def test_torn_zlib_strip_salvages_decoded_prefix(self, rng, tmp_path):
+        img = rng.integers(0, 255, (32, 32)).astype(np.uint8)
+        path = tmp_path / "z.tif"
+        write_tiff(path, img, compress=True)
+        data = path.read_bytes()
+        endian, (page,), _ = walk_ifds(data)
+        (off,), (cnt,) = page.strip_offsets, page.strip_counts
+        with pytest.raises(CorruptTileError) as exc:
+            decode_strips(data[: off + cnt // 2], endian, page)
+        assert exc.value.kind == "torn"
+        first_wrong = int(np.argmin(exc.value.salvage == img))
+        assert first_wrong > img.size // 4  # inflated pixels, not deflate bytes
+
+    def test_size_tags_beyond_the_strips_are_unreadable(self, rng, tmp_path):
+        img = rng.integers(0, 255, (16, 16)).astype(np.uint8)
+        path = tmp_path / "w.tif"
+        write_tiff(path, img)
+        data = bytearray(path.read_bytes())
+        (ifd,) = struct.unpack_from("<I", data, 4)
+        assert struct.unpack_from("<HHI", data, ifd + 2) == (256, 4, 1)  # width
+        struct.pack_into("<I", data, ifd + 2 + 8, 4096)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_tiff(path)
+        with TiffLazyVolume(path) as lazy, pytest.raises(CorruptTileError) as exc:
+            lazy.read_tile(0)
+        assert exc.value.kind == "unreadable" and exc.value.salvage is None
+
 
 class TestBitFlipFuzz:
     """Fuzz-lite battery: single-byte flips anywhere in the file must come
@@ -261,3 +290,48 @@ class TestBitFlipFuzz:
         # means a strip-data flip is *detected*, not silently decoded.
         assert "flip" in kinds or "unreadable" in kinds
         assert "open_rejected" in kinds or "torn" in kinds
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_type_field_flips_agree_across_readers(self, rng, tmp_path, compress):
+        """Flipping low bits of an IFD entry's type turns one known TIFF type
+        into another (LONG -> RATIONAL, SHORT -> ASCII, RATIONAL -> unknown).
+        Both readers must reject the result with a FormatError or decode
+        it, and decode it to the same pixels."""
+        vol = rng.integers(0, 255, (3, 16, 16)).astype(np.uint8)
+        path = tmp_path / "f.tif"
+        write_tiff(path, vol, compress=compress, resolution=(2e6, 4e6))
+        data = path.read_bytes()
+        type_fields = []
+        (ifd,) = struct.unpack_from("<I", data, 4)
+        while ifd:
+            (n,) = struct.unpack_from("<H", data, ifd)
+            type_fields += [ifd + 2 + 12 * i + 2 for i in range(n)]
+            (ifd,) = struct.unpack_from("<I", data, ifd + 2 + 12 * n)
+        assert len(type_fields) == 3 * 13
+
+        outcomes = {"both_ok": 0, "rejected": 0}
+        for pos in type_fields:
+            for bit in (0x01, 0x02, 0x04):
+                flipped = bytearray(data)
+                flipped[pos] ^= bit
+                path.write_bytes(bytes(flipped))
+                results = []
+                for read_page0 in (
+                    lambda: read_tiff(path)[0],
+                    lambda: _lazy_tile0(path),
+                ):
+                    try:
+                        results.append(read_page0())
+                    except FormatError:
+                        results.append(None)
+                if all(r is not None for r in results):
+                    outcomes["both_ok"] += 1
+                    assert np.array_equal(results[0], results[1]), (pos, bit)
+                else:
+                    outcomes["rejected"] += 1
+        assert outcomes["both_ok"] > 0 and outcomes["rejected"] > 0
+
+
+def _lazy_tile0(path):
+    with TiffLazyVolume(path) as lazy:
+        return lazy.read_tile(0)
