@@ -6,7 +6,7 @@ runs that analysis end to end on both sample types:
 
 1. synthesize crystalline and amorphous FIB-SEM volumes;
 2. segment the catalyst phase with Mode B batch processing (temporal
-   heuristic on, decode fanned out over two worker processes);
+   heuristic on);
 3. derive the materials-science numbers: catalyst volume fraction,
    per-slice loading profile, and a specific-surface-area proxy
    (boundary-to-volume ratio — the paper notes crystalline IrO2 has ~2x the
@@ -30,7 +30,6 @@ from repro.metrics.overlap import iou
 
 OUT = Path(__file__).parent / "_output"
 PROMPT = "catalyst particles"
-WORKERS = 2
 
 
 def surface_to_volume(masks: np.ndarray) -> float:
@@ -43,7 +42,7 @@ def surface_to_volume(masks: np.ndarray) -> float:
 def analyse(kind: str) -> dict:
     sample = make_sample(kind, seed=11)
     t0 = time.perf_counter()
-    masks = ZenesisPipeline().segment_volume(sample.volume, PROMPT, n_workers=WORKERS).masks
+    masks = ZenesisPipeline().segment_volume(sample.volume, PROMPT).masks
     wall_s = time.perf_counter() - t0
     per_slice_loading = masks.reshape(masks.shape[0], -1).mean(axis=1)
     ious = [iou(masks[z], sample.catalyst_mask[z]) for z in range(masks.shape[0])]
@@ -65,7 +64,6 @@ def analyse(kind: str) -> dict:
         "surface_to_volume": surface_to_volume(masks),
         "mean_iou": float(np.mean(ious)),
         "wall_s": wall_s,
-        "workers": WORKERS,
     }
 
 
@@ -78,7 +76,7 @@ def main() -> None:
         print(f"  catalyst volume fraction: {r['volume_fraction']:.3f} (true {r['true_fraction']:.3f})")
         print("  per-slice loading: " + " ".join(f"{v:.2f}" for v in r["loading_profile"]))
         print(f"  surface/volume proxy: {r['surface_to_volume']:.3f}")
-        print(f"  Mode B wall time: {r['wall_s']:.1f}s on {r['workers']} workers")
+        print(f"  Mode B wall time: {r['wall_s']:.1f}s")
 
     cry, amo = results
     ratio = cry["surface_to_volume"] / amo["surface_to_volume"]

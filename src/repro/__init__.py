@@ -28,8 +28,7 @@ Subpackages
 ``repro.baselines`` Otsu, SAM-only, and classical extras.
 ``repro.metrics``   accuracy / IoU / Dice / boundary metrics + aggregation.
 ``repro.eval``      Mode C evaluation, paper tables, HTML dashboard.
-``repro.parallel``  supervised worker pool, slice scheduling, and the
-                    one-thread BLAS policy applied on import.
+``repro.parallel``  the one-thread BLAS policy applied on import.
 ``repro.platform``  sessions, JSON API, HTTP server, figure rendering.
 ``repro.io``        from-scratch TIFF/PNG codecs and volume bundles.
 ``repro.resilience`` retry/deadline policies, checkpoint/resume, fault
@@ -58,5 +57,5 @@ __all__ = [
     "make_sample",
 ]
 
-# The program's own threads and forked workers own the cores; BLAS gets one.
+# The program's own threads own the cores; BLAS gets one.
 pin_blas_threads()

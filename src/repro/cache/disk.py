@@ -1,8 +1,8 @@
 """Optional on-disk tier under ``~/.cache/repro``.
 
-Persists cache entries across processes and sessions: Mode B worker
-processes, repeated CLI invocations on the same acquisition, and server
-restarts all reuse each other's encodings.  Entries are pickled blobs in a
+Persists cache entries across processes and sessions: repeated CLI
+invocations on the same acquisition and server restarts reuse each
+other's encodings.  Entries are pickled blobs in a
 two-level fan-out directory keyed by the content address; writes are atomic
 (tmp file + rename) so concurrent readers never observe torn entries.
 Disabled by default — enable via ``CacheConfig(disk_enabled=True)`` or

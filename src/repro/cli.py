@@ -3,7 +3,7 @@
 Commands mirror the platform's no-code surface for shell users:
 
 * ``segment``    — one image/volume file + prompt → mask file (+ overlay)
-* ``batch``      — Mode B over a volume with workers/temporal options
+* ``batch``      — Mode B over a volume with temporal options
 * ``evaluate``   — Mode C on the built-in benchmark, prints paper tables
 * ``synthesize`` — generate a synthetic FIB-SEM acquisition to disk
 * ``serve``      — run the HTTP platform server
@@ -102,19 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", type=Path)
     p.add_argument("prompt", nargs="?", default=None, help="text prompt (file mode only)")
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="meanbox decode processes (0: one per CPU, at most 4); masks are "
-        "the same for every count",
-    )
     p.add_argument("--no-temporal", action="store_true")
     p.add_argument(
         "--temporal-mode",
         choices=["meanbox", "propagate"],
         default="meanbox",
-        help="propagate runs the sequential memory engine and ignores --workers",
+        help="meanbox grounds every slice; propagate grounds keyframes only",
     )
     p.add_argument(
         "--task",
@@ -306,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jp.add_argument("--params", default=None, help="JSON params dict (evaluate/synthesize)")
     jp.add_argument("--priority", type=int, default=0, help="higher runs first")
-    jp.add_argument("--workers", type=int, default=1, help="decode workers (segment_volume)")
     jp.add_argument("--no-temporal", action="store_true")
     jp.add_argument(
         "--temporal-mode",
@@ -591,7 +583,6 @@ def _cmd_batch(args) -> int:
     from .core.pipeline import ZenesisPipeline
     from .io.formats import load_image_file
     from .io.volume_io import save_volume_bundle
-    from .parallel.pool import default_worker_count
 
     if args.path.is_dir():
         return _cmd_batch_dir(args)
@@ -602,20 +593,15 @@ def _cmd_batch(args) -> int:
     if arr.ndim != 3:
         print("batch requires a volume (3-D) input", file=sys.stderr)
         return 2
-    n_workers = args.workers if args.workers > 0 else default_worker_count()
     t0 = time.perf_counter()
     result = ZenesisPipeline().segment_volume(
-        arr,
-        args.prompt,
-        temporal=not args.no_temporal,
-        temporal_mode=args.temporal_mode,
-        n_workers=n_workers,
+        arr, args.prompt, temporal=not args.no_temporal, temporal_mode=args.temporal_mode
     )
     wall_s = time.perf_counter() - t0
     out = args.out or args.path.with_suffix(".masks.npz")
     save_volume_bundle(out, arr, result.masks, {"prompt": args.prompt})
     print(
-        f"{result.n_slices} slices ({args.temporal_mode}, {n_workers} worker(s)) in {wall_s:.1f}s; "
+        f"{result.n_slices} slices ({args.temporal_mode}) in {wall_s:.1f}s; "
         f"volume fraction {result.masks.mean():.3f}; masks -> {out}"
     )
     return 0
@@ -769,7 +755,6 @@ def _cmd_jobs(args) -> int:
                         args.prompt,
                         temporal=not args.no_temporal,
                         temporal_mode=args.temporal_mode,
-                        n_workers=args.workers,
                         priority=args.priority,
                     )
             elif args.kind == "zoo_segment":

@@ -14,17 +14,6 @@ and the temporal engine is a per-slice strategy:
 Checkpoints follow one protocol: a slice's mask shard is written first,
 then (propagate only) the engine state, so a kill at any instant resumes
 bit-identically.  Their identity is :func:`volume_fingerprint`.
-
-Decode can fan out over forked processes (``n_workers > 1``, meanbox
-only): slices are prepared in rounds of ``n_workers`` and each child
-decodes the ``(segmenter image, detection, refined boxes)`` it inherits by
-fork.  Boxes are refined over the whole prefix first, so masks do not
-depend on the worker count.  No adapt-ahead or prefetch thread is busy when
-a round forks, so no child inherits a held cache, metric or tracer lock.
-A pooled decode records each slice's spans into its own tracer and the
-coordinator adopts them with ``slice`` and ``worker`` attribution;
-``worker_crash@slice=N`` kills the child decoding slice N, and the pool
-re-runs its partition inline.
 """
 
 from __future__ import annotations
@@ -40,13 +29,11 @@ from ..io.integrity import Prefetcher, TileStream
 from ..io.lazy import LazyVolume
 from ..models.dino import Detection
 from ..observability.metrics import get_registry
-from ..observability.trace import end_trace, export_spans, get_tracer, start_trace, trace
-from ..parallel.pool import run_partitioned
-from ..parallel.scheduler import block_partition
+from ..observability.trace import trace
 from ..resilience.checkpoint import CheckpointManager
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
-from ..resilience.serving.lifecycle import check_deadline, current_deadline
+from ..resilience.serving.lifecycle import check_deadline
 from .propagation import STATE_NAME, PropagationEngine, resume_propagation
 from .temporal import BoxRefiner, RefinementReport
 
@@ -99,7 +86,7 @@ class _Meanbox:
         return 0
 
     def run(self, s: "_Slice", tile: np.ndarray, span, ckpt, done: set[int]) -> None:
-        """Adapt, ground and refine slice ``s``; leave its decode to the round."""
+        """Adapt, ground and refine slice ``s``, then decode it."""
         pipe = self.pipeline
         det_img, seg_img = pipe.adapt(tile)
         detection = pipe.ground(det_img, self.text, slice_index=s.z)
@@ -113,7 +100,8 @@ class _Meanbox:
             s.info["resumed"] = True
             s.mask = np.asarray(ckpt.load_slice(s.z), dtype=bool)
         else:
-            s.todo = (seg_img, detection, boxes)
+            s.mask, per_box, kinds = pipe.segment_with_boxes(seg_img, detection, boxes)
+            s.info.update(per_box_masks=tuple(per_box), per_box_kinds=tuple(kinds))
 
     def save_state(self, ckpt: CheckpointManager) -> None:
         pass  # the refiner is rebuilt by replaying every slice
@@ -164,33 +152,6 @@ class _Slice:
     reason: str | None  # the TileStream's degraded marker, None for a clean read
     mask: np.ndarray | None = None
     info: dict = field(default_factory=dict)
-    todo: tuple | None = None  # (segmenter image, detection, boxes) awaiting decode
-
-
-def _decode(partition, pipeline, todo: list[tuple], traced: bool) -> list[tuple]:
-    """Pool worker: decode this partition's ``(z, *inputs)`` (inherited by fork).
-
-    Returns ``(decoded, spans)`` per owned slice.  With ``traced`` each
-    slice records into its own tracer and ships its spans back: a forked
-    child's spans would otherwise die with its copy of the parent's tracer.
-    """
-    plan = get_fault_plan()
-    out = []
-    for i in partition.owned:
-        z, *inputs = todo[i]
-        # Child-only: the parent's inline failover of this partition does
-        # not re-fire it.
-        plan.crash_if("worker_crash", child_only=True, slice=z)
-        if not traced:
-            out.append((pipeline.segment_with_boxes(*inputs), []))
-            continue
-        start_trace(f"worker[{partition.worker}]")
-        try:
-            decoded = pipeline.segment_with_boxes(*inputs)
-        finally:
-            tracer = end_trace()
-        out.append((decoded, export_spans(tracer)))
-    return out
 
 
 def _with_next(items):
@@ -211,12 +172,6 @@ def _with_next(items):
             raise
         yield current, upcoming
         current = upcoming
-
-
-def _read_inline(stream: TileStream, start: int):
-    """Tiles read on the calling thread: what a forking loop needs."""
-    for z in range(start, stream.volume.n_tiles):
-        yield (z, *stream.fetch(z))
 
 
 @dataclass
@@ -257,8 +212,6 @@ def drive_volume(
     meta: dict | None = None,
     policy=None,
     on_slice=None,
-    n_workers: int = 1,
-    decode_timeout_s: float = 600.0,
     crash_fault: str = "volume_crash",
 ) -> VolumeRun:
     """Segment every slice of ``volume`` in one forward pass.
@@ -269,12 +222,9 @@ def drive_volume(
     ``resume`` reloads the finished slices of an interrupted run with the
     same fingerprint (another run's checkpoint raises
     :class:`~repro.errors.CheckpointError`).  ``policy`` is the
-    :class:`~repro.io.IngestPolicy`.  ``n_workers`` decode processes serve
-    meanbox (propagate is sequential and ignores it); masks are the same for
-    every count.  ``crash_fault`` is the ``REPRO_FAULTS``
-    kind that hard-exits the process as slice N begins (``slice=N``): every
-    earlier slice is checkpointed by then, except, with pooled decode, the
-    earlier slices of its own round.
+    :class:`~repro.io.IngestPolicy`.  ``crash_fault`` is the
+    ``REPRO_FAULTS`` kind that hard-exits the process as slice N begins
+    (``slice=N``): every earlier slice is checkpointed by then.
     """
     if mode not in ENGINES:
         raise PipelineError(f"temporal_mode must be 'meanbox' or 'propagate', got {mode!r}")
@@ -299,7 +249,6 @@ def drive_volume(
         engine = _Propagate(pipeline, text)
     start = engine.resume(ckpt, done)
     resumed = len(done) if mode == "meanbox" else start
-    pooled = mode == "meanbox" and n_workers > 1
     registry = get_registry()
     plan = get_fault_plan()
 
@@ -316,38 +265,9 @@ def drive_volume(
         if on_slice is not None:
             on_slice(s.z, s.mask, s.info)
 
-    batch: list[_Slice] = []
-
-    def flush() -> None:
-        todo = [s for s in batch if s.todo is not None]
-        if todo:
-            deadline = current_deadline()
-            tracer = get_tracer()
-            parts = block_partition(len(todo), n_workers)
-            decoded = run_partitioned(
-                _decode,
-                parts,
-                pipeline,
-                [(s.z, *s.todo) for s in todo],
-                pooled and tracer is not None,
-                timeout_s=deadline.clamp(decode_timeout_s) if deadline else decode_timeout_s,
-            )
-            for part, results in zip(parts, decoded):
-                for i, ((mask, per_box, kinds), spans) in zip(part.owned, results):
-                    s = todo[i]
-                    s.mask, s.todo = mask, None
-                    s.info.update(per_box_masks=tuple(per_box), per_box_kinds=tuple(kinds))
-                    if spans:
-                        tracer.adopt(spans, tid=part.worker + 1, worker=part.worker, slice=s.z)
-        for s in batch:
-            finish(s)
-        batch.clear()
-
     for z in range(start):
         finish(_Slice(z, None, np.asarray(ckpt.load_slice(z), dtype=bool), {"resumed": True}))
-    # A forking loop reads on its own thread: no prefetch worker may hold a
-    # lock at the moment a round forks.
-    tiles = _read_inline(stream, start) if pooled else Prefetcher(stream, start=start)
+    tiles = Prefetcher(stream, start=start)
     try:
         with trace(f"volume.{PHASES[mode]}", prompt=text, n_slices=n), pipeline.adapt_ahead():
             for (z, tile, reason), upcoming in _with_next(tiles):
@@ -356,22 +276,15 @@ def drive_volume(
                     plan.crash_if(crash_fault, slice=z)
                     if plan.should_fire("volume_abort", slice=z):
                         raise PipelineError(f"injected volume_abort fault at slice {z}")
-                decode = mode == "meanbox" and z not in done
-                n_todo = sum(1 for s in batch if s.todo is not None) + decode
-                round_full = not pooled or n_todo == n_workers
-                if upcoming is not None and not (pooled and round_full):
+                if upcoming is not None:
                     pipeline.prefetch_adapt(upcoming[1])
                 s = _Slice(z, reason)
                 with trace(engine.span, slice=z) as span:
                     engine.run(s, tile, span, ckpt, done)
-                    batch.append(s)
-                    if round_full:
-                        flush()
-            flush()
+                    finish(s)
     finally:
         tiles.close()
-    if isinstance(tiles, Prefetcher):
-        registry.gauge("repro_io_stream_max_resident_bytes").set(tiles.max_resident_bytes)
+    registry.gauge("repro_io_stream_max_resident_bytes").set(tiles.max_resident_bytes)
     if ckpt is not None:
         # Tiles the policy substituted this run; prior runs' markers are in
         # the manifest meta already (merged by ckpt.load).

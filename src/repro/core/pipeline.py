@@ -535,7 +535,6 @@ class ZenesisPipeline:
         temporal_mode: str | None = None,
         checkpoint_dir: Path | str | None = None,
         resume: bool = False,
-        n_workers: int = 1,
     ) -> VolumeResult:
         """Mode B: segment every slice with optional temporal box refinement.
 
@@ -555,9 +554,6 @@ class ZenesisPipeline:
         Meanbox re-runs adaptation and grounding on resume (the refinement
         needs every slice's boxes); propagate restores its per-object memory
         from a state shard.  Either way resumed masks are bit-identical.
-
-        ``n_workers > 1`` decodes meanbox slices in forked worker processes,
-        ``n_workers`` at a time; the masks are the same for every count.
         """
         from ..io.lazy import ArrayLazyVolume
 
@@ -582,7 +578,6 @@ class ZenesisPipeline:
             checkpoint_dir=checkpoint_dir,
             resume=resume,
             on_slice=keep,
-            n_workers=n_workers,
         )
         return VolumeResult(
             masks=masks,

@@ -88,10 +88,6 @@ class EvaluationError(ReproError, RuntimeError):
     """Metric evaluation was requested on incompatible inputs."""
 
 
-class ParallelError(ReproError, RuntimeError):
-    """A parallel-execution primitive failed (pool, scheduler)."""
-
-
 class SessionError(ReproError, RuntimeError):
     """A platform session was driven through an invalid state transition."""
 

@@ -124,14 +124,13 @@ def _latency_section(rows: list) -> list[str]:
 
 
 def _resilience_section(registry: MetricsRegistry) -> list[str]:
-    """Resilience card: recovery-event counts (retries, failovers, resumes)."""
+    """Resilience card: recovery-event counts (retries, quarantines, resumes)."""
 
     def total(name: str) -> int:
         return event_count(name, registry)
 
     cards = [
         ("grounding retries", total("grounding.retries"), f"{total('grounding.recovered')} recovered"),
-        ("worker failovers", total("pool.failovers"), f"{total('pool.dead_workers')} dead, {total('pool.hung_workers')} hung"),
         ("quarantined cache entries", total("cache.quarantined"), "moved to .bad/, never re-read"),
         ("resumed slices", total("checkpoint.resumed_slices"), f"{total('checkpoint.saved_slices')} checkpointed"),
     ]
@@ -252,8 +251,8 @@ def render_dashboard(
     three cards read from its series: the Fig. 8 latency-percentile card
     (per-stage p50/p95/p99 from ``repro_stage_seconds``), the
     inference-cache card (hit rate and every ``repro_cache_*`` series) and
-    the resilience card (``repro_resilience_*``), so retries, failovers,
-    quarantines and checkpoint resumes are visible — recoveries should
+    the resilience card (``repro_resilience_*``), so retries, quarantines
+    and checkpoint resumes are visible — recoveries should
     never be silent.  ``serving``
     (``repro.resilience.serving.serving_snapshot()``) adds the serving
     card: in-flight/shed counts, breaker states, session occupancy and

@@ -168,9 +168,11 @@ class TiffLazyVolume(LazyVolume):
 
     The IFD chain is walked once at open time (headers only — strip data is
     untouched until :meth:`read_tile`).  A chain torn mid-file keeps the
-    pages whose IFDs parsed and sets ``meta["truncated_tail"]``; a first
-    page that does not parse raises :class:`~repro.errors.FormatError`, as
-    do multi-channel pages and pages of differing shape or dtype.
+    pages whose IFDs parsed and sets ``meta["truncated_tail"]``; any other
+    page that does not parse raises its :class:`~repro.errors.FormatError`
+    (a :class:`~repro.errors.CodecError` for a feature the codec does not
+    decode), as do multi-channel pages and pages of differing shape or
+    dtype.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -189,6 +191,13 @@ class TiffLazyVolume(LazyVolume):
                 raise FormatError(
                     f"first TIFF page unreadable in {self.source_path!r}: {error}"
                 ) from error
+            if error is not None and not (
+                isinstance(error, CorruptTileError) and error.kind == "torn"
+            ):
+                # An intact page the codec cannot decode, or a damaged
+                # layout tag, is not a torn tail: keeping the prefix would
+                # hide the rest of the stack.
+                raise error
             if not self._pages:
                 raise FormatError(f"TIFF {self.source_path!r} contains no pages")
             first = self._pages[0].info

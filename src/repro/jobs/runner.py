@@ -9,11 +9,8 @@ is an adapter around the one volume driver
 the result.  The driver persists every completed slice through
 :class:`~repro.resilience.CheckpointManager`, so a worker (or the whole
 process) killed mid-job resumes from the last completed slice shard and
-the final masks are bit-identical to an uninterrupted run.  With
-``n_workers > 1`` meanbox decode fans out through the
-:func:`repro.parallel.pool.run_partitioned` process pool, one round of
-``n_workers`` slices at a time; masks are independent of the worker count
-and of where a resume happened, as for every other caller of the driver.
+the final masks are bit-identical to an uninterrupted run, wherever the
+resume happened, as for every other caller of the driver.
 
 Cancellation rides the request-deadline machinery: the runner binds a
 :class:`JobGuard` via :func:`repro.resilience.serving.request_scope`, and
@@ -148,7 +145,6 @@ class JobRunner:
         n_workers: int = 1,
         poll_s: float = 0.1,
         tracer: Tracer | None = None,
-        decode_timeout_s: float = 600.0,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -157,7 +153,6 @@ class JobRunner:
         self.n_workers = int(n_workers)
         self.poll_s = float(poll_s)
         self.tracer = tracer  # spans of finished jobs are adopted here
-        self.decode_timeout_s = float(decode_timeout_s)
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._dispatch: dict[str, Callable] = {
@@ -408,8 +403,6 @@ class JobRunner:
                     meta={"job_id": job.job_id, "source": volume.source_path},
                     policy=policy,
                     on_slice=on_slice,
-                    n_workers=max(1, int(params.get("n_workers", 1))),
-                    decode_timeout_s=self.decode_timeout_s,
                     crash_fault="job_crash",
                 )
         except FormatError as exc:

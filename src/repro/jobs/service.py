@@ -99,7 +99,6 @@ class JobService:
         *,
         temporal: bool = True,
         temporal_mode: str = "meanbox",
-        n_workers: int = 1,
         deadline_s: float | None = None,
         priority: int = 0,
         max_attempts: int | None = None,
@@ -122,7 +121,6 @@ class JobService:
             "prompt": str(prompt),
             "temporal": bool(temporal),
             "temporal_mode": str(temporal_mode),
-            "n_workers": int(n_workers),
         }
         if deadline_s is not None:
             params["deadline_s"] = float(deadline_s)

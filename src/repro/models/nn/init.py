@@ -4,7 +4,7 @@ Pretrained SAM/GroundingDINO weights are unavailable offline, so every
 parameter tensor is drawn from a seeded stream keyed by its qualified name.
 The same (seed, name) always yields the same tensor — across processes and
 module-construction orders — which keeps surrogate-model outputs exactly
-reproducible in Mode B workers.
+reproducible across processes.
 """
 
 from __future__ import annotations

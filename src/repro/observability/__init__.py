@@ -5,7 +5,7 @@ One instrumentation path feeds every reader:
 * :mod:`~repro.observability.trace` — :func:`trace` spans.  Closing one
   observes ``repro_stage_seconds{stage}``; while a tracer is active the
   spans also form a hierarchical trace with JSON and Chrome-trace export,
-  serializable across the worker pool.
+  serializable so a job's trace can be adopted into the server's.
 * :mod:`~repro.observability.metrics` — the registry of counters, gauges
   and fixed-bucket histograms: resilience events, cache stats and stage
   latencies all live here.  JSON snapshots, :func:`stage_rows`, and

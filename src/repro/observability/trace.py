@@ -17,11 +17,10 @@ Design constraints:
   wall time into ``repro_stage_seconds{stage=<name>}`` whether or not a
   tracer is active; the span tree itself is only built while one is.
   Library code is instrumented unconditionally.
-* **Survives process boundaries.**  Workers export their spans as plain
-  dicts (:func:`export_spans`); the supervisor re-parents them under its
-  own trace with :meth:`Tracer.adopt` — worker wall clocks are not
-  comparable across processes, so adopted subtrees keep their *relative*
-  offsets and durations only.
+* **Survives tracer boundaries.**  A background job records into its own
+  tracer and exports its spans as plain dicts (:func:`export_spans`); the
+  server re-parents them under its own trace with :meth:`Tracer.adopt`.
+  Adopted subtrees keep their *relative* offsets and durations only.
 * **Thread-aware.**  The active-span stack is thread-local, so concurrent
   server requests each build their own subtree under the shared root.
   Work a helper thread does *for* a span that opens later (adapt-ahead)
@@ -178,11 +177,11 @@ class Tracer:
     # -- cross-process adoption ----------------------------------------------
 
     def adopt(self, span_dicts: Iterable[Mapping], *, tid: int = 0, **attrs: Any) -> list[Span]:
-        """Re-parent exported worker spans under the current span.
+        """Re-parent exported spans (a job's trace) under the current span.
 
-        Worker clocks are not comparable with ours; the subtree is re-based
-        at the adopting span's start so relative offsets/durations survive.
-        ``attrs`` (e.g. ``worker=2``) are merged into each adopted root.
+        The subtree is re-based at the adopting span's start so relative
+        offsets/durations survive.  ``attrs`` (e.g. ``job=<id>``) are merged
+        into each adopted root.
         """
         parent = self.current
         adopted = []
@@ -233,9 +232,8 @@ class Tracer:
 
 # -- the global tracer stack ---------------------------------------------------
 #
-# A *stack* rather than a single slot: a pool worker that is failed over
-# inline pushes its own tracer in the parent process and pops it when done,
-# leaving the supervisor's trace untouched.
+# A *stack* rather than a single slot: a nested start_trace pushes its own
+# tracer and pops it when done, leaving the outer trace untouched.
 
 _STACK: list[Tracer] = []
 _STACK_LOCK = threading.Lock()

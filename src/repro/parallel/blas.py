@@ -1,9 +1,9 @@
 """One BLAS thread per program thread.
 
 The program finds its parallelism itself: the adapt-ahead worker beside
-the main thread, two HTTP handlers, a job worker, forked decode workers.
-Its matrices are small (a 256² blur, a few hundred ViT tokens), so a BLAS
-thread pool only competes with those threads for the same cores.
+the main thread, two HTTP handlers, a job worker.  Its matrices are small
+(a 256² blur, a few hundred ViT tokens), so a BLAS thread pool only
+competes with those threads for the same cores.
 :func:`pin_blas_threads` sets every OpenBLAS loaded in the process to one
 thread; ``import repro`` calls it once.
 

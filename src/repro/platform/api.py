@@ -324,7 +324,6 @@ class ApiHandler:
                 str(request["prompt"]),
                 temporal=bool(request.get("temporal", True)),
                 temporal_mode=str(request.get("temporal_mode", "meanbox")),
-                n_workers=int(request.get("n_workers", 1)),
                 deadline_s=request.get("job_deadline_s"),
                 priority=int(request.get("priority", 0)),
                 session_id=session.session_id,

@@ -48,14 +48,12 @@ class ModeA:
 
 @dataclass
 class ModeB:
-    """Batch volume workflow; ``n_workers > 1`` forks the decode, same masks."""
+    """Batch volume workflow: every slice through the Mode B loop."""
 
     session: Session
 
-    def segment_volume(
-        self, prompt: str, *, temporal: bool = True, n_workers: int = 1
-    ) -> VolumeResult:
-        return self.session.segment_volume(prompt, temporal=temporal, n_workers=n_workers)
+    def segment_volume(self, prompt: str, *, temporal: bool = True) -> VolumeResult:
+        return self.session.segment_volume(prompt, temporal=temporal)
 
 
 @dataclass

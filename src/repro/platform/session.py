@@ -417,7 +417,6 @@ class Session:
         *,
         temporal: bool = True,
         temporal_mode: str | None = None,
-        n_workers: int = 1,
     ) -> VolumeResult:
         if self.volume is None:
             if self.lazy_volume is not None:
@@ -428,11 +427,7 @@ class Session:
                 )
             raise SessionError("segment_volume requires a loaded volume")
         result = self.pipeline.segment_volume(
-            self.volume,
-            prompt,
-            temporal=temporal,
-            temporal_mode=temporal_mode,
-            n_workers=n_workers,
+            self.volume, prompt, temporal=temporal, temporal_mode=temporal_mode
         )
         check_deadline("segment_volume (pre-commit)")
         self.last_volume_result = result

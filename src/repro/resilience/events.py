@@ -1,17 +1,15 @@
 """Process-wide recovery-event counters, kept in the metrics registry.
 
-Every resilience mechanism (retries, worker failovers, cache quarantines,
-checkpoint resumes, fired fault injections) records what it did with
-:func:`record_event`, so recoveries are *observable*: event ``pool.failovers``
-is the registry counter ``repro_resilience_pool_failovers_total``, which
-``--profile``, ``run.json``, the Fig 8 dashboard's resilience card and
-``GET /metrics`` all read.  :func:`event_count` reads one back.
+Every resilience mechanism (retries, cache quarantines, checkpoint
+resumes, fired fault injections) records what it did with
+:func:`record_event`, so recoveries are *observable*: event
+``grounding.retries`` is the registry counter
+``repro_resilience_grounding_retries_total``, which ``--profile``,
+``run.json``, the Fig 8 dashboard's resilience card and ``GET /metrics``
+all read.  :func:`event_count` reads one back.
 
 Fault handling happens deep inside layers that hold no handle on anything,
-hence the process-global registry.  Forked Mode B workers inherit a
-copy-on-write snapshot; their own events do not propagate back, but every
-*parent-side* recovery action (dead-worker detection, failover,
-re-execution) is recorded in the parent.
+hence the process-global registry.
 """
 
 from __future__ import annotations

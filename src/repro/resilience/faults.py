@@ -3,17 +3,14 @@
 The ``REPRO_FAULTS`` environment variable holds a comma-separated list of
 fault rules, each ``kind`` plus optional ``&``-joined conditions::
 
-    REPRO_FAULTS="worker_crash@slice=3,disk_corrupt@p=0.1,grounding_empty@slice=5"
+    REPRO_FAULTS="volume_crash@slice=3,disk_corrupt@p=0.1,grounding_empty@slice=5"
 
 Supported kinds (hook sites in parentheses):
 
-``worker_crash``     hard-exit a forked pool worker (``os._exit``), only in
-                     child processes so the parent's inline re-execution
-                     of the partition succeeds (pool start with
-                     ``worker=N``; the volume driver's pooled decode of
-                     slice N with ``slice=N``).
-``volume_crash``     hard-exit the process mid ``segment_volume`` — for
-                     exercising checkpoint/resume across real process death.
+``volume_crash``     hard-exit the process (``os._exit``) as slice N of a
+                     ``segment_volume`` begins (``slice=N``), after every
+                     earlier slice is checkpointed — for exercising
+                     checkpoint/resume across real process death.
 ``volume_abort``     raise :class:`~repro.errors.PipelineError` mid
                      ``segment_volume`` — the in-process (testable) twin of
                      ``volume_crash``.
@@ -28,10 +25,11 @@ Supported kinds (hook sites in parentheses):
 ``sam_error``        raise :class:`~repro.errors.PipelineError` in the SAM
                      decode stage of the same path (SAM breaker /
                      relevance-mask fallback).
-``job_crash``        hard-exit the process at the start of a background
-                     job's decode round (``slice=N`` matches the round's
-                     first slice) — the job-queue twin of ``volume_crash``,
-                     exercising lease reclaim + checkpoint resume.
+``job_crash``        hard-exit the process as slice N of a background
+                     volume job begins (``slice=N``), or after ensemble
+                     member N of a zoo job (``member=N``) — the job-queue
+                     twin of ``volume_crash``, exercising lease reclaim +
+                     checkpoint resume.
 ``journal_torn``     write half a job-journal line then hard-exit
                      (``line=N`` matches the Nth append of the process) —
                      a power cut mid-append, exercising torn-tail recovery
@@ -48,11 +46,12 @@ Supported kinds (hook sites in parentheses):
                      checksum sidecar is active, silent otherwise (which
                      is exactly why sidecars exist).
 
-Conditions: ``slice=N`` / ``worker=N`` match the hook's context, ``p=F``
-fires probabilistically (deterministic per-rule RNG stream), ``times=N``
-caps total fires.  Deterministic rules default to firing **once** (so a
-retry after the injected failure succeeds); ``p=``-rules default to
-unlimited fires.  An unset/empty spec is a no-op plan.
+Conditions: ``key=N`` pairs (``slice``, ``line``, ``member``) match the
+hook's context, ``p=F`` fires probabilistically (deterministic per-rule RNG
+stream), ``times=N`` caps total fires.  Deterministic rules default to
+firing **once** (so a retry after the injected failure succeeds);
+``p=``-rules default to unlimited fires.  An unset/empty spec is a no-op
+plan.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ __all__ = ["FaultRule", "FaultPlan", "get_fault_plan", "fault_crash_exit_code"]
 
 #: Exit code used by injected hard-crash faults (the docker OOM-kill code).
 CRASH_EXIT_CODE = 137
-
-# Recorded at import time; forked children inherit the parent's value, so a
-# differing os.getpid() identifies a worker process without any plumbing.
-_MAIN_PID = os.getpid()
 
 
 def fault_crash_exit_code() -> int:
@@ -129,7 +124,7 @@ class FaultRule:
                 match[key] = value
         if times is None:
             # Probabilistic rules keep firing; deterministic ones fire once
-            # so the recovery path (retry/failover) can succeed.
+            # so the recovery path (retry/resume) can succeed.
             times = math.inf if p < 1.0 else 1.0
         rule = cls(kind=kind, match=match, p=p, times=times)
         rule._rng = make_rng(derive_seed(GLOBAL_SEED, "faults", kind, index))
@@ -168,16 +163,9 @@ class FaultPlan:
     def active(self) -> bool:
         return bool(self.rules)
 
-    def should_fire(self, kind: str, *, child_only: bool = False, **context) -> bool:
-        """True when a rule of ``kind`` matching ``context`` fires now.
-
-        ``child_only`` restricts the fault to forked worker processes (the
-        creating process never fires it), so a parent-side inline retry of
-        the same work is not re-injected.
-        """
+    def should_fire(self, kind: str, **context) -> bool:
+        """True when a rule of ``kind`` matching ``context`` fires now."""
         if not self.rules:
-            return False
-        if child_only and os.getpid() == _MAIN_PID:
             return False
         for rule in self.rules:
             if rule.kind == kind and rule.should_fire(context):
@@ -185,9 +173,9 @@ class FaultPlan:
                 return True
         return False
 
-    def crash_if(self, kind: str, *, child_only: bool = False, **context) -> None:
+    def crash_if(self, kind: str, **context) -> None:
         """Hard-exit the process when the fault fires (no cleanup, no flush)."""
-        if self.should_fire(kind, child_only=child_only, **context):
+        if self.should_fire(kind, **context):
             os._exit(CRASH_EXIT_CODE)
 
 

@@ -1,9 +1,8 @@
 """Overload-safe serving primitives for the online platform path.
 
-PR 2 gave the *offline* batch path its failure contract (retries,
-checkpoints, supervised failover); this package gives the *online* path the
-same treatment, as four composable pieces the platform server wires
-together:
+The *offline* batch path has its failure contract (retries, checkpoints,
+resume); this package gives the *online* path the same treatment, as four
+composable pieces the platform server wires together:
 
 * :class:`AdmissionGate` — bounded in-flight admission with a short wait
   queue; excess load is shed as HTTP 429 + ``Retry-After``

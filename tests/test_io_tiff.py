@@ -103,7 +103,7 @@ class TestValidation:
 
 import struct
 
-from repro.errors import CorruptTileError, UnknownFormatError
+from repro.errors import CodecError, CorruptTileError, UnknownFormatError
 from repro.io.lazy import TiffLazyVolume
 from repro.io.tiff import decode_strips, walk_ifds
 
@@ -229,6 +229,22 @@ class TestDamagedFiles:
         with TiffLazyVolume(path) as lazy, pytest.raises(CorruptTileError) as exc:
             lazy.read_tile(0)
         assert exc.value.kind == "unreadable" and exc.value.salvage is None
+
+    def test_codec_stop_on_a_later_page_is_not_a_torn_tail(self, rng, tmp_path):
+        vol = rng.integers(0, 255, (3, 8, 8)).astype(np.uint8)
+        path = tmp_path / "lzw.tif"
+        write_tiff(path, vol)
+        data = bytearray(path.read_bytes())
+        (ifd,) = struct.unpack_from("<I", data, 4)
+        (n,) = struct.unpack_from("<H", data, ifd)
+        (ifd,) = struct.unpack_from("<I", data, ifd + 2 + 12 * n)  # page 1
+        (n,) = struct.unpack_from("<H", data, ifd)
+        entries = [ifd + 2 + 12 * i for i in range(n)]
+        (entry,) = [e for e in entries if struct.unpack_from("<H", data, e)[0] == 259]
+        struct.pack_into("<H", data, entry + 8, 5)  # compression: LZW
+        path.write_bytes(bytes(data))
+        with pytest.raises(CodecError, match="compression 5"):
+            TiffLazyVolume(path)
 
 
 class TestBitFlipFuzz:

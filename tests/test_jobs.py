@@ -470,7 +470,7 @@ class TestJobExecution:
         vol = _volume(3)
         baseline = ZenesisPipeline().segment_volume(vol, PROMPT).masks
         svc = JobService(tmp_path / "jobs")
-        job = svc.submit_segment_volume(vol, PROMPT, n_workers=2)
+        job = svc.submit_segment_volume(vol, PROMPT)
         assert svc.runner.run_until_idle() == 1
         res = svc.result(job.job_id)
         assert res["state"] == SUCCEEDED

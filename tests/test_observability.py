@@ -271,12 +271,12 @@ class TestRegistryFeeds:
     def test_record_event_increments_registry(self):
         from repro.resilience.events import event_count, record_event
 
-        record_event("pool.failovers", 2)
+        record_event("cache.quarantined", 2)
         record_event("grounding.retries")
         reg = get_registry()
-        assert reg.counter("repro_resilience_pool_failovers_total").value == 2
+        assert reg.counter("repro_resilience_cache_quarantined_total").value == 2
         assert reg.counter("repro_resilience_grounding_retries_total").value == 1
-        assert event_count("pool.failovers") == 2
+        assert event_count("cache.quarantined") == 2
         assert event_count("never.fired") == 0
         assert "never_fired" not in reg.render_prometheus()  # reading creates no series
 

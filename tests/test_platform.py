@@ -89,11 +89,12 @@ class TestModes:
         result = mode_a.segment("catalyst particles")
         assert result.mask.shape == (128, 128)
 
-    def test_mode_b_parallel(self, loaded_session):
+    def test_mode_b_wraps_session(self, loaded_session):
         mode_b = ModeB(loaded_session)
-        result = mode_b.segment_volume("catalyst particles", n_workers=2)
+        result = mode_b.segment_volume("catalyst particles")
         assert result.masks.shape == loaded_session.volume.shape
-        assert np.array_equal(result.masks, mode_b.segment_volume("catalyst particles").masks)
+        direct = loaded_session.pipeline.segment_volume(loaded_session.volume, "catalyst particles")
+        assert np.array_equal(result.masks, direct.masks)
 
 
 class TestApi:

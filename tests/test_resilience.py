@@ -1,5 +1,5 @@
 """Tests for the fault-tolerance layer: policies, faults, checkpoints,
-worker supervision, cache quarantine, and grounding retries.
+cache quarantine, and grounding retries.
 
 Each test manages ``REPRO_FAULTS`` explicitly (the autouse fixture clears
 it first), so the suite also passes when the variable is set in the outer
@@ -10,7 +10,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +22,11 @@ from repro.errors import (
     CheckpointError,
     DeadlineExceededError,
     GroundingError,
-    ParallelError,
     PipelineError,
     RetryExhaustedError,
     ValidationError,
 )
 from repro.eval.dashboard import render_dashboard
-from repro.parallel.pool import run_partitioned
-from repro.parallel.scheduler import block_partition
 from repro.observability import MetricsRegistry, format_profile, get_registry
 from repro.resilience import (
     CheckpointManager,
@@ -146,9 +142,9 @@ class TestDeadline:
 
 class TestFaultPlan:
     def test_parse_multi_rule_spec(self):
-        plan = FaultPlan.parse("worker_crash@slice=3,disk_corrupt@p=0.1,grounding_empty@slice=5")
+        plan = FaultPlan.parse("volume_crash@slice=3,disk_corrupt@p=0.1,grounding_empty@slice=5")
         kinds = [r.kind for r in plan.rules]
-        assert kinds == ["worker_crash", "disk_corrupt", "grounding_empty"]
+        assert kinds == ["volume_crash", "disk_corrupt", "grounding_empty"]
         assert plan.rules[0].match == {"slice": 3}
         assert plan.rules[1].p == pytest.approx(0.1)
         assert plan.rules[1].times == float("inf")  # p-rules keep firing
@@ -157,7 +153,7 @@ class TestFaultPlan:
     def test_empty_spec_inactive(self):
         plan = FaultPlan.parse("")
         assert not plan.active
-        assert not plan.should_fire("worker_crash", slice=3)
+        assert not plan.should_fire("volume_crash", slice=3)
 
     def test_deterministic_rule_fires_once_on_match(self):
         plan = FaultPlan.parse("grounding_empty@slice=5")
@@ -244,62 +240,6 @@ class TestCheckpointManager:
         ckpt.finalize()
         manifest = json.loads(ckpt.manifest_path.read_text())
         assert manifest["complete"] is True
-
-
-# -- worker supervision -------------------------------------------------------
-
-
-def _square_worker(partition, values):
-    return [values[z] ** 2 for z in partition.owned]
-
-
-def _sleepy_worker(partition, values):
-    if partition.worker == 1:
-        time.sleep(30.0)
-    return _square_worker(partition, values)
-
-
-class TestPoolSupervision:
-    def test_crashed_worker_fails_over_inline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "worker_crash@worker=1")
-        data = np.arange(8, dtype=np.float64)
-        t0 = time.monotonic()
-        results = run_partitioned(_square_worker, block_partition(8, 2), data)
-        elapsed = time.monotonic() - t0
-        assert np.array_equal(np.concatenate(results), data**2)
-        assert len(results) == 2
-        assert elapsed < 5.0, f"failover took {elapsed:.1f}s"
-        assert event_count("pool.dead_workers") >= 1
-        assert event_count("pool.failovers") >= 1
-
-    def test_crashed_worker_reported_fast_without_failover(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "worker_crash@worker=1")
-        data = np.arange(8, dtype=np.float64)
-        t0 = time.monotonic()
-        with pytest.raises(ParallelError, match=r"worker 1.*exit code 137"):
-            run_partitioned(_square_worker, block_partition(8, 2), data, max_failovers=0)
-        elapsed = time.monotonic() - t0
-        assert elapsed < 5.0, f"dead-worker detection took {elapsed:.1f}s (was 600s pre-supervisor)"
-
-    def test_hung_worker_terminated_at_deadline(self):
-        data = np.arange(8, dtype=np.float64)
-        t0 = time.monotonic()
-        with pytest.raises(ParallelError, match="hung past"):
-            run_partitioned(_sleepy_worker, block_partition(8, 2), data, timeout_s=1.0)
-        elapsed = time.monotonic() - t0
-        assert elapsed < 15.0
-        assert event_count("pool.hung_workers") >= 1
-
-    def test_worker_exception_still_propagates_after_failover(self):
-        # Existing contract: a deterministic worker error surfaces as
-        # ParallelError with the traceback, even after the inline retry.
-        with pytest.raises(ParallelError, match="deliberate"):
-            run_partitioned(_raising_worker, block_partition(4, 2), np.zeros(4))
-        assert event_count("pool.failover_failures") >= 1
-
-
-def _raising_worker(partition, values):
-    raise RuntimeError("deliberate failure")
 
 
 # -- disk-cache quarantine ----------------------------------------------------
@@ -431,32 +371,18 @@ class TestVolumeCheckpointResume:
         assert np.array_equal(np.load(out), baseline)
 
 
-# -- pooled volume decode under worker crash ----------------------------------
-
-
-class TestBatchFaultTolerance:
-    def test_worker_crash_recovered_by_partition_reexecution(self, monkeypatch, amorphous_sample):
-        vol = amorphous_sample.volume.voxels  # (4, 128, 128) session fixture
-        clean = ZenesisPipeline().segment_volume(vol, PROMPT, n_workers=2).masks
-        monkeypatch.setenv("REPRO_FAULTS", "worker_crash@slice=2")
-        failovers_before = event_count("pool.failovers")
-        faulty = ZenesisPipeline().segment_volume(vol, PROMPT, n_workers=2).masks
-        assert np.array_equal(faulty, clean)
-        assert event_count("pool.failovers") - failovers_before >= 1
-        assert event_count("pool.dead_workers") >= 1
-
-
 # -- observability ------------------------------------------------------------
 
 
 class TestResilienceObservability:
     def test_dashboard_resilience_card(self):
-        record_event("pool.failovers", 2)
+        record_event("grounding.retries", 2)
         record_event("cache.quarantined")
         html = render_dashboard({}, metrics=get_registry())
         assert "Resilience" in html
-        assert "repro_resilience_pool_failovers_total" in html
-        assert "worker failovers" in html
+        assert "repro_resilience_grounding_retries_total" in html
+        assert "grounding retries" in html and "quarantined cache entries" in html
+        assert "worker failovers" not in html
 
     def test_dashboard_without_events(self):
         html = render_dashboard({}, metrics=MetricsRegistry())

@@ -44,12 +44,11 @@ def forbid_transformer(monkeypatch):
 
 
 class TestGroundedPathSkipsTransformer:
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_meanbox_volume(self, amorphous_sample, n_workers, request):
+    def test_meanbox_volume(self, amorphous_sample, request):
         vol = amorphous_sample.volume.voxels[:3]
-        reference = _pipeline().segment_volume(vol, PROMPT, n_workers=n_workers).masks
+        reference = _pipeline().segment_volume(vol, PROMPT).masks
         request.getfixturevalue("forbid_transformer")
-        masks = _pipeline().segment_volume(vol, PROMPT, n_workers=n_workers).masks
+        masks = _pipeline().segment_volume(vol, PROMPT).masks
         assert np.array_equal(masks, reference)
 
     def test_segment_image_with_hints(self, crystalline_sample, request):

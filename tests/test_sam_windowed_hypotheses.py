@@ -89,12 +89,11 @@ def _predict_digest(grounded) -> str:
 
 
 class TestGroundedPathNeverScores:
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_meanbox_volume(self, amorphous_sample, n_workers, request):
+    def test_meanbox_volume(self, amorphous_sample, request):
         vol = amorphous_sample.volume.voxels[:3]
-        reference = _pipeline().segment_volume(vol, PROMPT, n_workers=n_workers).masks
+        reference = _pipeline().segment_volume(vol, PROMPT).masks
         request.getfixturevalue("forbid_scoring")
-        masks = _pipeline().segment_volume(vol, PROMPT, n_workers=n_workers).masks
+        masks = _pipeline().segment_volume(vol, PROMPT).masks
         assert np.array_equal(masks, reference)
 
     def test_segment_image_with_box_hints(self, crystalline_sample, request):

@@ -110,10 +110,10 @@ class TestStageTiming:
         assert "no stages" in format_profile()
         with trace("x"):
             pass
-        record_event("pool.failovers")
+        record_event("cache.quarantined")
         table = format_profile()
         assert "x" in table and "calls" in table and "p95[s]" in table
-        assert "repro_resilience_pool_failovers_total" in table
+        assert "repro_resilience_cache_quarantined_total" in table
 
     def test_total_is_histogram_sum(self):
         with trace("a"):

@@ -1,52 +1,80 @@
 """Differential matrix: every volume path × engine × start against one golden.
 
-The paths are eager ``segment_volume`` decoding with one or two workers,
-``segment_volume_stream`` over a TIFF, a ``segment_volume`` job decoding
-with one or two workers, and ``repro batch`` over the TIFF with
-``--workers 1`` or ``2``.  The engines are meanbox and propagate.  A run
-either starts fresh or resumes a checkpoint its own path left behind when
-it was aborted at slice 2 (``repro batch`` has no checkpoint flag, so its
-cells start fresh only).  All of them run the one volume driver, so every
-cell must reproduce the mask digests pinned in
-``tests/test_core_pipeline.py``.  Checkpoints are interchangeable too: one
-half-written by any path resumes under the others.
+The paths are eager ``segment_volume``, ``segment_volume_stream`` over a
+TIFF, a ``segment_volume`` job, and ``repro batch`` over the TIFF.  The
+engines are meanbox and propagate.  A run either starts fresh, resumes a
+checkpoint its own path left behind when it was aborted at slice 2, or
+(eager and job) resumes the checkpoint of a subprocess that was killed as
+slice 2 began (``repro batch`` has no checkpoint flag, so its cells start
+fresh only).  All of them run the one volume driver, so every cell must
+reproduce the mask digests pinned in ``tests/test_core_pipeline.py``.
+Checkpoints are interchangeable too: one half-written by any path resumes
+under the others.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
-import threading
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cache import array_content_key, combine_keys, config_fingerprint
 from repro.cli import main
 from repro.core.driver import volume_fingerprint
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
-from repro.data import make_sample
 from repro.errors import PipelineError
 from repro.io.lazy import ArrayLazyVolume
 from repro.io.tiff import write_tiff
 from repro.jobs import SUCCEEDED, JobService
 from repro.observability import reset_registry
 from repro.resilience import event_count
+from repro.resilience.faults import CRASH_EXIT_CODE
 
 from .test_core_pipeline import GOLDEN, PROMPT, _golden_volume
 
-PATHS = ("eager", "eager2", "stream", "job1", "job2", "cli1", "cli2")
+STARTS = {
+    "eager": ("fresh", "resumed", "killed"),
+    "stream": ("fresh", "resumed"),
+    "job1": ("fresh", "resumed", "killed"),
+    "cli1": ("fresh",),
+}
 MODES = ("meanbox", "propagate")
-CELLS = [
-    (path, mode, start)
-    for path in PATHS
-    for mode in MODES
-    for start in ("fresh", "resumed")
-    if start == "fresh" or not path.startswith("cli")
-]
+CELLS = [(path, mode, start) for path in STARTS for mode in MODES for start in STARTS[path]]
 ABORT_AT = 2  # the golden volume has 3 slices: an abort leaves shards 0 and 1
+
+# Run in a fresh interpreter under REPRO_FAULTS="<kind>@slice=2"; argv is
+# (volume .npy, engine, checkpoint dir or jobs dir).
+_KILLED_SCRIPTS = {
+    "eager": (
+        "volume_crash",
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro.core.pipeline import ZenesisConfig, ZenesisPipeline\n"
+        "vol_path, mode, ckdir = sys.argv[1:]\n"
+        "pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode))\n"
+        f"pipe.segment_volume(np.load(vol_path), {PROMPT!r}, checkpoint_dir=ckdir)\n",
+    ),
+    "job1": (
+        "job_crash",
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro.jobs import JobService\n"
+        "vol_path, mode, jobs_dir = sys.argv[1:]\n"
+        "svc = JobService(jobs_dir)\n"
+        f"job = svc.submit_segment_volume(np.load(vol_path), {PROMPT!r}, temporal_mode=mode)\n"
+        "print(job.checkpoint_dir, flush=True)\n"
+        "svc.runner.run_until_idle()\n",
+    ),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -91,23 +119,18 @@ class Paths:
     def _job(self, path: str, mode: str):
         self._services += 1
         svc = JobService(self.tmp_path / f"jobs{self._services}")
-        job = svc.submit_segment_volume(
-            self.volume, PROMPT, temporal_mode=mode, n_workers=int(path[-1])
-        )
+        job = svc.submit_segment_volume(self.volume, PROMPT, temporal_mode=mode)
         return svc, job
 
     def run(self, path: str, mode: str, ckdir) -> np.ndarray:
         """Run ``path`` to completion, resuming whatever ``ckdir`` holds."""
         pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode))
-        if path.startswith("eager"):
-            n_workers = 2 if path == "eager2" else 1
-            return pipe.segment_volume(
-                self.volume, PROMPT, checkpoint_dir=ckdir, resume=True, n_workers=n_workers
-            ).masks
-        if path.startswith("cli"):
+        if path == "eager":
+            return pipe.segment_volume(self.volume, PROMPT, checkpoint_dir=ckdir, resume=True).masks
+        if path == "cli1":
             out = self.tmp_path / f"{path}.masks.npz"
             argv = ["batch", str(self.tiff), PROMPT, "--out", str(out)]
-            assert main([*argv, "--workers", path[-1], "--temporal-mode", mode]) == 0
+            assert main([*argv, "--temporal-mode", mode]) == 0
             with np.load(out) as bundle:
                 return bundle["masks"]
         if path == "stream":
@@ -124,7 +147,7 @@ class Paths:
     def abort(self, path: str, mode: str, ckdir, monkeypatch) -> None:
         """Leave a checkpoint in ``ckdir`` from ``path`` aborted at slice 2."""
         monkeypatch.setenv("REPRO_FAULTS", f"volume_abort@slice={ABORT_AT}")
-        if path in ("eager", "eager2", "stream"):
+        if path in ("eager", "stream"):
             with pytest.raises(PipelineError, match="volume_abort"):
                 self.run(path, mode, ckdir)
         else:
@@ -133,6 +156,31 @@ class Paths:
             assert not svc.store.get(job.job_id).terminal  # a retryable failure
             shutil.copytree(job.checkpoint_dir, ckdir)
         monkeypatch.delenv("REPRO_FAULTS")
+        self._check_partial(ckdir)
+
+    def kill(self, path: str, mode: str, ckdir) -> None:
+        """Leave a checkpoint in ``ckdir`` from ``path`` run in a subprocess
+        that hard-exits as slice 2 begins."""
+        kind, script = _KILLED_SCRIPTS[path]
+        vol_path = self.tmp_path / "volume.npy"
+        np.save(vol_path, self.volume)
+        target = ckdir if path == "eager" else self.tmp_path / "killed-jobs"
+        src = Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "REPRO_FAULTS": f"{kind}@slice={ABORT_AT}"}
+        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        killed = subprocess.run(
+            [sys.executable, "-c", script, str(vol_path), mode, str(target)],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert killed.returncode == CRASH_EXIT_CODE, killed.stderr.decode()
+        if path != "eager":
+            shutil.copytree(killed.stdout.decode().strip(), ckdir)
+        self._check_partial(ckdir)
+
+    @staticmethod
+    def _check_partial(ckdir) -> None:
         manifest = json.loads((ckdir / "manifest.json").read_text())
         assert manifest["completed"] == list(range(ABORT_AT)) and not manifest["complete"]
         reset_registry()
@@ -148,9 +196,11 @@ def test_matrix_cell_matches_golden(paths, path, mode, start, tmp_path, monkeypa
     ckdir = tmp_path / "ck"
     if start == "resumed":
         paths.abort(path, mode, ckdir, monkeypatch)
+    elif start == "killed":
+        paths.kill(path, mode, ckdir)
     masks = paths.run(path, mode, ckdir)
     assert _sha1(masks) == GOLDEN[mode]
-    assert event_count("checkpoint.resumed_slices") == (ABORT_AT if start == "resumed" else 0)
+    assert event_count("checkpoint.resumed_slices") == (0 if start == "fresh" else ABORT_AT)
 
 
 INTERCHANGE = [
@@ -173,20 +223,17 @@ def test_checkpoint_interchange(paths, writer, reader, mode, tmp_path, monkeypat
     assert event_count("checkpoint.resumed_slices") == ABORT_AT
 
 
-def test_pooled_job_forks_safely(tmp_path):
-    """Two decode workers over 5 slices: the job finishes within its decode
-    timeout (no child inherited a held lock), matches the eager masks, and
-    leaves no adapt-ahead thread behind."""
-    vol = make_sample("crystalline", seed=0, shape=(96, 96), n_slices=5).volume.voxels
-    svc = JobService(tmp_path / "jobs")
-    svc.runner.decode_timeout_s = 60.0
-    job = svc.submit_segment_volume(vol, PROMPT, n_workers=2)
-    outcome = _drain(svc, job.job_id)
+def test_journaled_n_workers_param_still_runs(volume, tmp_path):
+    """A job journaled with the retired ``n_workers`` decode-process param
+    runs, after a restart, to the golden masks."""
+    snap = tmp_path / "volume.npy"
+    np.save(snap, volume)
+    params = {"prompt": PROMPT, "temporal": True, "temporal_mode": "meanbox", "n_workers": 2}
+    job = JobService(tmp_path / "jobs").submit("segment_volume", params, input_path=str(snap))
+    outcome = _drain(JobService(tmp_path / "jobs"), job.job_id)
     assert outcome["state"] == SUCCEEDED, outcome
     with np.load(outcome["result"]["masks_path"]) as bundle:
-        masks = bundle["masks"]
-    assert np.array_equal(masks, ZenesisPipeline().segment_volume(vol, PROMPT).masks)
-    assert not [t for t in threading.enumerate() if t.name.startswith("repro-adapt-ahead")]
+        assert _sha1(bundle["masks"]) == GOLDEN["meanbox"]
 
 
 @pytest.mark.parametrize("dtype", ["<u2", ">u2", "<f4"])
