@@ -16,7 +16,7 @@ from repro.models.registry import build_sam
 from repro.models.sam.model import SamPredictor
 
 
-def test_fig6_rectify_improves_iou(setup, artifact_dir, benchmark):
+def test_fig6_rectify_improves_iou(setup, artifact_dir):
     # Under-detect on purpose: high box threshold drops weak clusters.
     pipeline = ZenesisPipeline(ZenesisConfig(box_threshold=0.75))
     rows = []

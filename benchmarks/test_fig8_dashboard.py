@@ -1,7 +1,11 @@
 """Fig. 8: the segmentation performance dashboard.
 
 Regenerates the dashboard over all three methods (Mode C on the 20-slice
-benchmark) as standalone HTML plus a metric bar-chart PNG.
+benchmark) as standalone HTML plus a metric bar-chart PNG.  The committed
+``fig8_dashboard.html`` holds no wall-clock content, so regenerating it
+changes its bytes only when a metric moves; the dashboard with the latency,
+cache and resilience cards goes to ``fig8_dashboard_timed.html``, which is
+not committed.
 """
 
 from repro.cache import export_cache_metrics
@@ -12,18 +16,23 @@ from repro.viz.plots import bar_chart
 
 
 def test_fig8_dashboard_html(table_evaluations, artifact_dir, benchmark):
-    export_cache_metrics()
-    html = render_dashboard(table_evaluations, metrics=get_registry())
+    html = render_dashboard(table_evaluations)
     out = artifact_dir / "fig8_dashboard.html"
     out.write_text(html)
     print(f"\nFig. 8 dashboard written to {out} ({len(html)} bytes)")
     for method in ("otsu", "sam_only", "zenesis"):
         assert f"Method: {method}" in html
-    assert "Inference cache" in html
-    assert "repro_cache_entries" in html
+    assert "wall time" not in html
     # 20 per-sample rows per method.
     assert html.count("slice0") >= 3
     assert out.stat().st_size > 5_000
+
+    export_cache_metrics()
+    timed = render_dashboard(table_evaluations, metrics=get_registry())
+    (artifact_dir / "fig8_dashboard_timed.html").write_text(timed)
+    assert "mean wall time per slice" in timed
+    assert "Inference cache" in timed
+    assert "repro_cache_entries" in timed
 
 
 def test_fig8_metric_chart(table_evaluations, artifact_dir, benchmark):

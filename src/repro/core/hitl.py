@@ -9,7 +9,11 @@ Two pieces live here:
 
 * :class:`RectifySession` — the interactive mechanic: propose random
   candidate boxes, segment each, and accept the candidate segment nearest a
-  user click.
+  user click.  Candidates are ranked in window space: each hypothesis is
+  labelled once inside its decode window, and only the accepted segment is
+  pasted into a full frame.  A box whose window cannot hold a better
+  candidate than the current best is not decoded (see
+  :meth:`RectifySession.rectify` for the rule and why it is exact).
 * :class:`SimulatedAnnotator` — a benchmark-only oracle that plays the user:
   it clicks the centroid of the largest ground-truth region the current
   mask missed.  This turns the HITL loop into a measurable experiment
@@ -23,10 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SessionError
+from ..models.sam.analytic import MaskHypothesis, box_window
 from ..models.sam.model import SamPredictor
 from ..utils.rng import as_rng
 from .boxes import random_boxes
-from .masks import connected_components, label
+from .masks import label
 
 __all__ = ["RectifyConfig", "RectifyStep", "RectifySession", "SimulatedAnnotator"]
 
@@ -95,40 +100,53 @@ class RectifySession:
 
         Candidate boxes are segmented; among all candidate segments'
         connected components, the one whose centroid is nearest the click
-        (and that actually contains structure) is added to the mask.
+        (and that actually contains structure) is added to the mask.  A
+        click in the last half pixel of an axis counts on the frame's last
+        pixel.  ``candidate_count`` is the number of boxes proposed, not
+        the number decoded.
+
+        Ranking key: ``(0, area)`` for a component containing the click
+        pixel (the *smallest* containing segment is what a user means when
+        clicking a structure embedded in a larger region), else
+        ``(1, centroid distance)``; the first candidate with the least key
+        wins.  Components are ranked in window space
+        (:func:`_window_components`) and only the winner is pasted into
+        the frame.  A box whose window (:func:`box_window`) cannot hold a
+        winner is not decoded: once a component contains the click, a box
+        whose window misses the click pixel; while the best is at distance
+        ``d``, a box whose window misses the click pixel and lies farther
+        than ``d`` from the click.  A component's centroid lies inside its
+        window and a tie keeps the earlier candidate, so the skip changes
+        no result.
         """
         cx, cy = click_xy
         h, w = self.image.shape
         if not (0 <= cx < w and 0 <= cy < h):
             raise SessionError(f"click {click_xy} outside image {w}x{h}")
+        iy, ix = min(int(round(cy)), h - 1), min(int(round(cx)), w - 1)
         boxes = self.propose_boxes()
-        # Ranking key: (0, area) for components containing the click — the
-        # *smallest* containing segment is what a user means when clicking a
-        # structure embedded in a larger region — else (1, centroid distance).
-        best: tuple[tuple, np.ndarray, np.ndarray] | None = None  # (key, comp, box)
         max_area = self.config.max_component_frac * self.image.size
-        iy, ix = int(round(cy)), int(round(cx))
+        best = None  # (key, window labels, label, window, box)
         for box in boxes:
+            wy0, wy1, wx0, wx1 = box_window(box, (h, w))[1]
+            if best is not None and not (wy0 <= iy < wy1 and wx0 <= ix < wx1):
+                contained, d = best[0]
+                if contained == 0 or _distance_to_window(cy, cx, (wy0, wy1, wx0, wx1)) > d:
+                    continue
             # Cached per (image, box): repeated rectify rounds re-propose
             # overlapping candidates, and the second visit is free.
-            hyps = self.predictor.masks_from_box(box)
-            for hyp in hyps:
-                if hyp.kind == "dark" or not hyp.window_mask.any():
+            for hyp in self.predictor.masks_from_box(box):
+                if hyp.kind == "dark":
                     continue
-                for comp in connected_components(hyp.mask, min_area=8)[:6]:
-                    area = int(comp.sum())
-                    if area > max_area:
-                        continue  # a user picks a segment, not half the frame
-                    if comp[iy, ix]:
-                        key = (0, float(area))
-                    else:
-                        ys, xs = np.nonzero(comp)
-                        key = (1, float(np.hypot(ys.mean() - cy, xs.mean() - cx)))
+                labels, ranked = _window_components(hyp, (iy, ix), (cy, cx), max_area)
+                for key, lab in ranked:
                     if best is None or key < best[0]:
-                        best = (key, comp, box)
+                        best = (key, labels, lab, hyp.window_slices, box)
         if best is None:
             raise SessionError("no candidate segment found; increase n_candidates")
-        _, comp, box = best
+        _, labels, lab, window, box = best
+        comp = np.zeros((h, w), dtype=bool)
+        comp[window] = labels == lab
         self.mask |= comp
         step = RectifyStep(
             click_xy=(float(cx), float(cy)),
@@ -138,6 +156,65 @@ class RectifySession:
         )
         self.steps.append(step)
         return step
+
+
+def _distance_to_window(cy: float, cx: float, window: tuple[int, int, int, int]) -> float:
+    """Distance from ``(cy, cx)`` to the nearest pixel centre of ``window``.
+
+    No centroid of a mask inside the window is nearer: it lies between the
+    window's first and last pixel on each axis, and each difference here is
+    the same float subtraction the centroid distance does, which rounding
+    keeps monotone.
+    """
+    y0, y1, x0, x1 = window
+    dy = y0 - cy if cy < y0 else (cy - (y1 - 1) if cy > y1 - 1 else 0.0)
+    dx = x0 - cx if cx < x0 else (cx - (x1 - 1) if cx > x1 - 1 else 0.0)
+    return float(np.hypot(dy, dx))
+
+
+def _window_components(
+    hyp: MaskHypothesis,
+    click_px: tuple[int, int],
+    click_yx: tuple[float, float],
+    max_area: float,
+) -> tuple[np.ndarray, list[tuple[tuple[int, float], int]]]:
+    """The window labels of ``hyp`` and ``(key, label)`` of its ranked components.
+
+    The same components, in the same order and with the same keys, as
+    ranking :func:`connected_components` of the pasted frame: labelling
+    numbers components in row-major order of their first pixel, which the
+    window keeps; the six largest of at least 8 px are kept, those above
+    ``max_area`` dropped.  A centroid is the component's exact integer
+    row and column sums (offset by the window origin) over its area,
+    which is what ``np.nonzero(comp)[k].mean()`` computes, bit for bit.
+    """
+    labels, n = label(hyp.window_mask)
+    if n == 0:
+        return labels, []
+    wy0, _, wx0, _ = hyp.window
+    flat = labels.ravel()
+    areas = np.bincount(flat)
+    rows, cols = np.indices(labels.shape)
+    row_sums = np.bincount(flat, weights=rows.ravel())
+    col_sums = np.bincount(flat, weights=cols.ravel())
+    iy, ix = click_px[0] - wy0, click_px[1] - wx0
+    hy, hx = labels.shape
+    clicked = labels[iy, ix] if 0 <= iy < hy and 0 <= ix < hx else 0
+    cy, cx = click_yx
+    ranked = []
+    order = [i + 1 for i in np.argsort(-areas[1:]) if areas[i + 1] >= 8][:6]
+    for lab in order:
+        area = int(areas[lab])
+        if area > max_area:
+            continue  # a user picks a segment, not half the frame
+        if lab == clicked:
+            key = (0, float(area))
+        else:
+            my = (row_sums[lab] + area * wy0) / area
+            mx = (col_sums[lab] + area * wx0) / area
+            key = (1, float(np.hypot(my - cy, mx - cx)))
+        ranked.append((key, lab))
+    return labels, ranked
 
 
 @dataclass

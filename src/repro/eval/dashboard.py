@@ -60,7 +60,6 @@ def _method_section(name: str, ev: MethodEvaluation) -> list[str]:
         row += f"<td>{_bar(s.metrics['iou'])}</td></tr>"
         parts.append(row)
     parts.append("</table>")
-    parts.append(f"<p class='small'>mean wall time per slice: {ev.mean_wall_s():.3f}s</p>")
     return parts
 
 
@@ -97,9 +96,14 @@ def _cache_section(registry: MetricsRegistry) -> list[str]:
     return parts
 
 
-def _latency_section(rows: list) -> list[str]:
-    """Latency-percentile card: per-stage p50/p95/p99 wall time."""
+def _latency_section(rows: list, evaluations: Mapping[str, MethodEvaluation]) -> list[str]:
+    """Latency card: each method's mean wall time per slice, then per-stage
+    p50/p95/p99 wall time."""
     parts = ["<h2>Stage latency percentiles</h2>"]
+    for name, ev in evaluations.items():
+        parts.append(
+            f"<p class='small'>{html.escape(name)}: mean wall time per slice {ev.mean_wall_s():.3f}s</p>"
+        )
     if not rows:
         parts.append("<p class='small'>no stage latencies recorded this run</p>")
         return parts
@@ -246,10 +250,13 @@ def render_dashboard(
 ) -> str:
     """Render all evaluated methods into one HTML document.
 
+    Without ``metrics`` the document holds no wall-clock content, so the
+    same evaluations render to the same bytes on any machine.
     ``metrics`` (a :class:`~repro.observability.MetricsRegistry`, usually
     the global one after :func:`~repro.cache.export_cache_metrics`) adds
-    three cards read from its series: the Fig. 8 latency-percentile card
-    (per-stage p50/p95/p99 from ``repro_stage_seconds``), the
+    three cards read from its series: the Fig. 8 latency card (each
+    method's mean wall time per slice, then per-stage p50/p95/p99 from
+    ``repro_stage_seconds``), the
     inference-cache card (hit rate and every ``repro_cache_*`` series) and
     the resilience card (``repro_resilience_*``), so retries, quarantines
     and checkpoint resumes are visible — recoveries should
@@ -269,7 +276,7 @@ def render_dashboard(
     for name, ev in evaluations.items():
         parts.extend(_method_section(name, ev))
     if metrics is not None:
-        parts.extend(_latency_section(stage_rows(metrics)))
+        parts.extend(_latency_section(stage_rows(metrics), evaluations))
         parts.extend(_cache_section(metrics))
         parts.extend(_resilience_section(metrics))
     if serving is not None:

@@ -44,7 +44,7 @@ from ...core.boxes import clip_boxes, pad_box
 from ...core.masks import clean_mask, component_containing, dilate, erode, label
 from ...errors import PromptError
 
-__all__ = ["AnalyticContext", "MaskHypothesis", "AnalyticMaskHead", "DEFAULT_SCORE_WEIGHTS"]
+__all__ = ["AnalyticContext", "MaskHypothesis", "AnalyticMaskHead", "DEFAULT_SCORE_WEIGHTS", "box_window"]
 
 DEFAULT_SCORE_WEIGHTS: dict[str, float] = {
     "stability": 0.25,
@@ -68,6 +68,26 @@ CLEAN_RADIUS = 1
 #: farthest morphology reach is bit-identical to scoring it on the full
 #: frame; widen this with any of the radii above or the masks drift.
 BOX_HALO = max(RING_WIDTH, STABILITY_ITERATIONS, CLEAN_RADIUS)
+
+
+def box_window(
+    box: np.ndarray, image_shape: tuple[int, int]
+) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+    """``(padded box, window)`` of a box decode, each as ``(y0, y1, x0, x1)``.
+
+    The padded box is ``box`` clipped to the frame and padded by 6% + 2 px,
+    rounded outwards to whole pixels; every box hypothesis lies inside it.
+    The window grows it by :data:`BOX_HALO`, clipped to the frame, and is
+    the :attr:`MaskHypothesis.window` of every hypothesis
+    :meth:`AnalyticMaskHead.masks_from_box` returns, so a caller knows
+    where a box's masks can fall before decoding it.
+    """
+    h, w = image_shape
+    b = clip_boxes(box, (h, w))[0]
+    padded = pad_box(b, margin=0.06 * max(b[2] - b[0], b[3] - b[1]) + 2, image_shape=(h, w))
+    x0, y0, x1, y1 = (int(padded[0]), int(padded[1]), int(np.ceil(padded[2])), int(np.ceil(padded[3])))
+    window = (max(y0 - BOX_HALO, 0), min(y1 + BOX_HALO, h), max(x0 - BOX_HALO, 0), min(x1 + BOX_HALO, w))
+    return (y0, y1, x0, x1), window
 
 
 @dataclass(frozen=True)
@@ -301,7 +321,7 @@ class AnalyticMaskHead:
 
         Every hypothesis lies inside the box padded by 6% + 2 px, so all of
         them are built on the padded box grown by :data:`BOX_HALO` (clipped
-        to the frame) and kept as masks of that window.  A decode costs
+        to the frame; :func:`box_window`) and kept as masks of that window.  A decode costs
         O(box), not O(frame), and is bit-identical to one on the full
         frame: pixels past the window are zero either way.  Scores are not
         computed here; a hypothesis scores itself inside the window when
@@ -310,11 +330,7 @@ class AnalyticMaskHead:
         order, and ``area`` is still a fraction of the frame).
         """
         h, w = ctx.image.shape
-        b = clip_boxes(box, (h, w))[0]
-        padded = pad_box(b, margin=0.06 * max(b[2] - b[0], b[3] - b[1]) + 2, image_shape=(h, w))
-        x0, y0, x1, y1 = (int(padded[0]), int(padded[1]), int(np.ceil(padded[2])), int(np.ceil(padded[3])))
-        wy0, wy1 = max(y0 - BOX_HALO, 0), min(y1 + BOX_HALO, h)
-        wx0, wx1 = max(x0 - BOX_HALO, 0), min(x1 + BOX_HALO, w)
+        (y0, y1, x0, x1), (wy0, wy1, wx0, wx1) = box_window(box, (h, w))
         win = self.crop_context(ctx, (wy0, wy1, wx0, wx1))
         # The padded box in window coordinates.
         y0, y1, x0, x1 = y0 - wy0, y1 - wy0, x0 - wx0, x1 - wx0
