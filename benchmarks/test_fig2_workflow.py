@@ -26,7 +26,7 @@ def _untimed_profile() -> str:
     return "\n".join(lines)
 
 
-def test_fig2_workflow_stage_profile(setup, artifact_dir, benchmark):
+def test_fig2_workflow_stage_profile(setup, artifact_dir):
     reset_cache()  # cold: the table runs may already have adapted this slice
     reset_registry()
     pipeline = ZenesisPipeline()

@@ -15,7 +15,7 @@ from repro.io.png import write_png
 from repro.viz.plots import bar_chart
 
 
-def test_fig8_dashboard_html(table_evaluations, artifact_dir, benchmark):
+def test_fig8_dashboard_html(table_evaluations, artifact_dir):
     html = render_dashboard(table_evaluations)
     out = artifact_dir / "fig8_dashboard.html"
     out.write_text(html)
@@ -35,7 +35,7 @@ def test_fig8_dashboard_html(table_evaluations, artifact_dir, benchmark):
     assert "repro_cache_entries" in timed
 
 
-def test_fig8_metric_chart(table_evaluations, artifact_dir, benchmark):
+def test_fig8_metric_chart(table_evaluations, artifact_dir):
     groups = {}
     for method, ev in table_evaluations.items():
         for kind in ev.kinds():

@@ -13,6 +13,8 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -22,17 +24,37 @@ __all__ = ["MemoryTier", "nbytes_of"]
 
 
 def nbytes_of(obj) -> int:
-    """Approximate deep size in bytes, counting ndarray buffers exactly."""
-    if isinstance(obj, np.ndarray):
-        return int(obj.nbytes)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return sum(nbytes_of(getattr(obj, f.name)) for f in fields(obj))
-    if isinstance(obj, dict):
-        return sum(nbytes_of(k) + nbytes_of(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(nbytes_of(v) for v in obj)
-    if isinstance(obj, (str, bytes)):
-        return len(obj)
+    """Approximate deep size in bytes, counting ndarray buffers exactly.
+
+    An ndarray weighs its buffer, a dataclass instance the sum of its
+    fields, a dict, list, tuple or set the sum of its items, a string or
+    bytes its length, and anything else ``sys.getsizeof``.
+    """
+    return _sizer(type(obj))(obj)
+
+
+@lru_cache(maxsize=None)
+def _sizer(cls: type) -> Callable[[object], int]:
+    """How :func:`nbytes_of` weighs an instance of ``cls``, decided once per class.
+
+    Cached values are walked on every put, and a dataclass's field list
+    costs more to look up than its fields cost to weigh.
+    """
+    if issubclass(cls, np.ndarray):
+        return lambda obj: int(obj.nbytes)
+    if is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls))
+        return lambda obj: sum(nbytes_of(getattr(obj, name)) for name in names)
+    if issubclass(cls, dict):
+        return lambda obj: sum(nbytes_of(k) + nbytes_of(v) for k, v in obj.items())
+    if issubclass(cls, (list, tuple, set, frozenset)):
+        return lambda obj: sum(nbytes_of(v) for v in obj)
+    if issubclass(cls, (str, bytes)):
+        return len
+    return _getsizeof
+
+
+def _getsizeof(obj) -> int:
     try:
         return int(sys.getsizeof(obj))
     except TypeError:

@@ -185,7 +185,7 @@ class BoxRefiner:
             if image_shape is not None:
                 # A recentred replacement near the frame edge can poke
                 # outside the image; clamp it.  The decoder clips boxes
-                # anyway (clip_boxes in masks_from_box), so this never
+                # anyway (box_window in masks_from_box), so this never
                 # changes a mask — it keeps the *reported* boxes within
                 # bounds for downstream consumers.
                 ih, iw = image_shape

@@ -32,6 +32,7 @@ Quality terms per mask (each in [0, 1], exposed for calibration):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -40,9 +41,8 @@ import numpy as np
 from scipy.ndimage import laplace, sobel
 
 from ...adapt.denoise import denoise_gaussian
-from ...core.boxes import clip_boxes, pad_box
-from ...core.masks import clean_mask, component_containing, dilate, erode, label
-from ...errors import PromptError
+from ...core.masks import clean_mask, clean_masks, component_containing, dilate, erode, label
+from ...errors import PromptError, ValidationError
 
 __all__ = ["AnalyticContext", "MaskHypothesis", "AnalyticMaskHead", "DEFAULT_SCORE_WEIGHTS", "box_window"]
 
@@ -70,24 +70,45 @@ CLEAN_RADIUS = 1
 BOX_HALO = max(RING_WIDTH, STABILITY_ITERATIONS, CLEAN_RADIUS)
 
 
+#: The hypotheses :meth:`AnalyticMaskHead.masks_from_box` returns, in order.
+#: The first four are opened and closed; ``bright-split`` only loses dust.
+BOX_KINDS = ("bright", "dark", "local-bright", "region", "bright-split")
+
+
 def box_window(
     box: np.ndarray, image_shape: tuple[int, int]
 ) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
     """``(padded box, window)`` of a box decode, each as ``(y0, y1, x0, x1)``.
 
-    The padded box is ``box`` clipped to the frame and padded by 6% + 2 px,
-    rounded outwards to whole pixels; every box hypothesis lies inside it.
-    The window grows it by :data:`BOX_HALO`, clipped to the frame, and is
-    the :attr:`MaskHypothesis.window` of every hypothesis
+    The padded box is ``box`` (XYXY, shape ``(4,)`` or ``(1, 4)``) clipped
+    to the frame and padded by 6% + 2 px, rounded outwards to whole pixels;
+    every box hypothesis lies inside it.  The window grows it by
+    :data:`BOX_HALO`, clipped to the frame, and is the
+    :attr:`MaskHypothesis.window` of every hypothesis
     :meth:`AnalyticMaskHead.masks_from_box` returns, so a caller knows
-    where a box's masks can fall before decoding it.
+    where a box's masks can fall before decoding it.  The arithmetic is
+    ``core.boxes``' ``clip_boxes`` and ``pad_box`` on Python floats, which
+    round the same, and raises the same :class:`ValidationError` for an
+    inverted box or one outside the frame.
     """
     h, w = image_shape
-    b = clip_boxes(box, (h, w))[0]
-    padded = pad_box(b, margin=0.06 * max(b[2] - b[0], b[3] - b[1]) + 2, image_shape=(h, w))
-    x0, y0, x1, y1 = (int(padded[0]), int(padded[1]), int(np.ceil(padded[2])), int(np.ceil(padded[3])))
-    window = (max(y0 - BOX_HALO, 0), min(y1 + BOX_HALO, h), max(x0 - BOX_HALO, 0), min(x1 + BOX_HALO, w))
-    return (y0, y1, x0, x1), window
+    b = np.asarray(box, dtype=np.float64)
+    if b.shape not in ((4,), (1, 4)):
+        raise ValidationError(f"a box must have shape (4,) or (1, 4), got {b.shape}")
+    x0, y0, x1, y1 = b.ravel().tolist()
+    if not (x1 > x0 and y1 > y0):
+        raise ValidationError("every box must satisfy x1 > x0 and y1 > y0")
+    if x0 >= w or y0 >= h or x1 <= 0 or y1 <= 0:
+        raise ValidationError(f"box {[x0, y0, x1, y1]} lies entirely outside image {(h, w)}")
+    # clip_boxes' bounds, which keep x0 < x1 and y0 < y1 for any box that
+    # overlaps the frame.
+    x0, x1 = min(max(x0, 0.0), w - 1), min(max(x1, 1.0), w)
+    y0, y1 = min(max(y0, 0.0), h - 1), min(max(y1, 1.0), h)
+    margin = 0.06 * max(x1 - x0, y1 - y0) + 2
+    px0, px1 = int(min(max(x0 - margin, 0.0), w - 1)), math.ceil(min(max(x1 + margin, 1.0), w))
+    py0, py1 = int(min(max(y0 - margin, 0.0), h - 1)), math.ceil(min(max(y1 + margin, 1.0), h))
+    window = (max(py0 - BOX_HALO, 0), min(py1 + BOX_HALO, h), max(px0 - BOX_HALO, 0), min(px1 + BOX_HALO, w))
+    return (py0, py1, px0, px1), window
 
 
 @dataclass(frozen=True)
@@ -157,27 +178,75 @@ class MaskHypothesis:
         return self._scored()[1]
 
 
-def _otsu_threshold_float(values: np.ndarray, n_bins: int = 128) -> float:
-    """Otsu's threshold for float data in [0, 1] (shared with baselines)."""
-    hist, edges = np.histogram(np.clip(values, 0.0, 1.0), bins=n_bins, range=(0.0, 1.0))
-    p = hist.astype(np.float64)
-    total = p.sum()
-    if total == 0:
+#: Histogram bins of :func:`_otsu_threshold_float`.  A power of two, so
+#: ``v * OTSU_BINS`` is exact and its floor is the bin ``np.histogram`` with
+#: ``range=(0, 1)`` puts ``v`` in.
+OTSU_BINS = 128
+_OTSU_CENTERS = (np.arange(OTSU_BINS) + 0.5) / OTSU_BINS
+
+
+def _otsu_threshold_float(values: np.ndarray) -> float:
+    """Otsu's threshold for float data in [0, 1], over :data:`OTSU_BINS` bins.
+
+    Values are clipped to [0, 1] and binned by ``floor(v * OTSU_BINS)``,
+    with 1.0 in the last bin: the histogram ``np.histogram(v, OTSU_BINS,
+    range=(0, 1))`` builds, from one ``bincount``.
+    """
+    if values.size == 0:
         return 0.5
-    p /= total
-    centers = (edges[:-1] + edges[1:]) / 2.0
+    bins = np.minimum((np.clip(values, 0.0, 1.0) * OTSU_BINS).astype(np.intp), OTSU_BINS - 1)
+    p = np.bincount(bins.ravel(), minlength=OTSU_BINS) / values.size
     w0 = np.cumsum(p)
-    m0 = np.cumsum(p * centers)
-    mu = m0[-1]
-    w1 = 1.0 - w0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        between = (mu * w0 - m0) ** 2 / (w0 * w1)
-    between = np.nan_to_num(between)
-    best = between.max()
-    plateau = np.nonzero(between >= best - 1e-12)[0]
+    m0 = np.cumsum(p * _OTSU_CENTERS)
+    # Between-class variance of each cut.  Its denominator is 0 only where
+    # one class is empty (w0 is 0 or 1), and there the numerator is 0 too;
+    # such a cut scores 0.
+    den = w0 * (1.0 - w0)
+    between = np.divide((m0[-1] * w0 - m0) ** 2, den, out=np.zeros(OTSU_BINS), where=den != 0)
+    plateau = np.flatnonzero(between >= between.max() - 1e-12)
     # Degenerate histograms create flat plateaus; the conventional choice is
     # the plateau midpoint (matches skimage/OpenCV behaviour).
-    return float(centers[int(plateau[(len(plateau) - 1) // 2])])
+    return float(_OTSU_CENTERS[plateau[(len(plateau) - 1) // 2]])
+
+
+def _percentiles(values: np.ndarray, qs: tuple[float, ...]) -> list[np.float64]:
+    """``list(np.percentile(values, qs))`` of a non-empty array without NaN.
+
+    numpy's default (linear) method from one ``partition``: percentile ``q``
+    sits at virtual index ``(n - 1) * (q / 100)`` of the sorted values and
+    is interpolated in float64 from the nearer of the two order statistics
+    around it, whose difference is taken in the data's dtype.  The results
+    stay ``np.float64``, as in the array ``np.percentile`` returns, so a
+    float32 array compares against them in float64.
+    """
+    flat = values.ravel()
+    last = flat.size - 1
+    virtual = [last * (q / 100) for q in qs]
+    lows = [min(math.floor(v), last) for v in virtual]
+    part = np.partition(flat, sorted({i for lo in lows for i in (lo, min(lo + 1, last))}))
+    out = []
+    for v, lo in zip(virtual, lows):
+        if v >= last:
+            out.append(np.float64(part[last]))
+            continue
+        a, b = part[lo], part[lo + 1]
+        diff, t = float(b - a), v - lo
+        out.append(np.float64(float(a) + diff * t if t < 0.5 else float(b) - diff * (1 - t)))
+    return out
+
+
+def _median(vals: np.ndarray) -> float:
+    """``float(np.median(vals))`` of a non-empty 1-D array without NaN.
+
+    The middle order statistic, or for an even count the mean of the two,
+    summed and halved in the array's dtype as ``np.median`` does; one
+    ``partition`` instead of ``np.median``'s dozen small calls.
+    """
+    k = vals.size // 2
+    if vals.size % 2:
+        return float(np.partition(vals, k)[k])
+    part = np.partition(vals, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2)
 
 
 class AnalyticMaskHead:
@@ -288,102 +357,97 @@ class AnalyticMaskHead:
 
     # -- band masks -----------------------------------------------------------
 
-    def _clean(self, mask: np.ndarray) -> np.ndarray:
-        return clean_mask(
-            mask, open_radius=CLEAN_RADIUS, close_radius=CLEAN_RADIUS, min_area=self.min_component_area
-        )
+    def _band_limits(
+        self, ctx: AnalyticContext, vals: np.ndarray, k: float | None = None
+    ) -> tuple[float, float]:
+        """``(centre, half-width)`` of the intensity band around seed values."""
+        m = _median(vals)
+        mad = _median(np.abs(vals - m)) / 0.6745
+        s = max(mad, ctx.noise_sigma, 0.01)
+        return m, (self.band_k if k is None else k) * s
 
-    def _band_mask(
-        self,
-        ctx: AnalyticContext,
-        seed: np.ndarray,
-        *,
-        within: np.ndarray | None = None,
-        k: float | None = None,
-    ) -> np.ndarray:
+    def _band_mask(self, ctx: AnalyticContext, seed: np.ndarray, *, k: float | None = None) -> np.ndarray:
         """Intensity band around the seed's median, morphologically cleaned."""
         if not seed.any():
             return np.zeros_like(ctx.image, dtype=bool)
-        vals = ctx.smooth[seed]
-        m = float(np.median(vals))
-        mad = float(np.median(np.abs(vals - m))) / 0.6745
-        s = max(mad, ctx.noise_sigma, 0.01)
-        kk = self.band_k if k is None else k
-        band = np.abs(ctx.smooth - m) <= kk * s
-        if within is not None:
-            band &= within
-        return self._clean(band)
+        m, half = self._band_limits(ctx, ctx.smooth[seed], k)
+        return clean_mask(
+            np.abs(ctx.smooth - m) <= half,
+            open_radius=CLEAN_RADIUS,
+            close_radius=CLEAN_RADIUS,
+            min_area=self.min_component_area,
+        )
 
     # -- prompts ----------------------------------------------------------------
 
     def masks_from_box(self, ctx: AnalyticContext, box: np.ndarray) -> list[MaskHypothesis]:
-        """Bright / dark / region hypotheses for a box prompt.
+        """The :data:`BOX_KINDS` hypotheses for a box prompt.
 
         Every hypothesis lies inside the box padded by 6% + 2 px, so all of
         them are built on the padded box grown by :data:`BOX_HALO` (clipped
-        to the frame; :func:`box_window`) and kept as masks of that window.  A decode costs
-        O(box), not O(frame), and is bit-identical to one on the full
-        frame: pixels past the window are zero either way.  Scores are not
-        computed here; a hypothesis scores itself inside the window when
-        its :attr:`~MaskHypothesis.score` is read, which equals a
-        full-frame score bit for bit (gathered pixels keep their row-major
-        order, and ``area`` is still a fraction of the frame).
+        to the frame; :func:`box_window`) and kept as masks of that window.
+        A decode costs O(box), not O(frame), and is bit-identical to one on
+        the full frame: pixels past the window are zero either way.  The
+        raw masks are computed on the padded box only and written into one
+        window-sized stack, which :func:`~repro.core.masks.clean_masks`
+        opens and closes (all but ``bright-split``) and then clears of dust
+        with one labelling.  Scores are not computed here; a hypothesis
+        scores itself inside the window when its
+        :attr:`~MaskHypothesis.score` is read, which equals a full-frame
+        score bit for bit (gathered pixels keep their row-major order, and
+        ``area`` is still a fraction of the frame).
         """
         h, w = ctx.image.shape
-        (y0, y1, x0, x1), (wy0, wy1, wx0, wx1) = box_window(box, (h, w))
-        win = self.crop_context(ctx, (wy0, wy1, wx0, wx1))
-        # The padded box in window coordinates.
+        (y0, y1, x0, x1), window = box_window(box, (h, w))
+        wy0, wy1, wx0, wx1 = window
+        win = self.crop_context(ctx, window)
+        # The padded box in window coordinates; every raw mask is 0 outside it.
         y0, y1, x0, x1 = y0 - wy0, y1 - wy0, x0 - wx0, x1 - wx0
-        within = np.zeros(win.image.shape, dtype=bool)
-        within[y0:y1, x0:x1] = True
+        stack = np.zeros((len(BOX_KINDS), wy1 - wy0, wx1 - wx0), dtype=bool)
+        bright, dark, local, region, split = stack[:, y0:y1, x0:x1]
         crop = win.smooth[y0:y1, x0:x1]
-        scorer = partial(self.score_mask, win, frame_pixels=h * w)
 
-        def _hyp(mask: np.ndarray, kind: str) -> MaskHypothesis:
-            return MaskHypothesis(mask, kind, (wy0, wy1, wx0, wx1), (h, w), scorer)
-
-        hyps: list[MaskHypothesis] = []
-        hi, lo = np.percentile(crop, [self.seed_quantile, 100.0 - self.seed_quantile])
-        bright_seed = within & (win.smooth >= hi)
-        dark_seed = within & (win.smooth <= lo)
-        hyps.append(_hyp(self._band_mask(win, bright_seed, within=within), "bright"))
-        hyps.append(_hyp(self._band_mask(win, dark_seed, within=within), "dark"))
+        hi, lo = _percentiles(crop, (self.seed_quantile, 100.0 - self.seed_quantile))
+        for out, seed in ((bright, crop >= hi), (dark, crop <= lo)):
+            if seed.any():
+                m, half = self._band_limits(win, crop[seed])
+                np.less_equal(np.abs(crop - m), half, out=out)
 
         # Locally-bright structure: threshold the top-hat map inside the box.
         # Robust to the slow intensity drift / defocus that shifts absolute
         # values of thin structures (needle-like catalyst).
         th_crop = win.tophat[y0:y1, x0:x1]
         tau = max(0.45 * float(np.percentile(th_crop, 97)), 2.5 * win.noise_sigma)
-        local = within & (win.tophat > tau)
-        hyps.append(_hyp(self._clean(local), "local-bright"))
+        np.greater(th_crop, tau, out=local)
 
         t = _otsu_threshold_float(crop)
-        cy, cx = (y0 + y1) // 2, (x0 + x1) // 2
-        side_hi = win.smooth >= t
-        region = side_hi if side_hi[cy, cx] else ~side_hi
-        region = region & within
-        hyps.append(_hyp(self._clean(region), "region"))
+        sel = crop >= t
+        # The Otsu side holding the box centre.
+        if sel[(y0 + y1) // 2 - y0, (x0 + x1) // 2 - x0]:
+            region[...] = sel
+        else:
+            np.logical_not(sel, out=region)
+        stack[:4] = clean_masks(stack[:4], open_radius=CLEAN_RADIUS, close_radius=CLEAN_RADIUS)
 
         # Bright side of a (recursive) two-class split: when the box spans
         # the dark background the first Otsu cut separates background from
         # sample, so re-split the bright side until it is a minority class.
         # The half-maximum cut this converges to recovers blurred object
         # boundaries at their true position (symmetric point-spread).
-        sel = crop >= t
         t_split = t
         for _ in range(2):
-            if sel.mean() > 0.55 and sel.sum() > 100:
+            n = np.count_nonzero(sel)
+            if n / sel.size > 0.55 and n > 100:
                 t2 = _otsu_threshold_float(crop[sel])
                 if t2 > t_split + 0.03:
                     t_split = t2
                     sel = crop >= t_split
                     continue
             break
-        split = np.zeros(win.image.shape, dtype=bool)
-        split[y0:y1, x0:x1] = sel
-        split = clean_mask(split, open_radius=0, close_radius=0, min_area=self.min_component_area)
-        hyps.append(_hyp(split, "bright-split"))
-        return hyps
+        split[...] = sel
+        masks = clean_masks(stack, open_radius=0, close_radius=0, min_area=self.min_component_area)
+        scorer = partial(self.score_mask, win, frame_pixels=h * w)
+        return [MaskHypothesis(m, kind, window, (h, w), scorer) for m, kind in zip(masks, BOX_KINDS)]
 
     def masks_from_points(
         self,

@@ -137,7 +137,8 @@ class SamPredictor:
             img = img.mean(axis=2)
         if img.ndim != 2:
             raise PromptError(f"set_image expects HxW (or HxWxC) array, got shape {img.shape}")
-        if img.min() < -1e-4 or img.max() > 1 + 1e-4:
+        # Written so that NaN fails too: the analytic head bins pixels by value.
+        if not (img.min() >= -1e-4 and img.max() <= 1 + 1e-4):
             raise PromptError("set_image expects a [0,1] float image; run the adaptation layer first")
         return img
 

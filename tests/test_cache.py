@@ -8,7 +8,8 @@ Zenesis pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from repro.cache import (
     nbytes_of,
 )
 from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
+from repro.models.sam.model import SamPredictor
 from repro.models.text import default_lexicon
 from repro.observability import MetricsRegistry, format_profile, get_registry
 
@@ -151,6 +153,56 @@ class TestMemoryTier:
     def test_nbytes_walks_containers(self):
         a = np.zeros((4, 4), dtype=np.float64)  # 128 B
         assert nbytes_of((a, [a], {"k": a})) >= 3 * 128
+
+    def test_nbytes_equals_field_walk_for_every_cached_value(self, crystalline_sample):
+        pipe = ZenesisPipeline()
+        vol = crystalline_sample.volume.voxels[:2]
+        pipe.segment_volume(vol, "catalyst particles")
+        pipe.segment_image(crystalline_sample.volume.slice_image(0), "bright particles")
+        predictor = SamPredictor(pipe.sam, cache=pipe.cache)
+        det_img, seg_img = pipe.adapt(vol[0])
+        pipe.dino.encode_image_hierarchical(det_img)
+        predictor.set_image(seg_img)
+        predictor.predict(box=np.array([20.0, 20.0, 60.0, 70.0]))
+        predictor.predict_boxes(np.array([[20.0, 20.0, 60.0, 70.0], [5.0, 50.0, 40.0, 90.0]]))
+        memory = pipe.cache._memory
+        namespaces = {key.split(":", 1)[0] for key in memory._entries}
+        assert {
+            "pipeline.adapt", "dino.text", "dino.image", "dino.image_hier", "dino.ground",
+            "sam.image", "sam.analytic_box", "sam.embedding", "sam.dense_pe", "sam.decode",
+        } <= namespaces
+        for key, value in memory._entries.items():
+            assert nbytes_of(value) == _field_walk_nbytes(value) == memory._sizes[key], key
+
+    def test_nbytes_of_odd_values(self):
+        @dataclass
+        class Point:
+            xy: tuple
+            tag: str
+
+        values = [
+            Point, Point((1, 2), "p"), [Point((3.5, None), "q")], {"k": b"abc"}, frozenset({1, 2}), object(),
+        ]
+        for value in values:
+            assert nbytes_of(value) == _field_walk_nbytes(value)
+
+
+def _field_walk_nbytes(obj) -> int:
+    """``nbytes_of`` as it read dataclass fields before they were memoised per class."""
+    if isinstance(obj, np.ndarray):
+        return int(obj.nbytes)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return sum(_field_walk_nbytes(getattr(obj, f.name)) for f in fields(obj))
+    if isinstance(obj, dict):
+        return sum(_field_walk_nbytes(k) + _field_walk_nbytes(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return sum(_field_walk_nbytes(v) for v in obj)
+    if isinstance(obj, (str, bytes)):
+        return len(obj)
+    try:
+        return int(sys.getsizeof(obj))
+    except TypeError:
+        return 64
 
 
 class TestInferenceCache:

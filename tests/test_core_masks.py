@@ -9,6 +9,7 @@ from scipy import ndimage as ndi
 
 from repro.core.masks import (
     clean_mask,
+    clean_masks,
     component_containing,
     connected_components,
     dilate,
@@ -236,6 +237,85 @@ class TestShiftKernels:
         m = np.zeros((6, 6), dtype=bool)
         m[2, 1:5] = True  # a 1-px line an opening would erase
         assert np.array_equal(clean_mask(m, open_radius=0, close_radius=0), m)
+
+
+def _scipy_clean(mask, open_radius, close_radius, fill_holes, min_area):
+    """clean_mask on one plane from scipy.ndimage calls (the reference)."""
+    m = mask.copy()
+    if open_radius:
+        m = ndi.binary_opening(m, iterations=open_radius)
+    if close_radius:
+        m = ndi.binary_closing(m, iterations=close_radius)
+    if fill_holes:
+        m = ndi.binary_fill_holes(m)
+    if min_area:
+        labels, _ = ndi.label(m)
+        m &= (np.bincount(labels.ravel()) >= min_area)[labels]
+    return m
+
+
+@st.composite
+def _mask_stacks(draw):
+    """2–5 planes of one shape; some are full along an edge row or column,
+    so a component of one plane sits on the pixels of its neighbours."""
+    n = draw(st.integers(2, 5))
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    stack = draw(arrays(np.bool_, (n, h, w)))
+    for plane in stack:
+        edge = draw(st.sampled_from(["none", "top", "bottom", "left", "right", "frame"]))
+        if edge in ("top", "frame"):
+            plane[0] = True
+        if edge in ("bottom", "frame"):
+            plane[-1] = True
+        if edge in ("left", "frame"):
+            plane[:, 0] = True
+        if edge in ("right", "frame"):
+            plane[:, -1] = True
+    return stack
+
+
+class TestCleanMasks:
+    """clean_masks cleans every plane of a stack exactly as clean_mask does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stack=_mask_stacks(),
+        open_radius=st.integers(0, 2),
+        close_radius=st.integers(0, 2),
+        fill_holes=st.booleans(),
+        min_area=st.sampled_from([0, 12]),
+    )
+    def test_planes_match_clean_mask(self, stack, open_radius, close_radius, fill_holes, min_area):
+        kw = dict(
+            open_radius=open_radius, close_radius=close_radius, fill_holes=fill_holes, min_area=min_area
+        )
+        before = stack.copy()
+        got = clean_masks(stack, **kw)
+        assert np.array_equal(stack, before)
+        assert got.shape == stack.shape and got.dtype == bool
+        for plane, out in zip(stack, got):
+            assert np.array_equal(out, clean_mask(plane, **kw))
+            assert np.array_equal(out, _scipy_clean(plane, open_radius, close_radius, fill_holes, min_area))
+
+    def test_dust_is_not_rescued_by_a_neighbouring_plane(self):
+        stack = np.zeros((3, 9, 9), dtype=bool)
+        stack[0, 2:7, 2:7] = True  # 25 px
+        stack[1, 4, 4] = True  # 1 px over plane 0's block and plane 2's
+        stack[2, 2:7, 2:7] = True
+        got = clean_masks(stack, open_radius=0, close_radius=0, min_area=4)
+        assert np.array_equal(got[0], stack[0]) and np.array_equal(got[2], stack[2])
+        assert not got[1].any()
+
+    def test_morphology_stays_in_its_plane(self):
+        stack = np.zeros((3, 7, 7), dtype=bool)
+        stack[1] = True  # a full plane survives opening; its neighbours stay empty
+        got = clean_masks(stack, open_radius=1, close_radius=1)
+        assert not got[0].any() and not got[2].any()
+        assert np.array_equal(got[1], clean_mask(stack[1]))
+
+    def test_needs_a_stack(self):
+        with pytest.raises(ValidationError):
+            clean_masks(np.ones(5, dtype=bool))
 
 
 class TestStability:

@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage as ndi
 
 from repro.core.boxes import clip_boxes, pad_box
@@ -13,10 +16,13 @@ from repro.data import make_sample
 from repro.data.synthesis.phantoms import disk_phantom, two_phase_phantom
 from repro.errors import PromptError
 from repro.models.sam.analytic import (
+    OTSU_BINS,
     RING_WIDTH,
     STABILITY_ITERATIONS,
     AnalyticMaskHead,
+    _median,
     _otsu_threshold_float,
+    _percentiles,
 )
 
 
@@ -42,6 +48,96 @@ class TestContext:
         vals = np.concatenate([np.full(500, 0.2), np.full(500, 0.8)])
         t = _otsu_threshold_float(vals)
         assert 0.25 < t < 0.75
+
+
+def _histogram_otsu(values: np.ndarray) -> float:
+    """Otsu over ``np.histogram``'s bins: the implementation the bincount one replaced."""
+    hist, edges = np.histogram(np.clip(values, 0.0, 1.0), bins=OTSU_BINS, range=(0.0, 1.0))
+    p = hist.astype(np.float64)
+    total = p.sum()
+    if total == 0:
+        return 0.5
+    p /= total
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    w0 = np.cumsum(p)
+    m0 = np.cumsum(p * centers)
+    w1 = 1.0 - w0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        between = np.nan_to_num((m0[-1] * w0 - m0) ** 2 / (w0 * w1))
+    plateau = np.nonzero(between >= between.max() - 1e-12)[0]
+    return float(centers[int(plateau[(len(plateau) - 1) // 2])])
+
+
+def _edge_values(dtype) -> np.ndarray:
+    """Every bin edge, its neighbours either side, and values out of range."""
+    edges = (np.arange(OTSU_BINS + 1) / OTSU_BINS).astype(dtype)
+    inf = dtype(np.inf)
+    near = np.concatenate([edges, np.nextafter(edges, -inf), np.nextafter(edges, inf)])
+    return np.concatenate([near, np.array([-1.0, -1e-7, 1.0 + 1e-7, 2.0, 1e6], dtype=dtype)])
+
+
+class TestOtsuBincount:
+    """The bincount histogram puts every value in ``np.histogram``'s bin."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values(self, dtype):
+        vals = _edge_values(dtype)
+        rng = np.random.default_rng(0)
+        assert _otsu_threshold_float(vals) == _histogram_otsu(vals)
+        for _ in range(300):
+            sub = rng.choice(vals, size=int(rng.integers(1, 200)))
+            assert _otsu_threshold_float(sub) == _histogram_otsu(sub), sub
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vals=st.one_of(
+            arrays(np.float32, st.integers(1, 300), elements=st.floats(-0.5, 1.5, width=32)),
+            arrays(np.float64, st.integers(1, 300), elements=st.floats(-0.5, 1.5)),
+            arrays(
+                np.float64, st.integers(1, 60), elements=st.sampled_from(_edge_values(np.float64).tolist())
+            ),
+        )
+    )
+    def test_matches_histogram(self, vals):
+        assert _otsu_threshold_float(vals) == _histogram_otsu(vals)
+
+    def test_empty_and_constant(self):
+        assert _otsu_threshold_float(np.array([], dtype=np.float32)) == _histogram_otsu(np.array([])) == 0.5
+        for v in (0.0, 0.3, 1.0):
+            vals = np.full(17, v, dtype=np.float32)
+            assert _otsu_threshold_float(vals) == _histogram_otsu(vals)
+
+
+_finite_arrays = st.one_of(
+    arrays(np.float32, st.integers(1, 80), elements=st.floats(-2, 2, width=32)),
+    arrays(np.float64, st.integers(1, 80), elements=st.floats(-1e6, 1e6)),
+    # Few distinct values, so order statistics tie.
+    arrays(np.float32, st.integers(1, 40), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+)
+
+
+class TestOrderStatistics:
+    """The partition-based median and percentiles equal numpy's, dtype included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vals=_finite_arrays)
+    def test_median(self, vals):
+        assert _median(vals) == float(np.median(vals))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        vals=st.one_of(_finite_arrays, arrays(np.float32, st.tuples(st.integers(1, 9), st.integers(1, 9)))),
+        qs=st.one_of(
+            st.just((88.0, 12.0)),
+            st.lists(st.floats(0, 100), min_size=1, max_size=3).map(tuple),
+        ),
+    )
+    def test_percentiles(self, vals, qs):
+        assume(np.isfinite(vals).all())
+        got = _percentiles(vals, qs)
+        want = list(np.percentile(vals, list(qs)))
+        assert [type(v) for v in got] == [type(v) for v in want] == [np.float64] * len(qs)
+        assert got == want
 
 
 class TestBoxPrompts:

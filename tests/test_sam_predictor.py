@@ -67,6 +67,12 @@ class TestPredictor:
         with pytest.raises(PromptError, match="adaptation"):
             p.set_image(np.full((32, 32), 300.0, dtype=np.float32))
 
+    def test_rejects_nan(self):
+        img = np.full((32, 32), 0.5, dtype=np.float32)
+        img[3, 4] = np.nan
+        with pytest.raises(PromptError, match="adaptation"):
+            SamPredictor(build_sam()).set_image(img)
+
     def test_needs_prompt(self, rng):
         img, _ = disk_phantom((64, 64), rng=rng)
         p = SamPredictor(build_sam())
