@@ -24,7 +24,7 @@ def _corrupt(per_slice_boxes, h, w, rng):
     return corrupted
 
 
-def test_fig7_temporal_refinement(setup, artifact_dir, benchmark):
+def test_fig7_temporal_refinement(setup, artifact_dir):
     pipeline = ZenesisPipeline()
     sample = setup.dataset.crystalline
     voxels = sample.volume.voxels

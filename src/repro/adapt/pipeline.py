@@ -2,10 +2,12 @@
 
 An :class:`AdaptationPipeline` is an ordered list of named steps, each a
 ``float01 image -> float01 image`` callable.  Pipelines are the unit the
-platform exposes to no-code users ("make this AI-ready"), and
-:func:`default_fibsem_pipeline` is the recipe used throughout the paper
-reproduction: robust bit-depth normalisation is applied on ingest, then
-denoise + CLAHE here.
+platform exposes to no-code users ("make this AI-ready").
+:func:`default_fibsem_pipeline` is a stock denoise + CLAHE recipe for
+robust-normalised input, used by the Fig. 1 readiness experiment and in
+tests.  The segmentation pipeline does not run it: it adapts with
+:meth:`repro.core.pipeline.ZenesisPipeline._adapt_body` (two branches, one
+for the detector and one for the segmenter).
 """
 
 from __future__ import annotations

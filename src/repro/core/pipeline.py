@@ -48,6 +48,7 @@ from ..observability.trace import Span, Tracer, get_tracer, trace
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.policy import RetryPolicy
+from ..utils.validation import ensure_finite
 from .driver import ENGINES, PHASES, drive_volume
 from .masks import dilate
 from .prompts import SpatialHints, TextPrompt
@@ -258,11 +259,17 @@ class ZenesisPipeline:
             return images
 
     def _adapt_body(self, raw: np.ndarray, key: str) -> tuple[tuple[np.ndarray, np.ndarray], bool]:
-        """Cache lookup, else both branches computed and stored; returns (images, hit)."""
+        """Cache lookup, else both branches computed and stored; returns (images, hit).
+
+        A slice holding NaN or ±inf is rejected with :class:`ValidationError`
+        here, so in a volume it fails at its own :meth:`adapt`, after the
+        slices before it — whether adapted inline or ahead.
+        """
         cfg = self.config
         cached = self.cache.get("pipeline.adapt", key)
         if cached is not MISS:
             return cached, True
+        ensure_finite(raw, "image")
         with trace("adapt.normalize"):
             base = robust_normalize(raw)
         scale = self._spatial_scale

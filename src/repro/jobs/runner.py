@@ -556,14 +556,7 @@ class JobRunner:
         return {"evaluations": out, "methods": methods}
 
     def _run_synthesize(self, job: JobRecord, worker_id: str, guard: JobGuard, tracer: Tracer) -> dict:
-        """Generate a synthetic FIB-SEM acquisition into the results dir.
-
-        ``duration_s`` paces the job to a requested wall-clock length — a
-        real FIB-SEM mills and images for minutes per slice, and soak /
-        demo workloads need that *occupancy* shape (a worker held busy
-        while the CPU idles) without the compute.  The pacing loop
-        heartbeats the lease and honors cancel/lease-loss at every tick.
-        """
+        """Generate a synthetic FIB-SEM acquisition into the results dir."""
         from ..data.datasets import make_sample
         from ..io.volume_io import save_volume_bundle
 
@@ -572,28 +565,9 @@ class JobRunner:
         seed = int(params.get("seed", 0))
         size = int(params.get("size", 128))
         n_slices = int(params.get("n_slices", 4))
-        duration_s = float(params.get("duration_s", 0.0))
         guard.check("synthesize job")
         self._progress(job, worker_id, 0, 1, phase="synthesize")
         sample = make_sample(kind, seed=seed, shape=(size, size), n_slices=n_slices)
-        if duration_s > 0:
-            beat_s = self.scheduler.lease_ttl_s / 4
-            end = time.monotonic() + duration_s
-            next_beat = time.monotonic() + beat_s
-            while True:
-                now = time.monotonic()
-                if now >= end:
-                    break
-                guard.check("synthesize job (paced acquisition)")
-                if now >= next_beat:
-                    # Keep the lease alive without flooding the journal:
-                    # heartbeat directly, no progress event per tick.
-                    if self.scheduler.heartbeat(job.job_id, worker_id) is None:
-                        raise JobCancelledError(
-                            f"job {job.job_id} lease lost during paced acquisition"
-                        )
-                    next_beat = now + beat_s
-                time.sleep(min(0.05, end - now))
         out_path = self.store.result_path(job.job_id)
         save_volume_bundle(
             out_path,

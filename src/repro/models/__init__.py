@@ -12,7 +12,6 @@ from .registry import (
     build_dino,
     build_sam,
 )
-from .swin import SwinEncoder, SwinStageOutput
 from .sam import (
     AnalyticMaskHead,
     Sam,
@@ -42,8 +41,6 @@ __all__ = [
     "SamAutomaticMaskGenerator",
     "SamConfig",
     "SamPredictor",
-    "SwinEncoder",
-    "SwinStageOutput",
     "TextEncoding",
     "build_dino",
     "calibrate_concept",

@@ -115,19 +115,6 @@ class GroundingDino:
             self.config.text_depth,
             self.config.text_heads,
         )
-        # The paper's image backbone is Swin-T; the hierarchical windowed
-        # encoder is available as the architectural stream (weights are
-        # deterministic random offline, so scoring stays on the analytic
-        # alignment — same policy as the SAM decoder, see DESIGN.md).
-        from .swin import SwinEncoder
-
-        self.backbone = SwinEncoder(
-            params.child("backbone"),
-            in_dim=self.config.embed_dim,
-            depths=(2, 2),
-            n_heads=self.config.text_heads,
-            window=4,
-        )
 
     # -- encoding -----------------------------------------------------------
 
@@ -183,24 +170,6 @@ class GroundingDino:
         grid = self.extractor(image)
         k = grid.tokens @ self._align  # (N, D)
         return grid, k
-
-    def encode_image_hierarchical(self, image: np.ndarray):
-        """Run the Swin backbone over the aligned patch tokens.
-
-        Returns the per-stage feature grids (finest = the grounding stride,
-        each later stage 2× coarser and 2× wider).  This is the Swin-T
-        architectural stream; grounding scores use the analytic alignment.
-        """
-        img = np.asarray(image)
-        key = combine_keys(array_content_key(img), self._config_fp())
-        cached = self.cache.get("dino.image_hier", key)
-        if cached is not MISS:
-            return cached
-        grid, k = self.encode_image(img)
-        gh, gw, _ = grid.grid.shape
-        stages = self.backbone(k, (gh, gw))
-        self.cache.put("dino.image_hier", key, stages)
-        return stages
 
     # -- grounding ----------------------------------------------------------
 

@@ -5,12 +5,11 @@ from .attention import MultiHeadAttention, attention_scores
 from .embeddings import (
     PatchEmbed,
     RandomFourierPositionEncoding,
-    TokenEmbedding,
     clear_sincos_cache,
     sincos_position_embedding,
 )
 from .init import ParamFactory
-from .layers import LayerNorm, Linear, Mlp, gelu, relu, softmax
+from .layers import LayerNorm, Linear, Mlp, gelu
 from .transformer import TransformerBlock, TransformerEncoder, TwoWayBlock
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "ParamFactory",
     "PatchEmbed",
     "RandomFourierPositionEncoding",
-    "TokenEmbedding",
     "TransformerBlock",
     "TransformerEncoder",
     "TwoWayBlock",
@@ -29,7 +27,5 @@ __all__ = [
     "clear_sincos_cache",
     "gelu",
     "kernels",
-    "relu",
     "sincos_position_embedding",
-    "softmax",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .init import ParamFactory
-from .layers import Linear, softmax
+from .layers import Linear
 
 __all__ = ["MultiHeadAttention", "attention_scores"]
 
@@ -115,16 +115,7 @@ class MultiHeadAttention:
         queries: np.ndarray,
         keys: np.ndarray | None = None,
         values: np.ndarray | None = None,
-        *,
-        return_weights: bool = False,
-    ):
+    ) -> np.ndarray:
         """Apply attention.  ``keys``/``values`` default to ``queries`` (self)."""
         q, k, v = self._project_qkv(queries, keys, values)
-        if return_weights:
-            # Full weights requested: materialise logits the naive way.
-            logits = attention_scores(q, k)
-            weights = softmax(logits, axis=-1)
-            out = self.out_proj(self._merge(weights @ np.asarray(v, dtype=np.float32)))
-            return out, weights
-        out = self.out_proj(self._merge(kernels.attention(q, k, v)))
-        return out
+        return self.out_proj(self._merge(kernels.attention(q, k, v)))

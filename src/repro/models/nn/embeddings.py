@@ -1,4 +1,4 @@
-"""Token and positional embeddings for the vision/text transformers.
+"""Patch and positional embeddings for the vision transformer and SAM prompts.
 
 * :class:`PatchEmbed` — non-overlapping patch projection (the ViT stem),
   implemented as a reshape + matmul (a stride-p conv with kernel p is exactly
@@ -6,7 +6,6 @@
 * :func:`sincos_position_embedding` — fixed 2-D sine/cosine position codes.
 * :class:`RandomFourierPositionEncoding` — SAM's continuous-coordinate
   positional encoding used by its prompt encoder.
-* :class:`TokenEmbedding` — lookup-table embedding for text tokens.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ __all__ = [
     "sincos_position_embedding",
     "clear_sincos_cache",
     "RandomFourierPositionEncoding",
-    "TokenEmbedding",
 ]
 
 
@@ -140,16 +138,3 @@ class RandomFourierPositionEncoding:
         coords = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)  # (x, y) order
         return self.encode_points(coords).reshape(gh, gw, self.dim)
 
-
-class TokenEmbedding:
-    """Lookup-table embedding for integer token ids."""
-
-    def __init__(self, params: ParamFactory, name: str, vocab: int, dim: int) -> None:
-        self.table = params.normal(f"{name}.table", (vocab, dim), std=0.05)
-        self.vocab = vocab
-
-    def __call__(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.intp)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab):
-            raise ValueError(f"token id out of range [0, {self.vocab})")
-        return self.table[ids]

@@ -124,9 +124,9 @@ def scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
 def softmax_(x: np.ndarray) -> np.ndarray:
     """In-place numerically-stable softmax over the last axis.
 
-    Identical op sequence to ``layers.softmax(x, axis=-1)`` (subtract max,
-    exp, divide by sum) so results are bit-identical; ``x`` must be a fresh
-    float32 array the caller owns.
+    Subtract the row max, exp, divide by the row sum — the textbook stable
+    op sequence, run in place; ``x`` must be a fresh float32 array the
+    caller owns.
     """
     np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
     np.exp(x, out=x)

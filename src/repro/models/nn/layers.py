@@ -1,4 +1,4 @@
-"""Core NN layers in NumPy: linear, layer norm, GELU, softmax, MLP.
+"""Core NN layers in NumPy: linear, layer norm, GELU, MLP.
 
 Inference-only (no autograd).  All math is float32 batched matmul on
 C-contiguous arrays — the hot path of every transformer in this library —
@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels
 from .init import ParamFactory
 
-__all__ = ["Linear", "LayerNorm", "gelu", "softmax", "Mlp", "relu"]
+__all__ = ["Linear", "LayerNorm", "gelu", "Mlp"]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -23,19 +23,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     agree bitwise within a version.
     """
     return kernels.gelu(x)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-    return np.maximum(np.asarray(x, dtype=np.float32), 0.0)
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically-stable softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float32)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 class Linear:

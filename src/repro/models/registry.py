@@ -30,7 +30,9 @@ SAM_CONFIGS: dict[str, SamConfig] = {
 }
 
 DINO_CONFIGS: dict[str, DinoConfig] = {
-    # Swin-T-grade feature stride; embed dim scaled for NumPy inference.
+    # Named after the paper's Swin-T/Swin-B detectors; no image backbone
+    # runs (``stride`` is the patch feature bank's).  The names stay: they
+    # are ``dino_name`` values inside cache and checkpoint keys.
     "swin_t": DinoConfig(stride=4, embed_dim=64, text_depth=2, text_heads=4),
     "swin_b": DinoConfig(stride=4, embed_dim=128, text_depth=4, text_heads=8),
 }

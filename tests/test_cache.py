@@ -160,15 +160,14 @@ class TestMemoryTier:
         pipe.segment_volume(vol, "catalyst particles")
         pipe.segment_image(crystalline_sample.volume.slice_image(0), "bright particles")
         predictor = SamPredictor(pipe.sam, cache=pipe.cache)
-        det_img, seg_img = pipe.adapt(vol[0])
-        pipe.dino.encode_image_hierarchical(det_img)
+        _, seg_img = pipe.adapt(vol[0])
         predictor.set_image(seg_img)
         predictor.predict(box=np.array([20.0, 20.0, 60.0, 70.0]))
         predictor.predict_boxes(np.array([[20.0, 20.0, 60.0, 70.0], [5.0, 50.0, 40.0, 90.0]]))
         memory = pipe.cache._memory
         namespaces = {key.split(":", 1)[0] for key in memory._entries}
         assert {
-            "pipeline.adapt", "dino.text", "dino.image", "dino.image_hier", "dino.ground",
+            "pipeline.adapt", "dino.text", "dino.image", "dino.ground",
             "sam.image", "sam.analytic_box", "sam.embedding", "sam.dense_pe", "sam.decode",
         } <= namespaces
         for key, value in memory._entries.items():

@@ -11,7 +11,7 @@ from repro.core.pipeline import ZenesisConfig, ZenesisPipeline
 from repro.core.prompts import SpatialHints, TextPrompt
 from repro.core.results import SliceResult, VolumeResult
 from repro.data import make_sample
-from repro.errors import DeadlineExceededError, GroundingError, PipelineError, PromptError
+from repro.errors import DeadlineExceededError, GroundingError, PipelineError, PromptError, ValidationError
 from repro.io.lazy import ArrayLazyVolume
 from repro.jobs import runner as jobs_runner
 from repro.jobs.service import JobService
@@ -140,6 +140,13 @@ class TestSegmentImage:
 
         result = pipeline.segment_image(crystalline_sample.volume.slice_image(0), "catalyst particles")
         json.dumps(result.to_record())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, crystalline_sample, bad):
+        img = crystalline_sample.volume.voxels[0].astype(np.float32)
+        img[40, 50] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            ZenesisPipeline().segment_image(img, PROMPT)
 
 
 class TestSegmentVolume:
@@ -353,4 +360,16 @@ class TestAdaptAheadCleanup:
         with np.load(res["result"]["masks_path"]) as bundle:
             assert _sha1(bundle["masks"]) == GOLDEN[mode]
         (pipe,) = jobs_runner._PIPELINE_MEMO.values()
+        self._assert_clean(pipe, scopes)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_slice_fails_at_its_own_adapt(self, bad, tmp_path, scopes):
+        # Slice 2 is adapted ahead while slice 1 is decoded; its rejection
+        # surfaces at slice 2's adapt, after slices 0 and 1 are checkpointed.
+        vol = _golden_volume().astype(np.float32)
+        vol[2, 60, 70] = bad
+        pipe = ZenesisPipeline()
+        with pytest.raises(ValidationError, match="non-finite"):
+            pipe.segment_volume(vol, PROMPT, checkpoint_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("slice_*.npy")) == ["slice_00000.npy", "slice_00001.npy"]
         self._assert_clean(pipe, scopes)

@@ -1,12 +1,20 @@
 """Tests for the GroundingDINO surrogate."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.adapt import default_fibsem_pipeline, robust_normalize
+from repro.core.pipeline import ZenesisPipeline
 from repro.data.synthesis.phantoms import disk_phantom
 from repro.errors import ModelConfigError, PromptError
+from repro.eval.experiments import ExperimentSetup
 from repro.models.dino import Detection, DinoConfig, GroundingDino
+
+#: sha1 over the boxes, scores and relevance bytes of ``ZenesisPipeline.ground``
+#: on the 20 slices of ``ExperimentSetup.default()`` (Tables 1–3), in order.
+GROUNDING_GOLDEN_SHA1 = "cdab3b95e7422fc1e33db770df1a0442b71892f1"
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +119,17 @@ class TestOnFibsem:
         rel, _, _ = dino.relevance_map(img, "dark background")
         bg = ~s.film_mask[0]
         assert rel[bg].mean() > rel[~bg].mean() + 0.3
+
+
+class TestGroundingGolden:
+    def test_table_slices_pinned(self):
+        setup = ExperimentSetup.default()
+        pipe = ZenesisPipeline(setup.zenesis_config)
+        h = hashlib.sha1()
+        for s in setup.dataset.slices:
+            det_img, _ = pipe.adapt(s.image)
+            det = pipe.ground(det_img, setup.prompt)
+            for arr in (det.boxes, det.scores, det.relevance):
+                h.update(np.ascontiguousarray(arr).tobytes())
+        assert len(setup.dataset.slices) == 20
+        assert h.hexdigest() == GROUNDING_GOLDEN_SHA1

@@ -53,13 +53,6 @@ class TestMultiHeadAttention:
         kv = rng.normal(size=(20, 8)).astype(np.float32)
         assert mha(q, kv).shape == (3, 16)
 
-    def test_weights_normalised(self, params, rng):
-        mha = MultiHeadAttention(params, "mha", dim=16, n_heads=4)
-        x = rng.normal(size=(6, 16)).astype(np.float32)
-        _, w = mha(x, return_weights=True)
-        assert w.shape == (4, 6, 6)
-        assert np.allclose(w.sum(axis=-1), 1.0, atol=1e-5)
-
     def test_downsample_rate(self, params, rng):
         mha = MultiHeadAttention(params, "mha", dim=16, n_heads=2, downsample_rate=2)
         assert mha.inner == 8

@@ -6,7 +6,6 @@ import pytest
 from repro.models.nn.embeddings import (
     PatchEmbed,
     RandomFourierPositionEncoding,
-    TokenEmbedding,
     sincos_position_embedding,
 )
 from repro.models.nn.init import ParamFactory
@@ -81,19 +80,6 @@ class TestRandomFourierPE:
         b = pe.encode_points(np.array([[0.505, 0.5]]))
         c = pe.encode_points(np.array([[0.9, 0.1]]))
         assert np.linalg.norm(a - b) < np.linalg.norm(a - c)
-
-
-class TestTokenEmbedding:
-    def test_lookup(self, params):
-        emb = TokenEmbedding(params, "emb", vocab=10, dim=4)
-        out = emb(np.array([0, 3, 3]))
-        assert out.shape == (3, 4)
-        assert np.array_equal(out[1], out[2])
-
-    def test_out_of_range(self, params):
-        emb = TokenEmbedding(params, "emb", vocab=10, dim=4)
-        with pytest.raises(ValueError):
-            emb(np.array([10]))
 
 
 class TestTransformer:
