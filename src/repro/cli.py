@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resume",
         action="store_true",
-        help="resume a volume job from --checkpoint-dir (skips completed slices)",
+        help="resume a volume job from --checkpoint-dir, or with --stream from its "
+        "default <input>.ckpt (skips completed slices)",
     )
     p.add_argument(
         "--temporal-mode",
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-workers",
         type=int,
         default=1,
-        help="background job worker threads (each fans out through the process pool)",
+        help="background job worker threads (each runs one job at a time)",
     )
     p.add_argument(
         "--job-lease-ttl",
@@ -421,22 +422,36 @@ def _print_profile(cache) -> None:
 
 
 def _cmd_segment(args) -> int:
+    """``segment``: Mode A on an image or one slice, Mode B on a volume.
+
+    With ``--stream`` the volume is never fully resident — masks persist as
+    per-slice shards in the checkpoint directory (default ``<input>.ckpt/``),
+    which doubles as the resume point after a crash or kill.
+    """
     from .core.pipeline import ZenesisConfig, ZenesisPipeline
     from .io.formats import load_image_file
-    from .io.volume_io import save_volume_bundle
-    from .platform.render import save_figure
-    from .viz.overlay import overlay_mask
 
-    if args.resume and args.checkpoint_dir is None:
+    if args.resume and args.checkpoint_dir is None and not args.stream:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.stream:
-        return _cmd_segment_stream(args)
-    arr = load_image_file(args.path)
+    arr = None if args.stream else load_image_file(args.path)
     _start_observability(args, "segment")
     pipeline = ZenesisPipeline(
         ZenesisConfig(use_cache=not args.no_cache, temporal_mode=args.temporal_mode)
     )
+    extra = _segment_stream(args, pipeline) if arr is None else _segment_array(args, pipeline, arr)
+    _write_observability(args, "segment", config=pipeline.config, extra=extra)
+    if args.profile:
+        _print_profile(pipeline.cache)
+    return 0
+
+
+def _segment_array(args, pipeline, arr: np.ndarray) -> None:
+    """Segment a loaded image, slice or volume and save the masks."""
+    from .io.volume_io import save_volume_bundle
+    from .platform.render import save_figure
+    from .viz.overlay import overlay_mask
+
     out = args.out or args.path.with_suffix(".masks.npz")
     if arr.ndim == 3 and args.slice is None:
         result = pipeline.segment_volume(
@@ -461,27 +476,14 @@ def _cmd_segment(args) -> int:
             save_figure(args.overlay, overlay_mask(seg_img, result.mask))
             print(f"overlay -> {args.overlay}")
     print(f"masks -> {out}")
-    _write_observability(args, "segment", config=pipeline.config)
-    if args.profile:
-        _print_profile(pipeline.cache)
-    return 0
 
 
-def _cmd_segment_stream(args) -> int:
-    """``segment --stream``: out-of-core Mode B over a LazyVolume.
-
-    The volume is never fully resident — masks persist as per-slice shards
-    in the checkpoint directory (default ``<input>.ckpt/``), which doubles
-    as the resume point after a crash or kill.
-    """
-    from .core.pipeline import ZenesisConfig, ZenesisPipeline
+def _segment_stream(args, pipeline) -> dict | None:
+    """Out-of-core Mode B over a LazyVolume; returns the manifest's extra fields."""
     from .io.integrity import IngestPolicy
+    from .zoo.batch import in_plane_pixel_size_nm
 
     ckpt_dir = args.checkpoint_dir or args.path.with_suffix(args.path.suffix + ".ckpt")
-    _start_observability(args, "segment")
-    pipeline = ZenesisPipeline(
-        ZenesisConfig(use_cache=not args.no_cache, temporal_mode=args.temporal_mode)
-    )
     policy = IngestPolicy(
         on_corrupt=args.on_corrupt,
         memory_budget_bytes=int(args.memory_budget_mb * 1024 * 1024),
@@ -502,14 +504,8 @@ def _cmd_segment_stream(args) -> int:
         f"{result.volume_fraction():.3f}{degraded_note}"
     )
     print(f"mask shards -> {ckpt_dir}")
-    from .zoo.batch import in_plane_pixel_size_nm
-
     pixel_size_nm = in_plane_pixel_size_nm(result.io_stats.get("meta"))
-    extra = {"pixel_size_nm": pixel_size_nm} if pixel_size_nm is not None else None
-    _write_observability(args, "segment", config=pipeline.config, extra=extra)
-    if args.profile:
-        _print_profile(pipeline.cache)
-    return 0
+    return {"pixel_size_nm": pixel_size_nm} if pixel_size_nm is not None else None
 
 
 def _cmd_io(args) -> int:
@@ -546,33 +542,19 @@ def _cmd_batch_dir(args) -> int:
     if args.mode == "ensemble" and args.ensemble_size is not None:
         ensemble = {"size": args.ensemble_size}
     svc = JobService(jobs_dir, lease_ttl_s=args.job_lease_ttl)
+    opts = dict(
+        mode=args.mode,
+        stream=args.stream,
+        on_corrupt=args.on_corrupt,
+        memory_budget_mb=args.memory_budget_mb,
+        ensemble=ensemble,
+        priority=args.priority,
+    )
     try:
         if args.submit_only:
-            manifest = submit_batch(
-                svc,
-                args.path,
-                args.task,
-                mode=args.mode,
-                stream=args.stream,
-                on_corrupt=args.on_corrupt,
-                memory_budget_mb=args.memory_budget_mb,
-                ensemble=ensemble,
-                priority=args.priority,
-            )
-            print(json.dumps(manifest, indent=2))
+            print(json.dumps(submit_batch(svc, args.path, args.task, **opts), indent=2))
             return 0
-        report = run_batch(
-            svc,
-            args.path,
-            args.task,
-            mode=args.mode,
-            stream=args.stream,
-            on_corrupt=args.on_corrupt,
-            memory_budget_mb=args.memory_budget_mb,
-            ensemble=ensemble,
-            priority=args.priority,
-            timeout_s=args.timeout,
-        )
+        report = run_batch(svc, args.path, args.task, timeout_s=args.timeout, **opts)
     except ReproError as exc:
         return _print_repro_error(exc)
     print(json.dumps(report, indent=2))
@@ -628,21 +610,15 @@ def _cmd_zoo(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .data.datasets import make_benchmark_dataset
+    from .core.pipeline import ZenesisConfig
     from .eval.dashboard import render_dashboard
-    from .eval.evaluator import Evaluator
-    from .eval.experiments import ExperimentSetup, build_methods
+    from .eval.experiments import evaluate_benchmark
     from .eval.report import paper_table
 
-    from .core.pipeline import ZenesisConfig
-
-    setup = ExperimentSetup(
-        dataset=make_benchmark_dataset(shape=(args.size, args.size), n_slices=args.slices),
-        zenesis_config=ZenesisConfig(use_cache=not args.no_cache),
-    )
+    config = ZenesisConfig(use_cache=not args.no_cache)
     _start_observability(args, "evaluate")
-    evaluations = Evaluator(build_methods(setup)).evaluate(
-        setup.dataset.slices, method_names=args.methods
+    evaluations, _ = evaluate_benchmark(
+        args.methods, shape=(args.size, args.size), n_slices=args.slices, zenesis_config=config
     )
     for name, ev in evaluations.items():
         print()
@@ -657,7 +633,7 @@ def _cmd_evaluate(args) -> int:
             render_dashboard(evaluations, metrics=get_registry(), serving=serving_snapshot())
         )
         print(f"\ndashboard -> {args.dashboard}")
-    _write_observability(args, "evaluate", config=setup.zenesis_config)
+    _write_observability(args, "evaluate", config=config)
     return 0
 
 
@@ -736,27 +712,23 @@ def _cmd_jobs(args) -> int:
                 if args.path is None or args.prompt is None:
                     print("segment_volume jobs need --path and --prompt", file=sys.stderr)
                     return 2
+                opts = dict(
+                    temporal=not args.no_temporal,
+                    temporal_mode=args.temporal_mode,
+                    priority=args.priority,
+                )
                 if args.stream:
                     job = svc.submit_segment_volume_path(
                         args.path,
                         args.prompt,
-                        temporal=not args.no_temporal,
-                        temporal_mode=args.temporal_mode,
                         on_corrupt=args.on_corrupt,
                         memory_budget_mb=args.memory_budget_mb,
-                        priority=args.priority,
+                        **opts,
                     )
                 else:
                     from .io.formats import load_image_file
 
-                    arr = load_image_file(args.path)
-                    job = svc.submit_segment_volume(
-                        arr,
-                        args.prompt,
-                        temporal=not args.no_temporal,
-                        temporal_mode=args.temporal_mode,
-                        priority=args.priority,
-                    )
+                    job = svc.submit_segment_volume(load_image_file(args.path), args.prompt, **opts)
             elif args.kind == "zoo_segment":
                 if args.path is None or args.preset is None:
                     print("zoo_segment jobs need --path and --preset", file=sys.stderr)

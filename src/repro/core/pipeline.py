@@ -337,14 +337,7 @@ class ZenesisPipeline:
         with trace("dino.ground"):
             get_registry().counter("repro_pipeline_groundings_total").inc()
             if level == 0 and get_fault_plan().should_fire("grounding_empty", slice=slice_index):
-                h, w = np.asarray(detector_img).shape[:2]
-                return Detection(
-                    boxes=np.zeros((0, 4), dtype=np.float64),
-                    scores=np.zeros(0, dtype=np.float64),
-                    phrases=(),
-                    relevance=np.zeros((h, w), dtype=np.float32),
-                    ungrounded=("<fault:grounding_empty>",),
-                )
+                return Detection.empty(np.shape(detector_img), ("<fault:grounding_empty>",))
             dino = self.dino if level == 0 else self._relaxed_dino(level)
             return dino.ground(detector_img, prompt)
 
@@ -513,24 +506,51 @@ class ZenesisPipeline:
         with trace("pipeline.segment_image", prompt=text):
             det_img, seg_img = self.adapt(image)
             detection = self.ground(det_img, text)
-            boxes = detection.boxes
-            if hints is not None and hints.boxes:
-                user_boxes = np.stack(hints.validated_boxes(seg_img.shape))
-                boxes = np.concatenate([boxes, user_boxes], axis=0) if len(boxes) else user_boxes
-            mask, per_box, kinds = self.segment_with_boxes(seg_img, detection, boxes)
-            if hints is not None and hints.has_points:
-                coords, labels = hints.point_arrays()
-                with trace("sam.point_prompts"):
-                    hyps = self.predictor.masks_from_points(coords, labels)
-                mask = mask | max(hyps, key=lambda hh: hh.score).mask
+            decoded = self.decode(seg_img, detection, hints)
+        return self.image_result(text, detection, decoded, hints)
+
+    def decode(
+        self,
+        segmenter_img: np.ndarray,
+        detection: Detection,
+        hints: SpatialHints | None = None,
+    ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
+        """Mode A's decode after grounding: ``(mask, per_box_masks, per_box_kinds)``.
+
+        User boxes are appended to the detection's and every box goes
+        through :meth:`segment_with_boxes`; with point hints, the best
+        point-prompt hypothesis joins the union.
+        """
+        boxes = detection.boxes
+        if hints is not None and hints.boxes:
+            user_boxes = np.stack(hints.validated_boxes(segmenter_img.shape))
+            boxes = np.concatenate([boxes, user_boxes], axis=0) if len(boxes) else user_boxes
+        mask, per_box, kinds = self.segment_with_boxes(segmenter_img, detection, boxes)
+        if hints is not None and hints.has_points:
+            coords, labels = hints.point_arrays()
+            with trace("sam.point_prompts"):
+                hyps = self.predictor.masks_from_points(coords, labels)
+            mask = mask | max(hyps, key=lambda hh: hh.score).mask
+        return mask, per_box, kinds
+
+    def image_result(
+        self,
+        prompt: str,
+        detection: Detection,
+        decoded: tuple[np.ndarray, list[np.ndarray], list[str]],
+        hints: SpatialHints | None = None,
+        **metadata,
+    ) -> SliceResult:
+        """Mode A's result for one segmented image; counts it as segmented."""
+        mask, per_box, kinds = decoded
         get_registry().counter("repro_pipeline_images_total").inc()
         return SliceResult(
             mask=mask,
             detection=detection,
             per_box_masks=tuple(per_box),
             per_box_kinds=tuple(kinds),
-            prompt=text,
-            metadata={"n_user_boxes": 0 if hints is None else len(hints.boxes)},
+            prompt=prompt,
+            metadata={"n_user_boxes": 0 if hints is None else len(hints.boxes), **metadata},
         )
 
     def segment_volume(

@@ -14,6 +14,7 @@ from .experiments import (
     PAPER_REFERENCE,
     ExperimentSetup,
     build_methods,
+    evaluate_benchmark,
     run_all_tables,
     run_table,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "SampleEvaluation",
     "build_methods",
     "comparison_table",
+    "evaluate_benchmark",
     "evaluate_mask",
     "markdown_table",
     "paper_table",

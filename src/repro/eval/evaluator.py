@@ -105,6 +105,14 @@ class Evaluator:
             raise EvaluationError("Evaluator needs at least one method")
         self.methods = dict(methods)
 
+    def check_methods(self, names: Iterable[str]) -> list[str]:
+        """``names`` as a list; raises if any is not a registered method."""
+        names = list(names)
+        unknown = [n for n in names if n not in self.methods]
+        if unknown:
+            raise EvaluationError(f"unknown methods {unknown}; registered: {sorted(self.methods)}")
+        return names
+
     def evaluate(
         self,
         slices: Iterable[AnnotatedSlice],
@@ -112,10 +120,7 @@ class Evaluator:
         method_names: Iterable[str] | None = None,
     ) -> dict[str, MethodEvaluation]:
         """Evaluate (a subset of) methods over the given slices."""
-        names = list(method_names) if method_names is not None else list(self.methods)
-        unknown = [n for n in names if n not in self.methods]
-        if unknown:
-            raise EvaluationError(f"unknown methods {unknown}; registered: {sorted(self.methods)}")
+        names = self.check_methods(method_names if method_names is not None else self.methods)
         slices = list(slices)
         if not slices:
             raise EvaluationError("no slices to evaluate")

@@ -18,6 +18,7 @@ published numbers for EXPERIMENTS.md's paper-vs-measured comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from ..baselines.otsu import otsu_segment
 from ..baselines.sam_only import SamOnlyBaseline, SamOnlyConfig
 from ..core.pipeline import ZenesisConfig, ZenesisPipeline
 from ..data.datasets import BenchmarkDataset, make_benchmark_dataset
+from ..resilience.serving.lifecycle import check_deadline
 from .evaluator import Evaluator, MethodEvaluation
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "PAPER_REFERENCE",
     "ExperimentSetup",
     "build_methods",
+    "evaluate_benchmark",
     "run_all_tables",
     "run_table",
 ]
@@ -104,3 +107,37 @@ def run_table(table: str, setup: ExperimentSetup | None = None) -> MethodEvaluat
     method = TABLE_METHODS[table]
     evaluator = Evaluator(build_methods(setup))
     return evaluator.evaluate(setup.dataset.slices, method_names=[method])[method]
+
+
+def evaluate_benchmark(
+    methods: Iterable[str],
+    *,
+    shape: tuple[int, int] = (128, 128),
+    n_slices: int = 3,
+    zenesis_config: ZenesisConfig | None = None,
+    on_method: Callable[[int, str], None] | None = None,
+) -> tuple[dict[str, MethodEvaluation], dict]:
+    """Mode C on a built-in benchmark of ``shape`` slices, one method at a time.
+
+    Returns the evaluations and their JSON-safe record ``{method: {kind:
+    {metric: summary dict}}}``.  Unknown method names are rejected before
+    any method runs.  The current request deadline (a job's guard, in a
+    job) is checked before each method, and ``on_method(done, name)``
+    fires after each.
+    """
+    setup = ExperimentSetup(
+        dataset=make_benchmark_dataset(shape=tuple(shape), n_slices=n_slices),
+        zenesis_config=zenesis_config or ZenesisConfig(),
+    )
+    evaluator = Evaluator(build_methods(setup))
+    evaluations: dict[str, MethodEvaluation] = {}
+    for done, name in enumerate(evaluator.check_methods(methods), 1):
+        check_deadline(f"evaluate (method {name})")
+        evaluations.update(evaluator.evaluate(setup.dataset.slices, method_names=[name]))
+        if on_method is not None:
+            on_method(done, name)
+    record = {
+        name: {kind: {m: s.as_dict() for m, s in ev.summary(kind).items()} for kind in ev.kinds()}
+        for name, ev in evaluations.items()
+    }
+    return evaluations, record

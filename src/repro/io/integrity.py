@@ -55,6 +55,7 @@ from ..resilience.policy import RetryPolicy
 from .lazy import LazyVolume, SliceDirectoryVolume
 
 __all__ = [
+    "ON_CORRUPT",
     "IngestPolicy",
     "TileStream",
     "Prefetcher",
@@ -65,7 +66,8 @@ __all__ = [
 ]
 
 _SIDECAR_NAME = ".sha256.json"
-_ON_CORRUPT = ("fail", "skip", "degrade")
+#: The values :attr:`IngestPolicy.on_corrupt` accepts.
+ON_CORRUPT = ("fail", "skip", "degrade")
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,9 @@ class IngestPolicy:
     quarantine_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.on_corrupt not in _ON_CORRUPT:
+        if self.on_corrupt not in ON_CORRUPT:
             raise ValidationError(
-                f"on_corrupt must be one of {_ON_CORRUPT}, got {self.on_corrupt!r}"
+                f"on_corrupt must be one of {ON_CORRUPT}, got {self.on_corrupt!r}"
             )
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be >= 1")

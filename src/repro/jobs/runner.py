@@ -531,29 +531,22 @@ class JobRunner:
         }
 
     def _run_evaluate(self, job: JobRecord, worker_id: str, guard: JobGuard, tracer: Tracer) -> dict:
-        """Mode C on the built-in benchmark, mirroring the sync API action."""
-        from ..data.datasets import make_benchmark_dataset
-        from ..eval.evaluator import Evaluator
-        from ..eval.experiments import ExperimentSetup, build_methods
+        """Mode C on the built-in benchmark, with per-method progress."""
+        from ..eval.experiments import evaluate_benchmark
 
         params = job.params
-        shape = tuple(params.get("shape", (128, 128)))
-        n_slices = int(params.get("n_slices", 3))
         methods = list(params.get("methods", ["otsu"]))
         guard.check("evaluate job (setup)")
         self._progress(job, worker_id, 0, len(methods), phase="evaluate")
-        setup = ExperimentSetup(dataset=make_benchmark_dataset(shape=shape, n_slices=n_slices))
-        evaluator = Evaluator(build_methods(setup))
-        out: dict = {}
-        for i, name in enumerate(methods):
-            guard.check(f"evaluate job (method {name})")
-            evaluations = evaluator.evaluate(setup.dataset.slices, method_names=[name])
-            ev = evaluations[name]
-            out[name] = {
-                kind: {m: s.as_dict() for m, s in ev.summary(kind).items()} for kind in ev.kinds()
-            }
-            self._progress(job, worker_id, i + 1, len(methods), phase="evaluate", method=name)
-        return {"evaluations": out, "methods": methods}
+        _, record = evaluate_benchmark(
+            methods,
+            shape=tuple(params.get("shape", (128, 128))),
+            n_slices=int(params.get("n_slices", 3)),
+            on_method=lambda done, name: self._progress(
+                job, worker_id, done, len(methods), phase="evaluate", method=name
+            ),
+        )
+        return {"evaluations": record, "methods": methods}
 
     def _run_synthesize(self, job: JobRecord, worker_id: str, guard: JobGuard, tracer: Tracer) -> dict:
         """Generate a synthetic FIB-SEM acquisition into the results dir."""

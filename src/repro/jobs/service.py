@@ -21,7 +21,10 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.driver import ENGINES
 from ..errors import JobError
+from ..io.integrity import ON_CORRUPT, sidecar_path
+from ..io.lazy import open_lazy_volume
 from ..observability.trace import Tracer
 from ..resilience.events import record_event
 from ..resilience.policy import RetryPolicy
@@ -31,6 +34,34 @@ from .scheduler import JobScheduler
 from .store import JobStore
 
 __all__ = ["JobService"]
+
+
+def _input_stem() -> str:
+    return f"vol-{os.urandom(6).hex()}"
+
+
+def _existing_source(path: Path | str) -> Path:
+    src = Path(path)
+    if not src.exists():
+        raise JobError(f"no such volume source: {os.fspath(src)!r}")
+    return src
+
+
+def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
+    if value not in allowed:
+        raise JobError(f"unknown {what} {value!r}")
+
+
+def _volume_params(prompt: str, temporal: bool, temporal_mode: str) -> dict:
+    """The params every ``segment_volume`` job carries, checked."""
+    _check_choice(temporal_mode, ENGINES, "temporal_mode")
+    return {"prompt": str(prompt), "temporal": bool(temporal), "temporal_mode": str(temporal_mode)}
+
+
+def _with_deadline(params: dict, deadline_s: float | None) -> dict:
+    if deadline_s is not None:
+        params["deadline_s"] = float(deadline_s)
+    return params
 
 
 def _remove_input(path: Path) -> None:
@@ -113,20 +144,12 @@ class JobService:
         voxels = np.asarray(voxels)
         if voxels.ndim != 3:
             raise JobError(f"segment_volume jobs need a 3-D volume, got shape {voxels.shape}")
-        snap = self.store.input_path(f"vol-{os.urandom(6).hex()}")
+        params = _volume_params(prompt, temporal, temporal_mode)
+        snap = self.store.input_path(_input_stem())
         np.save(snap, voxels, allow_pickle=False)
-        if temporal_mode not in ("meanbox", "propagate"):
-            raise JobError(f"unknown temporal_mode {temporal_mode!r}")
-        params = {
-            "prompt": str(prompt),
-            "temporal": bool(temporal),
-            "temporal_mode": str(temporal_mode),
-        }
-        if deadline_s is not None:
-            params["deadline_s"] = float(deadline_s)
         return self.submit(
             "segment_volume",
-            params,
+            _with_deadline(params, deadline_s),
             priority=priority,
             max_attempts=max_attempts,
             session_id=session_id,
@@ -156,47 +179,17 @@ class JobService:
         per-slice checkpoints, so the voxels are never fully resident.  This is the
         upload-by-path route for volumes too large to post through the API.
         """
-        from ..io.integrity import sidecar_path
-        from ..io.lazy import open_lazy_volume
-
-        src = Path(path)
-        if not src.exists():
-            raise JobError(f"no such volume source: {os.fspath(src)!r}")
-        if temporal_mode not in ("meanbox", "propagate"):
-            raise JobError(f"unknown temporal_mode {temporal_mode!r}")
-        if on_corrupt not in ("fail", "skip", "degrade"):
-            raise JobError(f"unknown on_corrupt policy {on_corrupt!r}")
-        # Validate the source opens *before* the copy — a structured error
-        # at submit beats a failed job an hour later.
-        with open_lazy_volume(src):
-            pass
-        stem = f"vol-{os.urandom(6).hex()}"
-        if src.is_dir():
-            snap = self.store.input_path(stem, suffix="")
-            shutil.copytree(src, snap)
-        else:
-            snap = self.store.input_path(stem, suffix=src.suffix)
-            shutil.copyfile(src, snap)
-            side = sidecar_path(src)
-            if side.is_file():
-                shutil.copyfile(side, sidecar_path(snap))
-        params = {
-            "prompt": str(prompt),
-            "temporal": bool(temporal),
-            "temporal_mode": str(temporal_mode),
-            "stream": True,
-            "on_corrupt": str(on_corrupt),
-            "memory_budget_mb": float(memory_budget_mb),
-        }
-        if deadline_s is not None:
-            params["deadline_s"] = float(deadline_s)
+        src = _existing_source(path)
+        params = _volume_params(prompt, temporal, temporal_mode)
+        _check_choice(on_corrupt, ON_CORRUPT, "on_corrupt policy")
+        params.update(stream=True, on_corrupt=str(on_corrupt), memory_budget_mb=float(memory_budget_mb))
         return self.submit(
             "segment_volume",
-            params,
+            _with_deadline(params, deadline_s),
             priority=priority,
             max_attempts=max_attempts,
             session_id=session_id,
-            input_path=str(snap),
+            input_path=str(self._snapshot_source(src)),
         )
 
     def submit_zoo_segment(
@@ -228,17 +221,12 @@ class JobService:
         import hashlib
         import json
 
-        from ..io.integrity import sidecar_path
-        from ..io.lazy import open_lazy_volume
         from ..zoo.registry import load_registry
 
-        src = Path(path)
-        if not src.exists():
-            raise JobError(f"no such volume source: {os.fspath(src)!r}")
+        src = _existing_source(path)
         if mode not in ("best", "ensemble"):
             raise JobError(f"zoo mode must be 'best' or 'ensemble', got {mode!r}")
-        if on_corrupt not in ("fail", "skip", "degrade"):
-            raise JobError(f"unknown on_corrupt policy {on_corrupt!r}")
+        _check_choice(on_corrupt, ON_CORRUPT, "on_corrupt policy")
         if mode == "ensemble" and stream:
             raise JobError(
                 "ensemble mode needs per-slice detections for semantic verification "
@@ -246,12 +234,9 @@ class JobService:
             )
         registry = load_registry(self.store.root)
         task = registry.get(preset)  # raises UnknownPresetError
-        if content_key is None:
-            with open_lazy_volume(src) as vol:
+        with open_lazy_volume(src) as vol:
+            if content_key is None:
                 content_key = vol.content_key()
-        else:
-            with open_lazy_volume(src):
-                pass
         zoo_key = hashlib.sha1(
             json.dumps(
                 {
@@ -273,16 +258,6 @@ class JobService:
                 and rec.state not in ("failed", "cancelled")
             ):
                 return rec, False
-        stem = f"vol-{os.urandom(6).hex()}"
-        if src.is_dir():
-            snap = self.store.input_path(stem, suffix="")
-            shutil.copytree(src, snap)
-        else:
-            snap = self.store.input_path(stem, suffix=src.suffix)
-            shutil.copyfile(src, snap)
-            side = sidecar_path(src)
-            if side.is_file():
-                shutil.copyfile(side, sidecar_path(snap))
         params = {
             "preset": task.name,
             "preset_fingerprint": task.fingerprint(),
@@ -300,17 +275,37 @@ class JobService:
             params["pixel_size_nm"] = float(pixel_size_nm)
         if ensemble:
             params["ensemble"] = dict(ensemble)
-        if deadline_s is not None:
-            params["deadline_s"] = float(deadline_s)
         rec = self.submit(
             "zoo_segment",
-            params,
+            _with_deadline(params, deadline_s),
             priority=priority,
             max_attempts=max_attempts,
             session_id=session_id,
-            input_path=str(snap),
+            input_path=str(self._snapshot_source(src, opened=True)),
         )
         return rec, True
+
+    def _snapshot_source(self, src: Path, *, opened: bool = False) -> Path:
+        """Check ``src`` opens as a volume, then copy it into ``inputs/``.
+
+        A file is copied with its checksum sidecar, when present; a slice
+        directory is copied whole.  Opening first turns an unreadable source
+        into a structured error at submit, not a failed job an hour later;
+        ``opened=True`` skips it for a caller that has just opened ``src``.
+        """
+        if not opened:
+            with open_lazy_volume(src):
+                pass
+        if src.is_dir():
+            snap = self.store.input_path(_input_stem(), suffix="")
+            shutil.copytree(src, snap)
+            return snap
+        snap = self.store.input_path(_input_stem(), suffix=src.suffix)
+        shutil.copyfile(src, snap)
+        side = sidecar_path(src)
+        if side.is_file():
+            shutil.copyfile(side, sidecar_path(snap))
+        return snap
 
     # -- client verbs ----------------------------------------------------------
 

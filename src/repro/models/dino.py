@@ -83,6 +83,17 @@ class Detection:
     token_activations: dict[str, float] = field(default_factory=dict)
     ungrounded: tuple[str, ...] = ()
 
+    @classmethod
+    def empty(cls, shape: tuple[int, ...], ungrounded: tuple[str, ...] = ()) -> "Detection":
+        """No boxes over an all-zero ``shape[:2]`` relevance map."""
+        return cls(
+            boxes=np.zeros((0, 4), dtype=np.float64),
+            scores=np.zeros(0, dtype=np.float64),
+            phrases=(),
+            relevance=np.zeros(shape[:2], dtype=np.float32),
+            ungrounded=tuple(ungrounded),
+        )
+
     @property
     def n_boxes(self) -> int:
         return int(self.boxes.shape[0])

@@ -358,10 +358,3 @@ class SamPredictor:
         if labs.shape[0] != pts.shape[0]:
             raise PromptError(f"{pts.shape[0]} points but {labs.shape[0]} labels")
         return self.sam.analytic.masks_from_points(self._ctx, pts, labs)
-
-    def score_terms(self, mask: np.ndarray) -> dict[str, float]:
-        """Quality decomposition for an arbitrary mask on the current image."""
-        if self._ctx is None:
-            raise PromptError("call set_image before scoring")
-        _, terms = self.sam.analytic.score_mask(self._ctx, mask)
-        return terms

@@ -1,16 +1,12 @@
-"""The no-code platform: sessions, modes A/B/C, JSON API, HTTP server, figures."""
+"""The no-code platform: sessions, the JSON API over Modes A/B/C, HTTP server, figures."""
 
 from .api import ApiHandler
-from .modes import ModeA, ModeB, ModeC
 from .render import render_comparison_figure, render_slice_bundle, save_figure
 from .server import PlatformServer, make_server
 from .session import Session, SessionStore
 
 __all__ = [
     "ApiHandler",
-    "ModeA",
-    "ModeB",
-    "ModeC",
     "PlatformServer",
     "Session",
     "SessionStore",

@@ -44,12 +44,11 @@ from typing import Callable
 import numpy as np
 
 from ..adapt.pipeline import AdaptationPipeline
+from ..core.driver import ENGINES
 from ..core.prompts import SpatialHints
-from ..data.datasets import make_benchmark_dataset
 from ..errors import FormatError, JobError, ReproError, UnknownSessionError, ValidationError
 from ..eval.dashboard import render_dashboard
-from ..eval.evaluator import Evaluator
-from ..eval.experiments import ExperimentSetup, build_methods
+from ..eval.experiments import evaluate_benchmark
 from ..io.png import encode_png
 from ..resilience.policy import Deadline
 from ..resilience.serving import default_breakers, request_scope, serving_snapshot
@@ -57,6 +56,16 @@ from ..viz.overlay import overlay_mask
 from .session import Session, SessionStore
 
 __all__ = ["ApiHandler"]
+
+
+def _job_options(request: dict, session: Session | None, **casts: Callable) -> dict:
+    """Job-service submit keywords: the ``casts`` params the request sets,
+    each cast (unset ones keep the service's defaults), plus the session."""
+    opts = {name: cast(request[name]) for name, cast in casts.items() if request.get(name) is not None}
+    if session is not None:
+        opts["session_id"] = session.session_id
+    return opts
+
 
 class ApiHandler:
     """Dispatches JSON actions onto a :class:`SessionStore`."""
@@ -273,7 +282,7 @@ class ApiHandler:
         if go_async:
             return self._submit_volume_job(session, request, redirected=mode is None)
         temporal_mode = request.get("temporal_mode")
-        if temporal_mode is not None and temporal_mode not in ("meanbox", "propagate"):
+        if temporal_mode is not None and temporal_mode not in ENGINES:
             raise ValidationError(
                 f"temporal_mode must be 'meanbox' or 'propagate', got {temporal_mode!r}"
             )
@@ -302,34 +311,19 @@ class ApiHandler:
     def _submit_volume_job(self, session: Session, request: dict, *, redirected: bool) -> dict:
         """Turn a segment_volume request into a durable background job."""
         jobs = self._require_jobs()
+        prompt = str(request["prompt"])
+        opts = _job_options(request, session, temporal=bool, temporal_mode=str, priority=int)
+        opts["deadline_s"] = request.get("job_deadline_s")
         if session.lazy_volume is not None:
             if session.lazy_volume.source_path is None:
                 raise JobError("streaming jobs need an on-disk source volume")
-            job = jobs.submit_segment_volume_path(
-                session.lazy_volume.source_path,
-                str(request["prompt"]),
-                temporal=bool(request.get("temporal", True)),
-                temporal_mode=str(request.get("temporal_mode", "meanbox")),
-                on_corrupt=str(request.get("on_corrupt", "fail")),
-                memory_budget_mb=float(request.get("memory_budget_mb", 64.0)),
-                deadline_s=request.get("job_deadline_s"),
-                priority=int(request.get("priority", 0)),
-                session_id=session.session_id,
-            )
+            opts.update(_job_options(request, None, on_corrupt=str, memory_budget_mb=float))
+            job = jobs.submit_segment_volume_path(session.lazy_volume.source_path, prompt, **opts)
         elif session.volume is None:
             raise JobError("segment_volume jobs require a loaded volume")
         else:
-            job = jobs.submit_segment_volume(
-                session.volume.voxels,
-                str(request["prompt"]),
-                temporal=bool(request.get("temporal", True)),
-                temporal_mode=str(request.get("temporal_mode", "meanbox")),
-                deadline_s=request.get("job_deadline_s"),
-                priority=int(request.get("priority", 0)),
-                session_id=session.session_id,
-            )
-        session.job_ids.append(job.job_id)
-        session.history.append({"action": "job_submit", "job_id": job.job_id, "kind": job.kind})
+            job = jobs.submit_segment_volume(session.volume.voxels, prompt, **opts)
+        session.record_job(job)
         return {"accepted": True, "job_id": job.job_id, "job": job.public_view(), "redirected": redirected}
 
     def _zoo_registry(self):
@@ -357,36 +351,27 @@ class ApiHandler:
         idempotent per (volume content, preset, mode)."""
         jobs = self._require_jobs()
         path = request.get("path")
-        session_id = request.get("session_id")
-        session = self._session(request) if session_id is not None else None
+        session = self._session(request) if request.get("session_id") is not None else None
         if path is None and session is not None and session.lazy_volume is not None:
             path = session.lazy_volume.source_path
         if path is None:
             raise JobError("zoo_segment jobs need 'path' (or a session with a streamed volume)")
-        ensemble = request.get("ensemble")
+        opts = _job_options(
+            request,
+            session,
+            mode=str,
+            stream=bool,
+            on_corrupt=str,
+            memory_budget_mb=float,
+            ensemble=dict,
+            priority=int,
+        )
         job, created = jobs.submit_zoo_segment(
-            str(path),
-            str(request["preset"]),
-            mode=str(request.get("mode", "best")),
-            stream=bool(request.get("stream", False)),
-            on_corrupt=str(request.get("on_corrupt", "fail")),
-            memory_budget_mb=float(request.get("memory_budget_mb", 64.0)),
-            ensemble=dict(ensemble) if ensemble else None,
-            deadline_s=request.get("job_deadline_s"),
-            priority=int(request.get("priority", 0)),
-            session_id=str(session_id) if session_id is not None else None,
+            str(path), str(request["preset"]), deadline_s=request.get("job_deadline_s"), **opts
         )
         if session is not None:
-            session.job_ids.append(job.job_id)
-            session.history.append(
-                {"action": "job_submit", "job_id": job.job_id, "kind": job.kind}
-            )
-        return {
-            "accepted": True,
-            "job_id": job.job_id,
-            "job": job.public_view(),
-            "created": created,
-        }
+            session.record_job(job)
+        return {"accepted": True, "job_id": job.job_id, "job": job.public_view(), "created": created}
 
     def _job_submit(self, request: dict) -> dict:
         """Explicit submit of any job kind; ``accepted: true`` maps to 202."""
@@ -396,17 +381,12 @@ class ApiHandler:
             return self._submit_volume_job(self._session(request), request, redirected=False)
         if kind == "zoo_segment":
             return self._submit_zoo_job(request)
-        session_id = request.get("session_id")
+        session = self._session(request) if request.get("session_id") is not None else None
         job = jobs.submit(
-            kind,
-            dict(request.get("params", {})),
-            priority=int(request.get("priority", 0)),
-            session_id=str(session_id) if session_id is not None else None,
+            kind, dict(request.get("params", {})), **_job_options(request, session, priority=int)
         )
-        if session_id is not None:
-            session = self._session(request)
-            session.job_ids.append(job.job_id)
-            session.history.append({"action": "job_submit", "job_id": job.job_id, "kind": kind})
+        if session is not None:
+            session.record_job(job)
         return {"accepted": True, "job_id": job.job_id, "job": job.public_view()}
 
     def _job_status(self, request: dict) -> dict:
@@ -428,19 +408,13 @@ class ApiHandler:
 
     def _evaluate(self, request: dict) -> dict:
         """Mode C on the built-in benchmark (or a reduced variant)."""
-        shape = tuple(request.get("shape", (128, 128)))
-        n_slices = int(request.get("n_slices", 3))
-        methods = request.get("methods", ["otsu"])
-        setup = ExperimentSetup(dataset=make_benchmark_dataset(shape=shape, n_slices=n_slices))
-        evaluator = Evaluator(build_methods(setup))
-        evaluations = evaluator.evaluate(setup.dataset.slices, method_names=methods)
-        out = {}
-        for name, ev in evaluations.items():
-            out[name] = {
-                kind: {m: s.as_dict() for m, s in ev.summary(kind).items()} for kind in ev.kinds()
-            }
+        evaluations, record = evaluate_benchmark(
+            request.get("methods", ["otsu"]),
+            shape=tuple(request.get("shape", (128, 128))),
+            n_slices=int(request.get("n_slices", 3)),
+        )
         self._last_evaluations = evaluations
-        return {"evaluations": out}
+        return {"evaluations": record}
 
     def _dashboard(self, request: dict) -> dict:
         del request

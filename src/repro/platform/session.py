@@ -14,8 +14,9 @@ Serving contract (see DESIGN.md §"Serving failure model"):
   deadline (:func:`repro.resilience.serving.check_deadline`) is re-checked
   at stage boundaries and immediately before commit, so a 504 never leaves
   a half-mutated session;
-* :meth:`Session.segment` runs the pipeline *decomposed* (adapt → ground →
-  decode) under the store's circuit breakers: a tripped grounding breaker
+* :meth:`Session.segment` runs the pipeline's own Mode A stages (adapt →
+  ground → :meth:`~repro.core.pipeline.ZenesisPipeline.decode`) one by one
+  under the store's circuit breakers: a tripped grounding breaker
   degrades to the session's last-good boxes (or the SAM-only automatic
   path), a tripped SAM breaker degrades to the relevance-threshold mask,
   and the result is tagged ``degraded`` instead of failing the request;
@@ -36,6 +37,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..adapt.readiness import score_readiness
+from ..baselines.otsu import otsu_segment
 from ..core.hierarchy import SegmentNode, further_segment
 from ..core.hitl import RectifySession
 from ..core.pipeline import ZenesisConfig, ZenesisPipeline
@@ -53,7 +55,6 @@ from ..io.formats import load_image_file
 from ..io.lazy import LazyVolume, open_lazy_volume
 from ..models.dino import Detection
 from ..observability.metrics import get_registry
-from ..observability.trace import trace
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.serving.lifecycle import check_deadline
@@ -62,6 +63,9 @@ from ..utils.validation import ensure_finite
 __all__ = ["Session", "SessionStore"]
 
 _session_counter = itertools.count(1)
+
+#: Per guarded stage: the injectable fault that fails it and the error it raises.
+_STAGE_FAULTS = {"grounding": ("grounding_error", GroundingError), "sam": ("sam_error", PipelineError)}
 
 #: How many evicted session ids the store remembers (for the "evicted"
 #: hint on late requests); beyond this, old ids degrade to plain unknown.
@@ -220,40 +224,48 @@ class Session:
 
     # -- Mode A: guarded, degradable segmentation ---------------------------------
 
+    def _guarded(self, stage: str, call: Callable[[], Any], degraded: list[str]) -> Any:
+        """``call()`` under the ``stage`` breaker; ``None`` when it is open or fails.
+
+        Each way to ``None`` is tagged in ``degraded``.  Without a breaker
+        configured, failures propagate unchanged.
+        """
+        breaker = self.breakers.get(stage)
+        if breaker is not None and not breaker.allow():
+            degraded.append(f"{stage}:open")
+            return None
+        fault, error = _STAGE_FAULTS[stage]
+        try:
+            if get_fault_plan().should_fire(fault, action="segment"):
+                raise error(f"injected {fault} fault")
+            out = call()
+        except (PipelineError, RetryExhaustedError) as exc:
+            if breaker is None:
+                raise
+            breaker.record_failure()
+            degraded.append(f"{stage}:{type(exc).__name__}")
+            return None
+        if breaker is not None:
+            breaker.record_success()
+        return out
+
     def _ground_guarded(self, det_img: np.ndarray, prompt: str, degraded: list[str]) -> Detection | None:
         """Grounding under the breaker: failures degrade to last-good boxes.
 
         Returns ``None`` when grounding is unavailable *and* no last-good
         detection exists — the caller then takes the SAM-only path.
-        Without a breaker configured, failures propagate unchanged.
         """
-        breaker = self.breakers.get("grounding")
-        if breaker is not None and not breaker.allow():
-            degraded.append("grounding:open")
-        else:
-            try:
-                if get_fault_plan().should_fire("grounding_error", action="segment"):
-                    raise GroundingError("injected grounding_error fault")
-                detection = self.pipeline.ground(np.asarray(det_img), prompt)
-            except (GroundingError, PipelineError, RetryExhaustedError) as exc:
-                if breaker is None:
-                    raise
-                breaker.record_failure()
-                degraded.append(f"grounding:{type(exc).__name__}")
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                self.last_good_detection = detection
-                return detection
+        detection = self._guarded(
+            "grounding", lambda: self.pipeline.ground(np.asarray(det_img), prompt), degraded
+        )
+        if detection is not None:
+            self.last_good_detection = detection
+            return detection
         if self.last_good_detection is not None:
             degraded.append("grounding:last_good_boxes")
             return self.last_good_detection
         degraded.append("grounding:sam_only_fallback")
         return None
-
-    def _relevance_mask(self, detection: Detection) -> np.ndarray:
-        """SAM-free fallback: threshold the text-grounded relevance map."""
-        return np.asarray(detection.relevance) >= self.pipeline.config.box_threshold
 
     def _sam_only_mask(self, seg_img: np.ndarray) -> np.ndarray:
         """Grounding-free fallback: SAM's automatic max-confidence mask.
@@ -263,8 +275,6 @@ class Session:
         """
         sam_breaker = self.breakers.get("sam")
         if sam_breaker is not None and not sam_breaker.allow():
-            from ..baselines.otsu import otsu_segment
-
             return otsu_segment(seg_img)
         from ..models.sam.automatic import SamAutomaticMaskGenerator
 
@@ -274,8 +284,6 @@ class Session:
         except Exception:
             if sam_breaker is not None:
                 sam_breaker.record_failure()
-            from ..baselines.otsu import otsu_segment
-
             return otsu_segment(seg_img)
         if sam_breaker is not None:
             sam_breaker.record_success()
@@ -283,41 +291,16 @@ class Session:
             return np.zeros(np.asarray(seg_img).shape, dtype=bool)
         return np.asarray(records[0]["segmentation"], dtype=bool)
 
-    def _decode_guarded(
-        self,
-        seg_img: np.ndarray,
-        detection: Detection | None,
-        boxes: np.ndarray | None,
-        degraded: list[str],
-    ) -> tuple[np.ndarray, list[np.ndarray], list[str]]:
-        """SAM decoding under its breaker; degrades to the relevance mask."""
-        if detection is None:
-            return self._sam_only_mask(seg_img), [], []
-        breaker = self.breakers.get("sam")
-        if breaker is not None and not breaker.allow():
-            degraded.append("sam:open")
-            return self._relevance_mask(detection), [], []
-        try:
-            if get_fault_plan().should_fire("sam_error", action="segment"):
-                raise PipelineError("injected sam_error fault")
-            mask, per_box, kinds = self.pipeline.segment_with_boxes(seg_img, detection, boxes)
-        except (PipelineError, RetryExhaustedError) as exc:
-            if breaker is None:
-                raise
-            breaker.record_failure()
-            degraded.append(f"sam:{type(exc).__name__}")
-            return self._relevance_mask(detection), [], []
-        if breaker is not None:
-            breaker.record_success()
-        return mask, per_box, kinds
-
     def segment(self, prompt: str, hints=None) -> SliceResult:
         """Interactive segmentation of the active image/slice.
 
-        Runs the pipeline decomposed so each model stage sits behind its
-        circuit breaker; the per-request deadline is re-checked between
-        stages and before the session mutation commits.  A degraded result
-        lists what fell back in ``result.metadata["degraded"]``.
+        Runs the pipeline's Mode A stages one by one so each model stage
+        sits behind its circuit breaker; the per-request deadline is
+        re-checked between stages and before the session mutation commits.
+        A degraded result lists what fell back in
+        ``result.metadata["degraded"]``.  Without grounding the SAM-only
+        path answers; without the SAM decode (box and point prompts alike)
+        the thresholded relevance map does.
         """
         image = self.current_image()
         text = str(prompt)
@@ -326,45 +309,28 @@ class Session:
         check_deadline("segment (post-adapt)")
         detection = self._ground_guarded(det_img, text, degraded)
         check_deadline("segment (post-ground)")
-        boxes = None
-        if detection is not None:
-            boxes = detection.boxes
-            if hints is not None and hints.boxes:
-                user_boxes = np.stack(hints.validated_boxes(seg_img.shape))
-                boxes = np.concatenate([boxes, user_boxes], axis=0) if len(boxes) else user_boxes
-        mask, per_box, kinds = self._decode_guarded(seg_img, detection, boxes, degraded)
-        if detection is not None and hints is not None and hints.has_points:
-            coords, labels = hints.point_arrays()
-            with trace("sam.point_prompts"):
-                hyps = self.pipeline.predictor.masks_from_points(coords, labels)
-            mask = mask | max(hyps, key=lambda hh: hh.score).mask
         if detection is None:
-            h, w = np.asarray(seg_img).shape[:2]
-            detection = Detection(
-                boxes=np.zeros((0, 4), dtype=np.float64),
-                scores=np.zeros(0, dtype=np.float64),
-                phrases=(),
-                relevance=np.zeros((h, w), dtype=np.float32),
-                ungrounded=(text,),
+            decoded = self._sam_only_mask(seg_img), [], []
+            detection = Detection.empty(np.shape(seg_img), (text,))
+        else:
+            if hints is not None:
+                # Reject bad user boxes before the breaker admits the call,
+                # so a malformed request never spends a half-open probe.
+                hints.validated_boxes(seg_img.shape)
+            decoded = self._guarded(
+                "sam", lambda: self.pipeline.decode(seg_img, detection, hints), degraded
             )
+            if decoded is None:
+                relevance = np.asarray(detection.relevance) >= self.pipeline.config.box_threshold
+                decoded = relevance, [], []
         if degraded:
             record_event("server.degraded")
             for stage in degraded:
                 get_registry().counter(
                     "repro_server_degraded_total", stage=stage.split(":", 1)[0]
                 ).inc()
-        get_registry().counter("repro_pipeline_images_total").inc()
-        metadata: dict = {"n_user_boxes": 0 if hints is None else len(hints.boxes)}
-        if degraded:
-            metadata["degraded"] = tuple(degraded)
-        result = SliceResult(
-            mask=mask,
-            detection=detection,
-            per_box_masks=tuple(per_box),
-            per_box_kinds=tuple(kinds),
-            prompt=text,
-            metadata=metadata,
-        )
+        extra = {"degraded": tuple(degraded)} if degraded else {}
+        result = self.pipeline.image_result(text, detection, decoded, hints, **extra)
         # Commit point: nothing above mutated the session, so a deadline
         # expiry here leaves the workspace exactly as the client knew it.
         check_deadline("segment (pre-commit)")
@@ -408,6 +374,11 @@ class Session:
         node = further_segment(self.pipeline, seg_img, region, prompt, parent=self.hierarchy_root)
         self.history.append({"action": "further_segment", "prompt": prompt})
         return node
+
+    def record_job(self, job) -> None:
+        """Note a background job this session submitted (see ``job_ids``)."""
+        self.job_ids.append(job.job_id)
+        self.history.append({"action": "job_submit", "job_id": job.job_id, "kind": job.kind})
 
     # -- Mode B --------------------------------------------------------------------
 

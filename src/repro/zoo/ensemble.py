@@ -64,15 +64,6 @@ class EnsembleConfig:
         if not 0.0 < self.vote_floor <= 1.0:
             raise ZooError(f"vote_floor must be in (0, 1], got {self.vote_floor}")
 
-    def to_params(self) -> dict:
-        return {
-            "size": self.size,
-            "threshold_spread": self.threshold_spread,
-            "band_ks": list(self.band_ks),
-            "min_relevance_overlap": self.min_relevance_overlap,
-            "vote_floor": self.vote_floor,
-        }
-
     @classmethod
     def from_params(cls, params: dict | None) -> "EnsembleConfig":
         if not params:

@@ -100,6 +100,16 @@ class TestSegment:
         assert rc == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    def test_stream_resume_uses_default_checkpoint_dir(self, volume_file, capsys):
+        from repro.resilience import event_count
+
+        base = ["segment", str(volume_file), "catalyst particles", "--stream"]
+        assert main(base) == 0
+        assert (volume_file.parent / "vol.tif.ckpt" / "manifest.json").exists()
+        before = event_count("checkpoint.resumed_slices")
+        assert main([*base, "--resume"]) == 0
+        assert event_count("checkpoint.resumed_slices") > before
+
 
 class TestBatch:
     def test_batch_runs(self, volume_file, tmp_path, capsys):

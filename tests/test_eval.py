@@ -12,6 +12,7 @@ from repro.eval.experiments import (
     PAPER_REFERENCE,
     ExperimentSetup,
     build_methods,
+    evaluate_benchmark,
     run_table,
 )
 from repro.eval.report import comparison_table, markdown_table, paper_table
@@ -120,6 +121,17 @@ class TestExperiments:
         cry = ev.summary("crystalline", ["iou"])["iou"].mean
         amo = ev.summary("amorphous", ["iou"])["iou"].mean
         assert amo > cry
+
+    def test_evaluate_benchmark_rejects_unknown_before_running(self):
+        ran: list[str] = []
+        with pytest.raises(EvaluationError, match="unknown methods"):
+            evaluate_benchmark(
+                ["otsu", "bogus"],
+                shape=(32, 32),
+                n_slices=1,
+                on_method=lambda done, name: ran.append(name),
+            )
+        assert ran == []
 
     def test_default_prompt(self):
         assert DEFAULT_PROMPT == "catalyst particles"

@@ -465,6 +465,73 @@ class TestLeaseLossRace:
 # -- service + runner ----------------------------------------------------------
 
 
+class TestRejectedSubmit:
+    """A submit that raises leaves no input snapshot behind."""
+
+    @staticmethod
+    def _inputs(svc: JobService) -> list:
+        return list((svc.store.root / "inputs").iterdir())
+
+    def test_array_submit(self, tmp_path):
+        svc = JobService(tmp_path / "jobs")
+        with pytest.raises(JobError, match="temporal_mode"):
+            svc.submit_segment_volume(_volume(3), PROMPT, temporal_mode="bogus")
+        assert self._inputs(svc) == []
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"temporal_mode": "bogus"}, "temporal_mode"), ({"on_corrupt": "bogus"}, "on_corrupt")],
+    )
+    def test_path_submit(self, tmp_path, kwargs, match):
+        from repro.io.tiff import write_tiff
+
+        src = tmp_path / "vol.tif"
+        write_tiff(src, _volume(3))
+        svc = JobService(tmp_path / "jobs")
+        with pytest.raises(JobError, match=match):
+            svc.submit_segment_volume_path(src, PROMPT, **kwargs)
+        assert self._inputs(svc) == []
+
+    def test_path_submit_unreadable_source(self, tmp_path):
+        from repro.errors import FormatError
+
+        src = tmp_path / "vol.tif"
+        src.write_bytes(b"not a volume")
+        svc = JobService(tmp_path / "jobs")
+        with pytest.raises(FormatError):
+            svc.submit_segment_volume_path(src, PROMPT)
+        assert self._inputs(svc) == []
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"mode": "bogus"}, "zoo mode"),
+            ({"on_corrupt": "bogus"}, "on_corrupt"),
+            ({"mode": "ensemble", "stream": True}, "streaming"),
+        ],
+    )
+    def test_zoo_submit(self, tmp_path, kwargs, match):
+        from repro.io.tiff import write_tiff
+
+        src = tmp_path / "vol.tif"
+        write_tiff(src, _volume(3))
+        svc = JobService(tmp_path / "jobs")
+        with pytest.raises(JobError, match=match):
+            svc.submit_zoo_segment(src, "crystalline_catalyst", **kwargs)
+        assert self._inputs(svc) == []
+
+    def test_zoo_submit_unknown_preset(self, tmp_path):
+        from repro.errors import UnknownPresetError
+        from repro.io.tiff import write_tiff
+
+        src = tmp_path / "vol.tif"
+        write_tiff(src, _volume(3))
+        svc = JobService(tmp_path / "jobs")
+        with pytest.raises(UnknownPresetError):
+            svc.submit_zoo_segment(src, "not_a_preset")
+        assert self._inputs(svc) == []
+
+
 class TestJobExecution:
     def test_segment_volume_job_bit_identical_to_sync(self, tmp_path):
         vol = _volume(3)
@@ -515,6 +582,19 @@ class TestJobExecution:
         sy_res = svc.result(sy.job_id)
         assert sy_res["state"] == SUCCEEDED
         assert Path(sy_res["result"]["out_path"]).exists()
+
+    def test_evaluate_job_equals_evaluate_action(self, tmp_path):
+        from repro.platform.api import ApiHandler
+
+        params = {"shape": [64, 64], "n_slices": 1, "methods": ["otsu"]}
+        svc = JobService(tmp_path / "jobs")
+        job = svc.submit("evaluate", params)
+        svc.runner.run_until_idle()
+        res = svc.result(job.job_id)
+        assert res["state"] == SUCCEEDED
+        action = ApiHandler().handle({"action": "evaluate", **params})
+        assert action["ok"]
+        assert res["result"]["evaluations"] == action["evaluations"]
 
     def test_cancel_before_run_and_cooperative_cancel(self, tmp_path):
         svc = JobService(tmp_path / "jobs")

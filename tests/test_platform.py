@@ -1,4 +1,4 @@
-"""Tests for the platform layer: sessions, modes, JSON API, HTTP server."""
+"""Tests for the platform layer: sessions (Modes A and B), JSON API, HTTP server."""
 
 import json
 import threading
@@ -9,12 +9,14 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core.pipeline import ZenesisPipeline
+from repro.core.prompts import SpatialHints
 from repro.errors import SessionError
 from repro.io.tiff import write_tiff
 from repro.platform.api import ApiHandler
-from repro.platform.modes import ModeA, ModeB
 from repro.platform.server import PlatformServer
 from repro.platform.session import SessionStore
+from repro.resilience.serving import default_breakers
 
 
 @pytest.fixture()
@@ -83,18 +85,41 @@ class TestSession:
 
 
 class TestModes:
-    def test_mode_a_wraps_session(self, loaded_session):
-        mode_a = ModeA(loaded_session)
-        mode_a.select_slice(1)
-        result = mode_a.segment("catalyst particles")
+    def test_mode_a_segments_selected_slice(self, loaded_session):
+        loaded_session.select_slice(1)
+        result = loaded_session.segment("catalyst particles")
         assert result.mask.shape == (128, 128)
 
-    def test_mode_b_wraps_session(self, loaded_session):
-        mode_b = ModeB(loaded_session)
-        result = mode_b.segment_volume("catalyst particles")
+    def test_mode_b_equals_pipeline(self, loaded_session):
+        result = loaded_session.segment_volume("catalyst particles")
         assert result.masks.shape == loaded_session.volume.shape
         direct = loaded_session.pipeline.segment_volume(loaded_session.volume, "catalyst particles")
         assert np.array_equal(result.masks, direct.masks)
+
+
+class TestModeAOnePath:
+    """``Session.segment`` with no breaker tripped is ``segment_image``."""
+
+    @pytest.mark.parametrize(
+        "hints",
+        [
+            None,
+            SpatialHints(boxes=((10.0, 12.0, 50.0, 44.0),)),
+            SpatialHints(positive_points=((48.0, 40.0),)),
+        ],
+        ids=["prompt", "user_boxes", "positive_points"],
+    )
+    def test_session_equals_segment_image(self, mini_dataset, hints):
+        pixels = mini_dataset.slices[0].image.pixels
+        session = SessionStore(breakers=default_breakers()).create()
+        session.load_array(pixels)
+        got = session.segment("catalyst particles", hints=hints)
+        want = ZenesisPipeline().segment_image(pixels, "catalyst particles", hints=hints)
+        assert "degraded" not in got.metadata
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert np.array_equal(got.detection.boxes, want.detection.boxes)
+        assert got.per_box_kinds == want.per_box_kinds
+        assert got.metadata == want.metadata
 
 
 class TestApi:

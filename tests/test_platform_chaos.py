@@ -411,6 +411,57 @@ class TestBreakerDegradation:
         assert r["ok"] and r["degraded"]
         assert "sam:PipelineError" in r["degraded_stages"]
 
+    @pytest.fixture()
+    def points_fail(self, monkeypatch):
+        """SAM's point prompts raise, as a broken SAM backend would."""
+        from repro.errors import PipelineError
+        from repro.models.sam.model import SamPredictor
+
+        def broken(self, *args, **kwargs):
+            raise PipelineError("SAM is down")
+
+        monkeypatch.setattr(SamPredictor, "masks_from_points", broken)
+
+    @pytest.mark.parametrize("points", [None, [[24.0, 24.0]]], ids=["no_points", "points"])
+    def test_open_sam_breaker_skips_point_prompts(self, points_fail, points):
+        breakers = default_breakers(failure_threshold=1, recovery_timeout_s=60.0)
+        breakers["sam"].record_failure()
+        api, sid = self._loaded_api(breakers)
+        req = {"action": "segment", "session_id": sid, "prompt": "catalyst particles"}
+        if points is not None:
+            req["positive_points"] = points
+        r = api.handle(req)
+        assert r["ok"] and r["degraded_stages"] == ["sam:open"]
+
+    def test_point_prompt_failure_trips_sam_breaker(self, points_fail):
+        breakers = default_breakers(failure_threshold=1, recovery_timeout_s=60.0)
+        api, sid = self._loaded_api(breakers)
+        r = api.handle(
+            {
+                "action": "segment",
+                "session_id": sid,
+                "prompt": "catalyst particles",
+                "positive_points": [[24.0, 24.0]],
+            }
+        )
+        assert r["ok"] and r["degraded_stages"] == ["sam:PipelineError"]
+        assert breakers["sam"].state == OPEN
+
+    def test_malformed_box_spends_no_half_open_probe(self):
+        clk = FakeClock()
+        breakers = default_breakers(failure_threshold=1, recovery_timeout_s=5.0, clock=clk)
+        api, sid = self._loaded_api(breakers)
+        sb = breakers["sam"]
+        sb.record_failure()
+        clk.advance(5.1)
+        assert sb.state == HALF_OPEN
+        req = {"action": "segment", "session_id": sid, "prompt": "catalyst particles"}
+        bad = api.handle({**req, "boxes": [[30.0, 10.0, 20.0, 40.0]]})  # x1 <= x0
+        assert not bad["ok"] and bad["type"] == "ValidationError"
+        r = api.handle(req)  # the probe is still there: SAM runs and closes
+        assert r["ok"] and "degraded" not in r
+        assert sb.state == CLOSED
+
     def test_both_breakers_open_still_answers(self, monkeypatch):
         breakers = default_breakers(failure_threshold=1, recovery_timeout_s=60.0)
         api, sid = self._loaded_api(breakers)
