@@ -15,7 +15,7 @@ from repro.eval.report import paper_table
 from .conftest import assert_full_run_golden, check_paper_shape
 
 
-def test_table1_otsu_rows(table_evaluations, artifact_dir, benchmark):
+def test_table1_otsu_rows(table_evaluations, artifact_dir):
     ev = table_evaluations["otsu"]
     print()
     print(paper_table(ev, title="Table 1 — Otsu threshold: Average Performance Metrics"))

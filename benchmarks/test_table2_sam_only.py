@@ -17,7 +17,7 @@ from repro.eval.report import paper_table
 from .conftest import assert_full_run_golden, check_paper_shape
 
 
-def test_table2_sam_only_rows(table_evaluations, artifact_dir, benchmark):
+def test_table2_sam_only_rows(table_evaluations, artifact_dir):
     ev = table_evaluations["sam_only"]
     print()
     print(paper_table(ev, title="Table 2 — SAM-only: Average Performance Metrics"))

@@ -16,7 +16,7 @@ from repro.eval.report import comparison_table, paper_table
 from .conftest import assert_full_run_golden, check_paper_shape
 
 
-def test_table3_zenesis_rows(table_evaluations, artifact_dir, benchmark):
+def test_table3_zenesis_rows(table_evaluations, artifact_dir):
     ev = table_evaluations["zenesis"]
     print()
     print(paper_table(ev, title="Table 3 — Zenesis: Average Performance Metrics"))

@@ -25,6 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ReproError, error_record
+from .io.integrity import ON_CORRUPT
+
 __all__ = ["main", "build_parser"]
 
 
@@ -81,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--on-corrupt",
-        choices=["fail", "skip", "degrade"],
+        choices=ON_CORRUPT,
         default="fail",
         help="streaming policy for corrupt tiles: fail the run, skip (zero "
         "mask), or degrade (segment salvaged bytes); skip/degrade record the "
@@ -135,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream volumes out-of-core (BEST mode only)",
     )
-    p.add_argument("--on-corrupt", choices=["fail", "skip", "degrade"], default="fail")
+    p.add_argument("--on-corrupt", choices=ON_CORRUPT, default="fail")
     p.add_argument("--memory-budget-mb", type=float, default=64.0, metavar="MB")
     p.add_argument(
         "--ensemble-size",
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jp.add_argument(
         "--on-corrupt",
-        choices=["fail", "skip", "degrade"],
+        choices=ON_CORRUPT,
         default="fail",
         help="corrupt-tile policy for --stream jobs",
     )
@@ -374,14 +377,7 @@ def _start_observability(args, command: str) -> None:
 
 def _print_repro_error(exc) -> int:
     """Render a :class:`~repro.errors.ReproError` as structured JSON on stderr."""
-    doc = {"ok": False, "type": type(exc).__name__, "error": str(exc)}
-    for attr in ("known", "skipped", "reason", "evicted_reason"):
-        value = getattr(exc, attr, None)
-        if value:
-            doc[attr] = [list(v) if isinstance(v, tuple) else v for v in value] if isinstance(
-                value, tuple
-            ) else value
-    print(json.dumps(doc, indent=2), file=sys.stderr)
+    print(json.dumps({"ok": False, **error_record(exc)}, indent=2), file=sys.stderr)
     return 1
 
 
@@ -527,7 +523,6 @@ def _cmd_io(args) -> int:
 
 def _cmd_batch_dir(args) -> int:
     """``batch <dir> --task PRESET``: fan a folder out as durable zoo jobs."""
-    from .errors import ReproError
     from .jobs import JobService
     from .zoo import run_batch, submit_batch
 
@@ -590,7 +585,6 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    from .errors import ReproError
     from .zoo import load_registry
 
     try:
@@ -701,8 +695,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_jobs(args) -> int:
     from .jobs import JobService
-
-    from .errors import ReproError
 
     svc = JobService(args.jobs_dir)
     cmd = args.jobs_command

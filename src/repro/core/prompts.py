@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import PromptError
+from ..errors import PromptError, ValidationError
 from ..utils.validation import ensure_box
 
 __all__ = ["TextPrompt", "SpatialHints"]
@@ -44,7 +44,19 @@ class SpatialHints:
         return bool(self.positive_points or self.negative_points)
 
     def point_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coords, labels) arrays in SAM convention ((x, y), 1=pos/0=neg)."""
+        """(coords, labels) arrays in SAM convention ((x, y), 1=pos/0=neg).
+
+        A point that is not two numbers raises :class:`ValidationError`;
+        negative points without a positive one raise :class:`PromptError`.
+        """
         coords = list(self.positive_points) + list(self.negative_points)
         labels = [1] * len(self.positive_points) + [0] * len(self.negative_points)
-        return np.asarray(coords, dtype=np.float64).reshape(-1, 2), np.asarray(labels)
+        try:
+            pts = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
+            if len(pts) != len(coords):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValidationError(f"points must be (x, y) number pairs, got {coords!r}") from None
+        if coords and not self.positive_points:
+            raise PromptError("point prompts need at least one positive point")
+        return pts, np.asarray(labels)

@@ -2,7 +2,8 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch the whole family with one clause while still discriminating on the
-specific failure mode.
+specific failure mode.  :func:`error_record` is the one structured form of
+an error that the API, the HTTP server, failed jobs and the CLI report.
 """
 
 from __future__ import annotations
@@ -125,14 +126,6 @@ class AdmissionRejectedError(ReproError, RuntimeError):
         self.retry_after_s = float(retry_after_s)
 
 
-class CircuitOpenError(ReproError, RuntimeError):
-    """A circuit breaker is open: the protected stage is being skipped.
-
-    Callers that have a degraded path should catch this and fall back;
-    callers that do not will surface it as a structured error.
-    """
-
-
 class JobError(ReproError, RuntimeError):
     """A background job could not be submitted, scheduled, or executed."""
 
@@ -196,3 +189,21 @@ class UnknownSessionError(SessionError):
     def __init__(self, message: str, *, evicted_reason: str | None = None) -> None:
         super().__init__(message)
         self.evicted_reason = evicted_reason
+
+
+def _plain(value):
+    """``value`` with tuples turned into lists, as JSON would read it back."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def error_record(exc: BaseException) -> dict:
+    """The structured record of ``exc``: ``{"type", "error"}`` plus any of
+    ``known``, ``skipped``, ``reason`` and ``evicted_reason`` it sets."""
+    record = {"type": type(exc).__name__, "error": str(exc)}
+    for name in ("known", "skipped", "reason", "evicted_reason"):
+        value = getattr(exc, name, None)
+        if value:
+            record[name] = _plain(value)
+    return record

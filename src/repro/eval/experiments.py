@@ -18,7 +18,7 @@ published numbers for EXPERIMENTS.md's paper-vs-measured comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "DEFAULT_PROMPT",
     "PAPER_REFERENCE",
     "ExperimentSetup",
+    "benchmark_request",
     "build_methods",
     "evaluate_benchmark",
     "run_all_tables",
@@ -107,6 +108,14 @@ def run_table(table: str, setup: ExperimentSetup | None = None) -> MethodEvaluat
     method = TABLE_METHODS[table]
     evaluator = Evaluator(build_methods(setup))
     return evaluator.evaluate(setup.dataset.slices, method_names=[method])[method]
+
+
+def benchmark_request(params: Mapping) -> tuple[list[str], dict]:
+    """A Mode C request's methods (``otsu`` unless it names some) and the
+    :func:`evaluate_benchmark` keywords it sets (``shape``, ``n_slices``), cast."""
+    casts = {"shape": tuple, "n_slices": int}
+    options = {name: cast(params[name]) for name, cast in casts.items() if params.get(name) is not None}
+    return list(params.get("methods", ("otsu",))), options
 
 
 def evaluate_benchmark(

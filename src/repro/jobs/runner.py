@@ -37,7 +37,14 @@ import numpy as np
 from ..cache import array_content_key, config_fingerprint
 from ..core.driver import PHASES, drive_volume
 from ..core.pipeline import ZenesisConfig, ZenesisPipeline
-from ..errors import DeadlineExceededError, FormatError, JobCancelledError, JobError, ReproError
+from ..errors import (
+    DeadlineExceededError,
+    FormatError,
+    JobCancelledError,
+    JobError,
+    ReproError,
+    error_record,
+)
 from ..observability.metrics import get_registry
 from ..observability.trace import Tracer, export_spans
 from ..resilience.events import record_event
@@ -283,41 +290,18 @@ class JobRunner:
         except JobCancelledError:
             spans = finish()
             report(lambda: self.scheduler.cancelled(job.job_id, worker_id, spans=spans))
-        except DeadlineExceededError as exc:
+        except Exception as exc:
             spans = finish(exc)
+            error = error_record(exc)
+            # A ReproError may pass on retry, unless it is the job's own
+            # spent budget; anything else is a runner bug: terminal, with
+            # its traceback.
+            retryable = isinstance(exc, ReproError) and not isinstance(exc, DeadlineExceededError)
+            if not isinstance(exc, ReproError):
+                error["traceback"] = traceback.format_exc(limit=10)
             report(
                 lambda: self.scheduler.fail(
-                    job.job_id,
-                    worker_id,
-                    {"type": type(exc).__name__, "error": str(exc)},
-                    retryable=False,  # the job's own budget is spent; retry won't fit either
-                    spans=spans,
-                )
-            )
-        except ReproError as exc:
-            spans = finish(exc)
-            report(
-                lambda: self.scheduler.fail(
-                    job.job_id,
-                    worker_id,
-                    {"type": type(exc).__name__, "error": str(exc)},
-                    retryable=True,
-                    spans=spans,
-                )
-            )
-        except Exception as exc:  # a runner bug: terminal, keep the traceback
-            spans = finish(exc)
-            report(
-                lambda: self.scheduler.fail(
-                    job.job_id,
-                    worker_id,
-                    {
-                        "type": type(exc).__name__,
-                        "error": str(exc),
-                        "traceback": traceback.format_exc(limit=10),
-                    },
-                    retryable=False,
-                    spans=spans,
+                    job.job_id, worker_id, error, retryable=retryable, spans=spans
                 )
             )
         else:
@@ -368,10 +352,8 @@ class JobRunner:
         policy = None
         if streamed:
             policy = IngestPolicy(
-                on_corrupt=str(params.get("on_corrupt", "fail")),
-                memory_budget_bytes=max(
-                    1, int(float(params.get("memory_budget_mb", 64.0)) * 1024 * 1024)
-                ),
+                on_corrupt=str(params["on_corrupt"]),
+                memory_budget_bytes=max(1, int(float(params["memory_budget_mb"]) * 1024 * 1024)),
             )
         registry = get_registry()
         span = tracer.begin("job.volume", source=job.input_path, temporal_mode=mode)
@@ -532,16 +514,14 @@ class JobRunner:
 
     def _run_evaluate(self, job: JobRecord, worker_id: str, guard: JobGuard, tracer: Tracer) -> dict:
         """Mode C on the built-in benchmark, with per-method progress."""
-        from ..eval.experiments import evaluate_benchmark
+        from ..eval.experiments import benchmark_request, evaluate_benchmark
 
-        params = job.params
-        methods = list(params.get("methods", ["otsu"]))
+        methods, options = benchmark_request(job.params)
         guard.check("evaluate job (setup)")
         self._progress(job, worker_id, 0, len(methods), phase="evaluate")
         _, record = evaluate_benchmark(
             methods,
-            shape=tuple(params.get("shape", (128, 128))),
-            n_slices=int(params.get("n_slices", 3)),
+            **options,
             on_method=lambda done, name: self._progress(
                 job, worker_id, done, len(methods), phase="evaluate", method=name
             ),

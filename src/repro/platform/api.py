@@ -46,9 +46,17 @@ import numpy as np
 from ..adapt.pipeline import AdaptationPipeline
 from ..core.driver import ENGINES
 from ..core.prompts import SpatialHints
-from ..errors import FormatError, JobError, ReproError, UnknownSessionError, ValidationError
+from ..errors import (
+    FormatError,
+    JobError,
+    ReproError,
+    SessionError,
+    UnknownSessionError,
+    ValidationError,
+    error_record,
+)
 from ..eval.dashboard import render_dashboard
-from ..eval.experiments import evaluate_benchmark
+from ..eval.experiments import benchmark_request, evaluate_benchmark
 from ..io.png import encode_png
 from ..resilience.policy import Deadline
 from ..resilience.serving import default_breakers, request_scope, serving_snapshot
@@ -158,10 +166,8 @@ class ApiHandler:
             if exc.evicted_reason is not None:
                 payload["evicted"] = exc.evicted_reason
             return payload
-        except ReproError as exc:
-            return {"ok": False, "type": type(exc).__name__, "error": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
-            return {"ok": False, "type": type(exc).__name__, "error": str(exc)}
+        except (ReproError, KeyError, TypeError, ValueError) as exc:
+            return {"ok": False, **error_record(exc)}
         payload.setdefault("ok", True)
         return payload
 
@@ -408,11 +414,8 @@ class ApiHandler:
 
     def _evaluate(self, request: dict) -> dict:
         """Mode C on the built-in benchmark (or a reduced variant)."""
-        evaluations, record = evaluate_benchmark(
-            request.get("methods", ["otsu"]),
-            shape=tuple(request.get("shape", (128, 128))),
-            n_slices=int(request.get("n_slices", 3)),
-        )
+        methods, options = benchmark_request(request)
+        evaluations, record = evaluate_benchmark(methods, **options)
         self._last_evaluations = evaluations
         return {"evaluations": record}
 
@@ -420,7 +423,7 @@ class ApiHandler:
         del request
         evaluations = getattr(self, "_last_evaluations", None)
         if not evaluations:
-            return {"ok": False, "type": "SessionError", "error": "run evaluate before dashboard"}
+            raise SessionError("run evaluate before dashboard")
         return {
             "html": render_dashboard(
                 evaluations,
@@ -455,7 +458,7 @@ class ApiHandler:
 
         session = self._session(request)
         if session.volume is None:
-            return {"ok": False, "type": "SessionError", "error": "propagate_volume requires a loaded volume"}
+            raise SessionError("propagate_volume requires a loaded volume")
         result = propagate_volume(
             session.pipeline,
             session.volume,
@@ -480,7 +483,7 @@ class ApiHandler:
 
         session = self._session(request)
         if session.volume is None:
-            return {"ok": False, "type": "SessionError", "error": "calibrate_concept requires a loaded volume"}
+            raise SessionError("calibrate_concept requires a loaded volume")
         word = str(request["word"])
         images, masks = [], []
         for ann in request["annotations"]:

@@ -35,6 +35,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..cache import export_cache_metrics
+from ..errors import error_record
 from ..observability.metrics import get_registry
 from ..observability.trace import Tracer
 from ..resilience.events import record_event
@@ -199,9 +200,7 @@ def _make_handler(
                 record_event("server.handler_errors")
                 registry.counter("repro_server_requests_total", action=action, status="500").inc()
                 tracer.finish(span, error=exc)
-                self._send_json(
-                    500, {"ok": False, "error": str(exc), "type": type(exc).__name__}
-                )
+                self._send_json(500, {"ok": False, **error_record(exc)})
                 return
             registry.histogram("repro_server_request_seconds", action=action).observe(
                 time.perf_counter() - t0

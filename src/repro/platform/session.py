@@ -19,7 +19,9 @@ Serving contract (see DESIGN.md §"Serving failure model"):
   under the store's circuit breakers: a tripped grounding breaker
   degrades to the session's last-good boxes (or the SAM-only automatic
   path), a tripped SAM breaker degrades to the relevance-threshold mask,
-  and the result is tagged ``degraded`` instead of failing the request;
+  and the result is tagged ``degraded`` instead of failing the request.
+  :meth:`Session._guarded` is the one breaker driver and holds the one
+  rule for what a breaker counts;
 * :class:`SessionStore` is fully synchronized, TTL-evicts idle sessions,
   and LRU-evicts above a capacity cap so session memory is bounded under
   sustained traffic.
@@ -45,11 +47,14 @@ from ..core.results import SliceResult, VolumeResult
 from ..data.image import ScientificImage
 from ..data.volume import ScientificVolume
 from ..errors import (
+    DeadlineExceededError,
     GroundingError,
+    JobCancelledError,
     PipelineError,
-    RetryExhaustedError,
+    PromptError,
     SessionError,
     UnknownSessionError,
+    ValidationError,
 )
 from ..io.formats import load_image_file
 from ..io.lazy import LazyVolume, open_lazy_volume
@@ -58,14 +63,20 @@ from ..observability.metrics import get_registry
 from ..resilience.events import record_event
 from ..resilience.faults import get_fault_plan
 from ..resilience.serving.lifecycle import check_deadline
+from ..utils.logging import get_logger
 from ..utils.validation import ensure_finite
 
 __all__ = ["Session", "SessionStore"]
 
 _session_counter = itertools.count(1)
+_log = get_logger("platform.session")
 
 #: Per guarded stage: the injectable fault that fails it and the error it raises.
 _STAGE_FAULTS = {"grounding": ("grounding_error", GroundingError), "sam": ("sam_error", PipelineError)}
+
+#: Errors that belong to the request, not to a guarded stage: bad input and
+#: the request's own time budget or cancellation.  A breaker never counts them.
+_REQUEST_ERRORS = (ValidationError, PromptError, DeadlineExceededError, JobCancelledError)
 
 #: How many evicted session ids the store remembers (for the "evicted"
 #: hint on late requests); beyond this, old ids degrade to plain unknown.
@@ -227,27 +238,37 @@ class Session:
     def _guarded(self, stage: str, call: Callable[[], Any], degraded: list[str]) -> Any:
         """``call()`` under the ``stage`` breaker; ``None`` when it is open or fails.
 
-        Each way to ``None`` is tagged in ``degraded``.  Without a breaker
-        configured, failures propagate unchanged.
+        One rule decides what the breaker counts: an exception that belongs
+        to the request (:data:`_REQUEST_ERRORS`) surfaces unchanged and
+        hands the admitted call back; any other ``Exception`` is a stage
+        failure.  Failures and open-breaker skips are tagged in ``degraded``.
+        Without a breaker configured, failures propagate unchanged.
         """
+        fault, error = _STAGE_FAULTS[stage]
         breaker = self.breakers.get(stage)
-        if breaker is not None and not breaker.allow():
+        if breaker is None:
+            if get_fault_plan().should_fire(fault, action="segment"):
+                raise error(f"injected {fault} fault")
+            return call()
+        if not breaker.allow():
             degraded.append(f"{stage}:open")
             return None
-        fault, error = _STAGE_FAULTS[stage]
+        outcome = breaker.release
         try:
             if get_fault_plan().should_fire(fault, action="segment"):
                 raise error(f"injected {fault} fault")
             out = call()
-        except (PipelineError, RetryExhaustedError) as exc:
-            if breaker is None:
-                raise
-            breaker.record_failure()
+            outcome = breaker.record_success
+            return out
+        except _REQUEST_ERRORS:
+            raise
+        except Exception as exc:
+            outcome = breaker.record_failure
+            _log.warning("%s stage failed; degrading", stage, exc_info=True)
             degraded.append(f"{stage}:{type(exc).__name__}")
             return None
-        if breaker is not None:
-            breaker.record_success()
-        return out
+        finally:
+            outcome()
 
     def _ground_guarded(self, det_img: np.ndarray, prompt: str, degraded: list[str]) -> Detection | None:
         """Grounding under the breaker: failures degrade to last-good boxes.
@@ -267,26 +288,20 @@ class Session:
         degraded.append("grounding:sam_only_fallback")
         return None
 
-    def _sam_only_mask(self, seg_img: np.ndarray) -> np.ndarray:
+    def _sam_only_mask(self, seg_img: np.ndarray, degraded: list[str]) -> np.ndarray:
         """Grounding-free fallback: SAM's automatic max-confidence mask.
 
-        If the SAM breaker is also open (both model stages down), fall all
-        the way back to a classical Otsu mask — the request still answers.
+        Runs under the SAM breaker; when SAM is open or fails too (both
+        model stages down), a classical Otsu mask answers instead.
         """
-        sam_breaker = self.breakers.get("sam")
-        if sam_breaker is not None and not sam_breaker.allow():
-            return otsu_segment(seg_img)
+        mask = self._guarded("sam", lambda: self._automatic_mask(seg_img), degraded)
+        return otsu_segment(seg_img) if mask is None else mask
+
+    def _automatic_mask(self, seg_img: np.ndarray) -> np.ndarray:
         from ..models.sam.automatic import SamAutomaticMaskGenerator
 
-        try:
-            generator = SamAutomaticMaskGenerator(self.pipeline.sam, points_per_side=6)
-            records = generator.generate(np.asarray(seg_img, dtype=np.float32))
-        except Exception:
-            if sam_breaker is not None:
-                sam_breaker.record_failure()
-            return otsu_segment(seg_img)
-        if sam_breaker is not None:
-            sam_breaker.record_success()
+        generator = SamAutomaticMaskGenerator(self.pipeline.sam, points_per_side=6)
+        records = generator.generate(np.asarray(seg_img, dtype=np.float32))
         if not records:
             return np.zeros(np.asarray(seg_img).shape, dtype=bool)
         return np.asarray(records[0]["segmentation"], dtype=bool)
@@ -306,17 +321,18 @@ class Session:
         text = str(prompt)
         degraded: list[str] = []
         det_img, seg_img = self.pipeline.adapt(image)
+        if hints is not None:
+            # Bad user boxes and points belong to the request: reject them
+            # before any breaker admits a stage, in every breaker state.
+            hints.validated_boxes(seg_img.shape)
+            hints.point_arrays()
         check_deadline("segment (post-adapt)")
         detection = self._ground_guarded(det_img, text, degraded)
         check_deadline("segment (post-ground)")
         if detection is None:
-            decoded = self._sam_only_mask(seg_img), [], []
+            decoded = self._sam_only_mask(seg_img, degraded), [], []
             detection = Detection.empty(np.shape(seg_img), (text,))
         else:
-            if hints is not None:
-                # Reject bad user boxes before the breaker admits the call,
-                # so a malformed request never spends a half-open probe.
-                hints.validated_boxes(seg_img.shape)
             decoded = self._guarded(
                 "sam", lambda: self.pipeline.decode(seg_img, detection, hints), degraded
             )

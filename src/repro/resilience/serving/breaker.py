@@ -7,7 +7,9 @@ immediately (the caller degrades — last-good boxes, SAM-only fallback,
 relevance-threshold mask) instead of hammering a broken stage.  After
 ``recovery_timeout_s`` the breaker admits up to ``half_open_max_calls``
 **half-open** probe calls: one success closes it again, one failure
-re-opens it and restarts the timer.
+re-opens it and restarts the timer.  An admitted call that ends in
+neither (the request's own error) hands its probe back
+(:meth:`~CircuitBreaker.release`).
 
 State is published to the metrics registry on every transition
 (``repro_server_breaker_state`` gauge: 0 closed / 1 open / 2 half-open,
@@ -23,7 +25,6 @@ import threading
 import time
 from typing import Callable
 
-from ...errors import CircuitOpenError
 from ...observability.metrics import get_registry
 from ..events import record_event
 
@@ -40,10 +41,9 @@ STATE_CODES = {CLOSED: 0, OPEN: 1, HALF_OPEN: 2}
 class CircuitBreaker:
     """A classic three-state circuit breaker (thread-safe).
 
-    Use either :meth:`call` (wraps a callable, raising
-    :class:`~repro.errors.CircuitOpenError` when open) or the manual
-    :meth:`allow` / :meth:`record_success` / :meth:`record_failure` triple
-    when the caller needs to interleave its own fallback logic.
+    A caller asks :meth:`allow` before the protected stage runs and ends
+    every admitted call with exactly one of :meth:`record_success`,
+    :meth:`record_failure` or :meth:`release`.
     """
 
     def __init__(
@@ -107,7 +107,7 @@ class CircuitBreaker:
             self._tick()
             return self._state
 
-    # -- manual protocol --------------------------------------------------
+    # -- protocol ---------------------------------------------------------
 
     def allow(self) -> bool:
         """May the protected stage run now?  (Counts half-open probes.)"""
@@ -140,22 +140,12 @@ class CircuitBreaker:
             if self._state == CLOSED and self._consecutive_failures >= self.failure_threshold:
                 self._transition(OPEN)
 
-    # -- callable protocol ------------------------------------------------
-
-    def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` under the breaker; raise ``CircuitOpenError`` when open."""
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit {self.name!r} is {self._state}; stage skipped "
-                f"(recovers after {self.recovery_timeout_s:.1f}s)"
-            )
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
+    def release(self) -> None:
+        """End an admitted call that neither succeeded nor failed: a
+        half-open probe is handed back for the next call."""
+        with self._lock:
+            if self._state == HALF_OPEN and self._half_open_probes > 0:
+                self._half_open_probes -= 1
 
     # -- introspection ----------------------------------------------------
 
@@ -171,24 +161,10 @@ class CircuitBreaker:
             }
 
 
-def default_breakers(
-    *,
-    failure_threshold: int = 3,
-    recovery_timeout_s: float = 10.0,
-    clock: Callable[[], float] = time.monotonic,
-) -> dict[str, CircuitBreaker]:
-    """The serving layer's standard breaker set: grounding + SAM decode."""
-    return {
-        "grounding": CircuitBreaker(
-            "grounding",
-            failure_threshold=failure_threshold,
-            recovery_timeout_s=recovery_timeout_s,
-            clock=clock,
-        ),
-        "sam": CircuitBreaker(
-            "sam",
-            failure_threshold=failure_threshold,
-            recovery_timeout_s=recovery_timeout_s,
-            clock=clock,
-        ),
-    }
+def default_breakers(**options) -> dict[str, CircuitBreaker]:
+    """The serving layer's standard breaker set: grounding + SAM decode.
+
+    ``options`` (``failure_threshold``, ``recovery_timeout_s``, ``clock``)
+    go to each :class:`CircuitBreaker`; unset ones keep its defaults.
+    """
+    return {name: CircuitBreaker(name, **options) for name in ("grounding", "sam")}

@@ -22,7 +22,13 @@ import pytest
 import repro
 from repro.cache import array_content_key
 from repro.core.pipeline import ZenesisPipeline
-from repro.errors import JobCancelledError, JobError, UnknownJobError
+from repro.errors import (
+    DeadlineExceededError,
+    EmptyBatchError,
+    JobCancelledError,
+    JobError,
+    UnknownJobError,
+)
 from repro.jobs import (
     CANCELLED,
     FAILED,
@@ -617,6 +623,31 @@ class TestJobExecution:
         res = svc.result(job.job_id)
         assert res["state"] == FAILED
         assert res["error"]["type"] == "JobError" and "input_path" in res["error"]["error"]
+
+    @pytest.mark.parametrize(
+        "exc,state,has_traceback",
+        [
+            (EmptyBatchError("no volumes", skipped=(("a.txt", "unknown_magic"),)), QUEUED, False),
+            (DeadlineExceededError("job budget spent"), FAILED, False),
+            (RuntimeError("runner bug"), FAILED, True),
+        ],
+        ids=["repro_error_retries", "own_deadline_is_terminal", "bug_is_terminal"],
+    )
+    def test_failure_record(self, tmp_path, exc, state, has_traceback):
+        svc = JobService(tmp_path / "jobs")
+        job = svc.submit("evaluate", {}, max_attempts=2)
+
+        def boom(*args):
+            raise exc
+
+        svc.runner._dispatch["evaluate"] = boom
+        svc.runner._execute(svc.scheduler.acquire("w"), "w")
+        rec = svc.store.get(job.job_id)
+        assert rec.state == state
+        assert rec.error["type"] == type(exc).__name__ and rec.error["error"] == str(exc)
+        assert ("traceback" in rec.error) == has_traceback
+        if isinstance(exc, EmptyBatchError):
+            assert rec.error["skipped"] == [["a.txt", "unknown_magic"]]
 
     def test_worker_threads_drain_queue(self, tmp_path):
         svc = JobService(tmp_path / "jobs", n_workers=2)

@@ -11,7 +11,14 @@ import pytest
 
 from repro.core.pipeline import ZenesisPipeline
 from repro.core.prompts import SpatialHints
-from repro.errors import SessionError
+from repro.errors import (
+    EmptyBatchError,
+    SessionError,
+    UnknownFormatError,
+    UnknownPresetError,
+    UnknownSessionError,
+    error_record,
+)
 from repro.io.tiff import write_tiff
 from repro.platform.api import ApiHandler
 from repro.platform.server import PlatformServer
@@ -181,7 +188,54 @@ class TestApi:
 
     def test_dashboard_requires_evaluate(self):
         r = ApiHandler().handle({"action": "dashboard"})
-        assert not r["ok"]
+        assert r == {"ok": False, "type": "SessionError", "error": "run evaluate before dashboard"}
+
+    @pytest.mark.parametrize("action", ["propagate_volume", "calibrate_concept"])
+    def test_volume_actions_require_a_volume(self, action):
+        api = ApiHandler()
+        sid = api.handle({"action": "create_session"})["session_id"]
+        api.handle({"action": "load_array", "session_id": sid, "array": [[0.0, 1.0], [1.0, 0.0]]})
+        r = api.handle({"action": action, "session_id": sid})
+        assert r == {"ok": False, "type": "SessionError", "error": f"{action} requires a loaded volume"}
+
+    def test_evaluate_passes_only_what_the_request_sets(self, monkeypatch):
+        import repro.platform.api as api_mod
+
+        seen = []
+
+        def fake(methods, **kwargs):
+            seen.append((list(methods), kwargs))
+            return {}, {}
+
+        monkeypatch.setattr(api_mod, "evaluate_benchmark", fake)
+        api = ApiHandler()
+        api.handle({"action": "evaluate"})
+        api.handle({"action": "evaluate", "methods": ["zenesis"], "shape": [64, 64], "n_slices": "2"})
+        assert seen == [(["otsu"], {}), (["zenesis"], {"shape": (64, 64), "n_slices": 2})]
+
+
+class TestErrorRecord:
+    def test_plain_exception(self):
+        assert error_record(RuntimeError("boom")) == {"type": "RuntimeError", "error": "boom"}
+
+    def test_carries_the_fields_an_error_class_sets(self):
+        assert error_record(UnknownPresetError("no such preset", known=("a", "b"))) == {
+            "type": "UnknownPresetError",
+            "error": "no such preset",
+            "known": ["a", "b"],
+        }
+        skipped = error_record(EmptyBatchError("empty", skipped=(("x.bin", "unknown_magic"),)))
+        assert skipped["skipped"] == [["x.bin", "unknown_magic"]]
+        assert error_record(UnknownFormatError("empty file", reason="empty"))["reason"] == "empty"
+        evicted = error_record(UnknownSessionError("gone", evicted_reason="ttl"))
+        assert evicted["evicted_reason"] == "ttl"
+
+    def test_unset_fields_are_left_out(self):
+        assert error_record(UnknownSessionError("never issued")) == {
+            "type": "UnknownSessionError",
+            "error": "never issued",
+        }
+        assert "known" not in error_record(UnknownPresetError("none registered"))
 
 
 class TestServer:

@@ -25,7 +25,6 @@ import pytest
 
 from repro.errors import (
     AdmissionRejectedError,
-    CircuitOpenError,
     DeadlineExceededError,
     UnknownSessionError,
 )
@@ -150,6 +149,7 @@ class TestCircuitBreaker:
         b.record_success()
         assert b.state == CLOSED
         assert b.snapshot()["transitions"] == [OPEN, HALF_OPEN, CLOSED]
+        assert b.snapshot()["rejected_total"] == 2  # one while open, one past the probe
 
     def test_half_open_failure_reopens(self):
         clk = FakeClock()
@@ -171,14 +171,22 @@ class TestCircuitBreaker:
         b.record_failure()
         assert b.state == CLOSED
 
-    def test_call_wraps_and_raises_when_open(self):
-        b = CircuitBreaker("g", failure_threshold=1, recovery_timeout_s=60.0)
-        with pytest.raises(ValueError):
-            b.call(lambda: (_ for _ in ()).throw(ValueError("boom")))
+    def test_release_hands_back_the_half_open_probe(self):
+        clk = FakeClock()
+        b = CircuitBreaker("g", failure_threshold=2, recovery_timeout_s=5.0, clock=clk)
+        b.record_failure()
+        b.release()  # closed: nothing to hand back, the streak stays
+        b.record_failure()
         assert b.state == OPEN
-        with pytest.raises(CircuitOpenError):
-            b.call(lambda: 42)
-        assert b.snapshot()["rejected_total"] >= 1
+        clk.advance(5.0)
+        assert b.allow() and not b.allow()
+        b.release()
+        assert b.state == HALF_OPEN
+        assert b.allow()  # the probe is back
+        b.record_failure()
+        b.release()  # a late release after the probe re-opened changes nothing
+        clk.advance(5.0)
+        assert b.allow() and not b.allow()
 
     def test_default_breakers_pair(self):
         pair = default_breakers(failure_threshold=5)
@@ -471,6 +479,133 @@ class TestBreakerDegradation:
         r = api.handle(req)  # everything down: classical fallback, not a failure
         assert r["ok"] and r["degraded"]
         assert "grounding:open" in r["degraded_stages"]
+
+    # -- one failure rule: what a breaker counts --------------------------
+
+    @pytest.fixture()
+    def break_stage(self, monkeypatch):
+        """``break_stage(stage, exc)`` makes a stage raise ``exc``; ``None`` heals it."""
+        from repro.core.pipeline import ZenesisPipeline
+        from repro.models.sam.automatic import SamAutomaticMaskGenerator
+        from repro.models.sam.model import SamPredictor
+
+        targets = {
+            "grounding": (ZenesisPipeline, "ground"),
+            "box_decode": (ZenesisPipeline, "segment_with_boxes"),
+            "points": (SamPredictor, "masks_from_points"),
+            "sam_only": (SamAutomaticMaskGenerator, "generate"),
+        }
+
+        healthy = {stage: vars(owner)[name] for stage, (owner, name) in targets.items()}
+
+        def apply(stage, exc):
+            def broken(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(*targets[stage], healthy[stage] if exc is None else broken)
+
+        return apply
+
+    @staticmethod
+    def _half_open(breaker, clk):
+        breaker.record_failure()
+        clk.advance(5.1)
+        assert breaker.state == HALF_OPEN
+
+    @pytest.mark.parametrize("stage", ["box_decode", "points"])
+    def test_plain_runtime_error_degrades_and_counts(self, break_stage, stage):
+        breakers = default_breakers(failure_threshold=3)
+        api, sid = self._loaded_api(breakers)
+        break_stage(stage, RuntimeError("SAM backend crashed"))
+        req = {"action": "segment", "session_id": sid, "prompt": "catalyst particles"}
+        if stage == "points":
+            req["positive_points"] = [[24.0, 24.0]]
+        r = api.handle(req)
+        assert r["ok"] and r["degraded_stages"] == ["sam:RuntimeError"]
+        assert breakers["sam"].snapshot()["consecutive_failures"] == 1
+
+    @pytest.mark.parametrize("stage,name", [("grounding", "grounding"), ("box_decode", "sam")])
+    def test_runtime_error_in_half_open_probe_reopens_then_recovers(self, break_stage, stage, name):
+        clk = FakeClock()
+        breakers = default_breakers(failure_threshold=1, recovery_timeout_s=5.0, clock=clk)
+        api, sid = self._loaded_api(breakers)
+        breaker = breakers[name]
+        self._half_open(breaker, clk)
+        req = {"action": "segment", "session_id": sid, "prompt": "catalyst particles"}
+        break_stage(stage, RuntimeError("still down"))
+        r = api.handle(req)
+        assert r["ok"] and f"{name}:RuntimeError" in r["degraded_stages"]
+        assert breaker.state == OPEN
+        break_stage(stage, None)
+        clk.advance(4.9)
+        assert f"{name}:open" in api.handle(req)["degraded_stages"]  # timer restarted
+        clk.advance(0.2)
+        r = api.handle(req)
+        assert r["ok"] and "degraded" not in r
+        assert breaker.snapshot()["transitions"] == [OPEN, HALF_OPEN, OPEN, HALF_OPEN, CLOSED]
+
+    @pytest.mark.parametrize(
+        "hint,error",
+        [
+            ({"positive_points": [["a", 1]]}, "ValidationError"),
+            ({"positive_points": [[1.0, 2.0, 3.0]]}, "ValidationError"),
+            ({"negative_points": [[24.0, 24.0]]}, "PromptError"),
+        ],
+        ids=["not_a_number", "three_coordinates", "no_positive_point"],
+    )
+    @pytest.mark.parametrize("name", ["grounding", "sam"])
+    def test_malformed_point_spends_no_half_open_probe(self, hint, error, name):
+        clk = FakeClock()
+        breakers = default_breakers(failure_threshold=1, recovery_timeout_s=5.0, clock=clk)
+        api, sid = self._loaded_api(breakers)
+        breaker = breakers[name]
+        self._half_open(breaker, clk)
+        req = {"action": "segment", "session_id": sid, "prompt": "catalyst particles"}
+        bad = api.handle({**req, **hint})
+        assert not bad["ok"] and bad["type"] == error
+        assert breaker.state == HALF_OPEN
+        r = api.handle(req)  # the probe is still there: the stage runs and closes
+        assert r["ok"] and "degraded" not in r
+        assert breaker.state == CLOSED
+
+    @pytest.mark.parametrize("stage,name", [("grounding", "grounding"), ("box_decode", "sam")])
+    def test_request_deadline_inside_probe_counts_nothing(self, break_stage, stage, name):
+        clk = FakeClock()
+        breakers = default_breakers(failure_threshold=1, recovery_timeout_s=5.0, clock=clk)
+        api, sid = self._loaded_api(breakers)
+        breaker = breakers[name]
+        self._half_open(breaker, clk)
+        before = breaker.snapshot()
+        req = {"action": "segment", "session_id": sid, "prompt": "catalyst particles"}
+        break_stage(stage, DeadlineExceededError("request budget spent mid-stage"))
+        r = api.handle(req)
+        assert not r["ok"] and r["type"] == "DeadlineExceededError"  # the 504 type
+        after = breaker.snapshot()
+        assert after["state"] == HALF_OPEN
+        assert after["consecutive_failures"] == before["consecutive_failures"]
+        assert after["transitions"] == before["transitions"]
+        break_stage(stage, None)
+        r = api.handle(req)  # the probe was handed back
+        assert r["ok"] and "degraded" not in r
+        assert breaker.state == CLOSED
+
+    def test_sam_only_failure_falls_back_to_otsu_and_counts(self, monkeypatch, break_stage):
+        from repro.baselines.otsu import otsu_segment
+
+        breakers = default_breakers(failure_threshold=3)
+        api, sid = self._loaded_api(breakers)
+        monkeypatch.setenv("REPRO_FAULTS", "grounding_error")  # no last-good boxes yet
+        break_stage("sam_only", RuntimeError("automatic mask generator crashed"))
+        r = api.handle({"action": "segment", "session_id": sid, "prompt": "catalyst particles"})
+        assert r["ok"] and r["degraded_stages"] == [
+            "grounding:GroundingError",
+            "grounding:sam_only_fallback",
+            "sam:RuntimeError",
+        ]
+        assert breakers["sam"].snapshot()["consecutive_failures"] == 1
+        session = api.store.get(sid)
+        _, seg_img = session.pipeline.adapt(session.current_image())
+        assert np.array_equal(session.last_result.mask, otsu_segment(seg_img))
 
     def test_library_store_without_breakers_propagates(self, monkeypatch):
         store = SessionStore()  # no breakers: plain library semantics

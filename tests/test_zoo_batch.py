@@ -288,8 +288,9 @@ class TestPlatformZoo:
             "ok": False,
             "type": "UnknownPresetError",
             "error": unknown["error"],
+            "known": unknown["known"],  # the same record the CLI prints
         }
-        assert "known presets" in unknown["error"]
+        assert "known presets" in unknown["error"] and PRESET in unknown["known"]
 
     def test_job_submit_zoo_segment(self, batch_dir, tmp_path):
         svc = JobService(tmp_path / "jobs")
