@@ -181,6 +181,12 @@ def _shifted(img: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return padded[abs(dy) + dy : abs(dy) + dy + h, abs(dx) + dx : abs(dx) + dx + w]
 
 
+# Output rows per band of the bilateral: the range weights shared by the
+# offsets d and -d are kept for one band at a time (DESIGN.md, "Filter
+# bank and threads").
+_BILATERAL_BAND = 64
+
+
 def denoise_bilateral(
     image: np.ndarray,
     *,
@@ -192,25 +198,72 @@ def denoise_bilateral(
 
     Preserves the sharp film/background interface while smoothing the
     ionomer texture — the workhorse for FIB-SEM adaptation.
+
+    Borders replicate the edge pixel.  Each output pixel sums its offsets
+    in raster order over (dy, dx) with weights ``w_s·exp(-(I[p+d]-I[p])²·c)``:
+    the range factor in float32, the weight and the sums in float64.  The
+    range factor of offset d at p is that of -d at p+d, so it is computed
+    once per ± pair, over the band grown by the offset, and read back when
+    the loop reaches -d.
     """
     img = ensure_2d(image, "image").astype(np.float32)
     ensure_positive(sigma_spatial, "sigma_spatial")
     ensure_positive(sigma_range, "sigma_range")
     r = radius if radius is not None else max(1, int(round(2 * sigma_spatial)))
-    acc = np.zeros_like(img, dtype=np.float64)
-    norm = np.zeros_like(img, dtype=np.float64)
     inv_2ss = 1.0 / (2.0 * sigma_spatial**2)
     inv_2sr = 1.0 / (2.0 * sigma_range**2)
+    offsets = []
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
             w_s = np.exp(-(dy * dy + dx * dx) * inv_2ss)
-            if w_s < 1e-4:
-                continue
-            shifted = _shifted(img, dy, dx)
-            w = w_s * np.exp(-((shifted - img) ** 2) * inv_2sr)
-            acc += w * shifted
-            norm += w
-    return (acc / np.maximum(norm, 1e-12)).astype(np.float32)
+            if w_s >= 1e-4:
+                offsets.append((dy, dx, w_s))
+    h, w = img.shape
+    r = max(r, 0)
+    padded = np.pad(img, r, mode="edge")
+
+    def window(y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+        """Rows y0:y1, columns x0:x1 of the edge-extended image."""
+        return padded[r + y0 : r + y1, r + x0 : r + x1]
+
+    out = np.empty_like(img)
+    # Buffers taken once per call and reused by every band: a fresh array
+    # per offset costs more in page faults than the arithmetic on it.
+    rows = min(_BILATERAL_BAND, h)
+    cell = (rows + r) * (w + r)
+    acc, norm, wgt, term = (np.empty((rows, w)) for _ in range(4))
+    pairs = np.empty((len(offsets) // 2 + 1) * cell, dtype=np.float32)
+    for a in range(0, h, _BILATERAL_BAND):
+        b = min(a + _BILATERAL_BAND, h)
+        n = b - a
+        band_acc, band_norm, band_wgt, band_term = acc[:n], norm[:n], wgt[:n], term[:n]
+        band_acc.fill(0.0)
+        band_norm.fill(0.0)
+        mirrored: dict[tuple[int, int], np.ndarray] = {}
+        slots = iter(range(0, pairs.size, cell))
+        for dy, dx, w_s in offsets:
+            shifted = window(a + dy, b + dy, dx, w + dx)
+            range_w = mirrored.pop((dy, dx), None)
+            if range_w is None:
+                # Weights at x for x in the band and x = p - d for p in it,
+                # so the pair's -d reads its own rows from the same array.
+                y0, y1 = a + min(0, -dy), b + max(0, -dy)
+                x0, x1 = min(0, -dx), w + max(0, -dx)
+                slot = next(slots)
+                pair = pairs[slot : slot + (y1 - y0) * (x1 - x0)].reshape(y1 - y0, x1 - x0)
+                np.subtract(window(y0 + dy, y1 + dy, x0 + dx, x1 + dx), window(y0, y1, x0, x1), out=pair)
+                # -(diff²)·c in float32, written as diff²·(-c): the same bits.
+                np.square(pair, out=pair)
+                np.multiply(pair, -inv_2sr, out=pair)
+                np.exp(pair, out=pair)
+                range_w = pair[a - y0 : b - y0, -x0 : w - x0]
+                if (dy, dx) != (0, 0):
+                    mirrored[-dy, -dx] = pair[a - dy - y0 : b - dy - y0, -dx - x0 : w - dx - x0]
+            np.multiply(range_w, w_s, out=band_wgt)
+            band_acc += np.multiply(band_wgt, shifted, out=band_term)
+            band_norm += band_wgt
+        out[a:b] = band_acc / np.maximum(band_norm, 1e-12)
+    return out
 
 
 def denoise_nlm(

@@ -15,8 +15,11 @@ This is the paper's core contribution wired together:
    temporal engine — the paper's sliding-window box heuristic
    (:mod:`repro.core.temporal`) or mask propagation — and adapts slice z+1
    on a background worker while slice z is grounded and decoded
-   (*adapt-ahead*): adaptation is NumPy/SciPy work that releases the GIL,
-   so it overlaps with the GIL-bound stages after it.
+   (*adapt-ahead*), then prepares slice z+1's SAM context there too, so
+   the main thread's ``set_image`` reads it from the ``sam.image`` cache.
+   Both are NumPy/SciPy work that mostly releases the GIL, so they overlap
+   with the GIL-bound grounding and box decode; grounding itself stays on
+   the main thread, where the worker has no slack left for it.
 
 Every stage is a :func:`~repro.observability.trace` span, which observes
 its wall time into the ``repro_stage_seconds`` histogram.
@@ -137,10 +140,13 @@ class ZenesisConfig:
 class _AdaptAhead:
     """One volume call's adapt-ahead worker and its in-flight results.
 
-    In-flight results are keyed like the ``pipeline.adapt`` cache entry
-    they compute.  A result is handed to the first :meth:`take` of its key;
-    :meth:`close` cancels or waits for whatever was never taken and joins
-    the worker, so no thread outlives the call.
+    The worker adapts a slice, then prepares its SAM context through its
+    own thread's predictor, which fills the ``sam.image`` entry the main
+    thread's ``set_image`` reads.  In-flight results are keyed like the
+    ``pipeline.adapt`` cache entry they compute.  A result is handed to the
+    first :meth:`take` of its key; :meth:`close` cancels or waits for
+    whatever was never taken and joins the worker, so no thread outlives
+    the call.
     """
 
     def __init__(self, pipeline: "ZenesisPipeline") -> None:
@@ -161,8 +167,17 @@ class _AdaptAhead:
         self._pending[key] = (future, tracer, span)
 
     def _run(self, raw, key, tracer, span):
+        pipeline = self._pipeline
         with tracer.parented(span) if tracer is not None else nullcontext():
-            return self._pipeline._adapt_body(raw, key)
+            images, hit = pipeline._adapt_body(raw, key)
+        # Without a cache the context has nowhere to go but this thread's
+        # predictor, so preparing it here would only compute it twice.
+        if pipeline.cache.enabled:
+            try:
+                pipeline.predictor.set_image(images[1])
+            except Exception:
+                pass  # the main thread's own set_image recomputes and raises
+        return images, hit
 
     def take(self, key: str):
         """The in-flight ``(images, hit)`` for ``key``, or None if none was scheduled."""

@@ -114,18 +114,6 @@ class DeadlineExceededError(ReproError, TimeoutError):
     """A :class:`repro.resilience.Deadline` budget was exhausted mid-operation."""
 
 
-class AdmissionRejectedError(ReproError, RuntimeError):
-    """The serving admission gate shed a request (server at capacity).
-
-    ``retry_after_s`` is the hint a client (or the HTTP layer's
-    ``Retry-After`` header) should wait before re-submitting.
-    """
-
-    def __init__(self, message: str, *, retry_after_s: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after_s = float(retry_after_s)
-
-
 class JobError(ReproError, RuntimeError):
     """A background job could not be submitted, scheduled, or executed."""
 
@@ -189,6 +177,12 @@ class UnknownSessionError(SessionError):
     def __init__(self, message: str, *, evicted_reason: str | None = None) -> None:
         super().__init__(message)
         self.evicted_reason = evicted_reason
+
+
+#: Errors that belong to the request, not to the system serving it: bad
+#: input and the request's own time budget or cancellation.  A serving
+#: breaker never counts them and a job never retries them.
+REQUEST_ERRORS = (ValidationError, PromptError, DeadlineExceededError, JobCancelledError)
 
 
 def _plain(value):

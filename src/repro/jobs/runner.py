@@ -38,7 +38,7 @@ from ..cache import array_content_key, config_fingerprint
 from ..core.driver import PHASES, drive_volume
 from ..core.pipeline import ZenesisConfig, ZenesisPipeline
 from ..errors import (
-    DeadlineExceededError,
+    REQUEST_ERRORS,
     FormatError,
     JobCancelledError,
     JobError,
@@ -293,10 +293,10 @@ class JobRunner:
         except Exception as exc:
             spans = finish(exc)
             error = error_record(exc)
-            # A ReproError may pass on retry, unless it is the job's own
-            # spent budget; anything else is a runner bug: terminal, with
-            # its traceback.
-            retryable = isinstance(exc, ReproError) and not isinstance(exc, DeadlineExceededError)
+            # A ReproError may pass on retry, unless it belongs to the job's
+            # own input or budget; anything else is a runner bug: terminal,
+            # with its traceback.
+            retryable = isinstance(exc, ReproError) and not isinstance(exc, REQUEST_ERRORS)
             if not isinstance(exc, ReproError):
                 error["traceback"] = traceback.format_exc(limit=10)
             report(

@@ -49,6 +49,11 @@ __all__ = ["make_server", "PlatformServer"]
 #: enough that one bad client cannot balloon resident memory.
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: How often (s) the accept loop checks for shutdown: ``stop()`` waits up
+#: to one interval, where socketserver's default of 0.5 s made every
+#: restart pay half a second.
+_POLL_INTERVAL_S = 0.05
+
 _LANDING = b"""<!DOCTYPE html><html><head><title>Zenesis (repro)</title></head>
 <body><h1>Zenesis reproduction platform</h1>
 <p>POST JSON to <code>/api</code>: {"action": "create_session"} to begin.</p>
@@ -326,7 +331,9 @@ class PlatformServer:
 
     def start(self) -> "PlatformServer":
         self.lifecycle.reset()
-        self._thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.httpd.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
         self._thread.start()
         if self.jobs is not None:
             self.jobs.start()

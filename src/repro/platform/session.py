@@ -47,14 +47,11 @@ from ..core.results import SliceResult, VolumeResult
 from ..data.image import ScientificImage
 from ..data.volume import ScientificVolume
 from ..errors import (
-    DeadlineExceededError,
+    REQUEST_ERRORS,
     GroundingError,
-    JobCancelledError,
     PipelineError,
-    PromptError,
     SessionError,
     UnknownSessionError,
-    ValidationError,
 )
 from ..io.formats import load_image_file
 from ..io.lazy import LazyVolume, open_lazy_volume
@@ -73,10 +70,6 @@ _log = get_logger("platform.session")
 
 #: Per guarded stage: the injectable fault that fails it and the error it raises.
 _STAGE_FAULTS = {"grounding": ("grounding_error", GroundingError), "sam": ("sam_error", PipelineError)}
-
-#: Errors that belong to the request, not to a guarded stage: bad input and
-#: the request's own time budget or cancellation.  A breaker never counts them.
-_REQUEST_ERRORS = (ValidationError, PromptError, DeadlineExceededError, JobCancelledError)
 
 #: How many evicted session ids the store remembers (for the "evicted"
 #: hint on late requests); beyond this, old ids degrade to plain unknown.
@@ -239,9 +232,9 @@ class Session:
         """``call()`` under the ``stage`` breaker; ``None`` when it is open or fails.
 
         One rule decides what the breaker counts: an exception that belongs
-        to the request (:data:`_REQUEST_ERRORS`) surfaces unchanged and
-        hands the admitted call back; any other ``Exception`` is a stage
-        failure.  Failures and open-breaker skips are tagged in ``degraded``.
+        to the request (:data:`~repro.errors.REQUEST_ERRORS`) surfaces
+        unchanged and hands the admitted call back; any other ``Exception``
+        is a stage failure.  Failures and open-breaker skips are tagged in ``degraded``.
         Without a breaker configured, failures propagate unchanged.
         """
         fault, error = _STAGE_FAULTS[stage]
@@ -260,7 +253,7 @@ class Session:
             out = call()
             outcome = breaker.record_success
             return out
-        except _REQUEST_ERRORS:
+        except REQUEST_ERRORS:
             raise
         except Exception as exc:
             outcome = breaker.record_failure

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 
-from ...errors import AdmissionRejectedError
 from ...observability.metrics import get_registry
 from ..events import record_event
 
@@ -32,10 +30,8 @@ class AdmissionGate:
     """Bounded concurrent-admission gate (thread-safe).
 
     ``try_acquire`` either admits the caller (possibly after queueing up to
-    ``queue_timeout_s``) or returns ``False`` having counted a shed; the
-    :meth:`admit` context manager raises
-    :class:`~repro.errors.AdmissionRejectedError` instead, carrying the
-    ``Retry-After`` hint.
+    ``queue_timeout_s``) or returns ``False`` having counted a shed; an
+    admitted caller hands its slot back with :meth:`release`.
     """
 
     def __init__(
@@ -115,20 +111,6 @@ class AdmissionGate:
             self._inflight -= 1
             self._publish()
             self._cond.notify()
-
-    @contextmanager
-    def admit(self, timeout_s: float | None = None):
-        """Context-managed admission; raises on shed instead of returning False."""
-        if not self.try_acquire(timeout_s):
-            raise AdmissionRejectedError(
-                f"server at capacity ({self.max_inflight} in flight, "
-                f"{self.max_queue} queued); retry later",
-                retry_after_s=self.retry_after_s(),
-            )
-        try:
-            yield self
-        finally:
-            self.release()
 
     # -- introspection ----------------------------------------------------
 

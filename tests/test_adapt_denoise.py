@@ -161,3 +161,81 @@ class TestOneGaussian:
         for img in (det_img, seg_img):
             for sigma in (10.0, 14.0, 48.0):
                 np.testing.assert_array_equal(denoise_gaussian(img, sigma=sigma), self._scipy(img, sigma))
+
+
+def _shifted(img, dy, dx):
+    padded = np.pad(img, ((abs(dy), abs(dy)), (abs(dx), abs(dx))), mode="edge")
+    h, w = img.shape
+    return padded[abs(dy) + dy : abs(dy) + dy + h, abs(dx) + dx : abs(dx) + dx + w]
+
+
+def _reference_bilateral(image, *, sigma_spatial=2.0, sigma_range=0.1, radius=None):
+    """The per-offset loop ``denoise_bilateral`` replaced: one padded copy
+    and one range weight per offset, over the whole frame."""
+    img = np.asarray(image).astype(np.float32)
+    r = radius if radius is not None else max(1, int(round(2 * sigma_spatial)))
+    acc = np.zeros_like(img, dtype=np.float64)
+    norm = np.zeros_like(img, dtype=np.float64)
+    inv_2ss = 1.0 / (2.0 * sigma_spatial**2)
+    inv_2sr = 1.0 / (2.0 * sigma_range**2)
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            w_s = np.exp(-(dy * dy + dx * dx) * inv_2ss)
+            if w_s < 1e-4:
+                continue
+            shifted = _shifted(img, dy, dx)
+            w = w_s * np.exp(-((shifted - img) ** 2) * inv_2sr)
+            acc += w * shifted
+            norm += w
+    return (acc / np.maximum(norm, 1e-12)).astype(np.float32)
+
+
+class TestBilateralMatchesOffsetLoop:
+    """The pair-shared, banded bilateral gives the per-offset loop's bits."""
+
+    @staticmethod
+    def _assert_same_bits(image, **kwargs):
+        out = denoise_bilateral(image, **kwargs)
+        ref = _reference_bilateral(image, **kwargs)
+        assert out.dtype == np.float32 and out.shape == ref.shape
+        np.testing.assert_array_equal(out.view(np.uint32), ref.view(np.uint32))
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (3, 3), (5, 7), (130, 70), (256, 256)])
+    @pytest.mark.parametrize("sigmas", [(1.5, 0.12), (2.0, 0.1), (0.6, 0.3), (3.0, 0.05)])
+    def test_random_images(self, shape, sigmas):
+        sigma_spatial, sigma_range = sigmas
+        img = np.random.default_rng([*shape, int(10 * sigma_spatial)]).random(shape).astype(np.float32)
+        self._assert_same_bits(img, sigma_spatial=sigma_spatial, sigma_range=sigma_range)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 7])
+    @pytest.mark.parametrize("shape", [(1, 9), (3, 3), (5, 7), (130, 70)])
+    def test_radius_override(self, shape, radius):
+        img = np.random.default_rng([*shape, radius]).random(shape)
+        self._assert_same_bits(img, sigma_spatial=1.5, sigma_range=0.12, radius=radius)
+
+    @pytest.mark.parametrize("kind", ["crystalline", "amorphous"])
+    def test_pipeline_slices(self, kind):
+        from repro.adapt import robust_normalize
+        from repro.data import make_sample
+
+        vol = make_sample(kind, seed=1, shape=(256, 256), n_slices=2).volume.voxels
+        for raw in vol:
+            self._assert_same_bits(robust_normalize(raw), sigma_spatial=1.5, sigma_range=0.12)
+
+    def test_flat_and_constant_rows(self):
+        img = np.zeros((70, 40), dtype=np.float32)
+        img[64:] = 1.0  # an edge exactly at the first band boundary
+        img[:, 20:] += 0.25
+        self._assert_same_bits(img, sigma_spatial=2.0, sigma_range=0.1)
+
+    def test_peak_allocation_not_above_the_offset_loop(self):
+        import tracemalloc
+
+        img = np.random.default_rng(3).random((512, 512)).astype(np.float32)
+        peaks = []
+        for fn in (denoise_bilateral, _reference_bilateral):
+            tracemalloc.start()
+            fn(img, sigma_spatial=1.5, sigma_range=0.12)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1]

@@ -1,5 +1,6 @@
 """Tests for the Zenesis pipeline (Mode A/B core)."""
 
+import dataclasses
 import hashlib
 import threading
 
@@ -16,6 +17,8 @@ from repro.io.lazy import ArrayLazyVolume
 from repro.jobs import runner as jobs_runner
 from repro.jobs.service import JobService
 from repro.metrics.overlap import iou
+from repro.models.sam.analytic import AnalyticMaskHead
+from repro.models.sam.model import SamPredictor
 from repro.observability import STAGE_SECONDS, get_registry, stage_rows
 from repro.resilience.policy import Deadline
 from repro.resilience.serving.lifecycle import request_scope
@@ -240,6 +243,80 @@ class TestAdaptAhead:
         uncached = pipe.segment_volume(vol, PROMPT)
         assert np.array_equal(uncached.masks, cached.masks)
         assert _stage_calls("adapt.denoise") - before == vol.shape[0]
+
+    @staticmethod
+    def _record_prepares(monkeypatch, fail_on=None) -> list:
+        """Record ``(thread name, image, context)`` per prepare call; raise
+        ``RuntimeError`` on the image ``fail_on`` from any thread, recording
+        ``None`` as its context."""
+        calls = []
+        prepare = AnalyticMaskHead.prepare
+
+        def recorded(head, image):
+            thread = threading.current_thread().name
+            if fail_on is not None and np.array_equal(image, fail_on):
+                calls.append((thread, image, None))
+                raise RuntimeError("injected prepare fault")
+            ctx = prepare(head, image)
+            calls.append((thread, image, ctx))
+            return ctx
+
+        monkeypatch.setattr(AnalyticMaskHead, "prepare", recorded)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["meanbox", "propagate"])
+    def test_worker_prepares_the_sam_context(self, mode, monkeypatch):
+        vol = _golden_volume()
+        pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode))
+        calls = self._record_prepares(monkeypatch)
+        assert _sha1(pipe.segment_volume(vol, PROMPT).masks) == GOLDEN[mode]
+        ahead = [(image, ctx) for thread, image, ctx in calls if thread.startswith("repro-adapt-ahead")]
+        assert ahead, "no SAM context was prepared on the adapt-ahead worker"
+        # Each context is computed once, and the main thread reads every
+        # one the worker prepared as a hit.
+        stats = pipe.cache.stats.namespaces["sam.image"]
+        assert len(calls) == stats.misses == vol.shape[0]
+        assert stats.hits == len(ahead)
+        inline = AnalyticMaskHead(band_k=pipe.config.band_k)
+        for image, ctx in ahead:
+            expected = inline.prepare(image)
+            for f in dataclasses.fields(ctx):
+                np.testing.assert_array_equal(getattr(ctx, f.name), getattr(expected, f.name))
+
+    def test_uncached_run_prepares_on_the_main_thread_only(self, monkeypatch):
+        vol = _golden_volume()
+        pipe = ZenesisPipeline(ZenesisConfig(use_cache=False))
+        calls = self._record_prepares(monkeypatch)
+        assert _sha1(pipe.segment_volume(vol, PROMPT).masks) == MEANBOX_GOLDEN_SHA1
+        assert [thread for thread, _, _ in calls] == ["MainThread"] * vol.shape[0]
+
+    @pytest.mark.parametrize("mode", ["meanbox", "propagate"])
+    def test_prepare_fault_on_the_worker_fails_the_same_slice(self, mode, monkeypatch):
+        vol = _golden_volume()
+        _, seg_img = ZenesisPipeline().adapt(vol[1])
+
+        def run(use_cache: bool):
+            # Without a cache the worker prepares nothing: the serial reference.
+            pipe = ZenesisPipeline(ZenesisConfig(temporal_mode=mode, use_cache=use_cache))
+            calls = self._record_prepares(monkeypatch, fail_on=seg_img)
+            set_images = []
+            set_image = SamPredictor.set_image
+
+            def recorded_set_image(predictor, image):
+                if threading.current_thread() is threading.main_thread():
+                    set_images.append(_sha1(image))
+                return set_image(predictor, image)
+
+            monkeypatch.setattr(SamPredictor, "set_image", recorded_set_image)
+            with pytest.raises(RuntimeError, match="injected prepare fault") as exc_info:
+                pipe.segment_volume(vol, PROMPT)
+            monkeypatch.undo()
+            return type(exc_info.value), set_images, [thread for thread, _, ctx in calls if ctx is None]
+
+        error, main_slices, failed_on = run(use_cache=True)
+        assert any(t.startswith("repro-adapt-ahead") for t in failed_on), "the worker never failed"
+        assert failed_on[-1] == "MainThread"
+        assert (error, main_slices) == run(use_cache=False)[:2]
 
     def test_adapt_outside_a_volume_call_is_serial(self, crystalline_sample):
         pipe = ZenesisPipeline()

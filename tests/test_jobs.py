@@ -27,7 +27,9 @@ from repro.errors import (
     EmptyBatchError,
     JobCancelledError,
     JobError,
+    PromptError,
     UnknownJobError,
+    ValidationError,
 )
 from repro.jobs import (
     CANCELLED,
@@ -624,14 +626,32 @@ class TestJobExecution:
         assert res["state"] == FAILED
         assert res["error"]["type"] == "JobError" and "input_path" in res["error"]["error"]
 
+    def test_nan_voxel_fails_after_one_attempt(self, tmp_path):
+        vol = _volume(2).astype(np.float32)
+        vol[1, 5, 5] = np.nan
+        svc = JobService(tmp_path / "jobs")
+        job = svc.submit_segment_volume(vol, PROMPT)
+        assert svc.runner.run_until_idle() == 1
+        rec = svc.store.get(job.job_id)
+        assert (rec.state, rec.attempt) == (FAILED, 1)
+        assert rec.error["type"] == "ValidationError" and "traceback" not in rec.error
+
     @pytest.mark.parametrize(
         "exc,state,has_traceback",
         [
             (EmptyBatchError("no volumes", skipped=(("a.txt", "unknown_magic"),)), QUEUED, False),
             (DeadlineExceededError("job budget spent"), FAILED, False),
+            (ValidationError("image holds NaN"), FAILED, False),
+            (PromptError("empty prompt"), FAILED, False),
             (RuntimeError("runner bug"), FAILED, True),
         ],
-        ids=["repro_error_retries", "own_deadline_is_terminal", "bug_is_terminal"],
+        ids=[
+            "repro_error_retries",
+            "own_deadline_is_terminal",
+            "bad_input_is_terminal",
+            "bad_prompt_is_terminal",
+            "bug_is_terminal",
+        ],
     )
     def test_failure_record(self, tmp_path, exc, state, has_traceback):
         svc = JobService(tmp_path / "jobs")
