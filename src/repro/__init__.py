@@ -24,7 +24,7 @@ Subpackages
 ``repro.models``    GroundingDINO and SAM surrogates on a from-scratch
                     NumPy transformer stack.
 ``repro.core``      the Zenesis pipeline, HITL rectification, temporal and
-                    hierarchical refinement, Mode B batching.
+                    hierarchical refinement, the Mode B volume driver.
 ``repro.baselines`` Otsu, SAM-only, and classical extras.
 ``repro.metrics``   accuracy / IoU / Dice / boundary metrics + aggregation.
 ``repro.eval``      Mode C evaluation, paper tables, HTML dashboard.

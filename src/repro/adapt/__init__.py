@@ -1,18 +1,16 @@
 """Lightweight multi-modal adaptation: bit depth, contrast, denoise, channels, readiness."""
 
-from .bitdepth import nominal_range, robust_normalize, to_float01, to_uint8
-from .channels import gray_to_multichannel, gray_to_rgb, rgb_to_gray
-from .contrast import clahe, equalize_hist, gamma_correct, stretch_contrast
+from .bitdepth import nominal_range, robust_normalize, to_float01
+from .channels import gray_to_multichannel
+from .contrast import clahe, stretch_contrast
 from .denoise import denoise_bilateral, denoise_gaussian, denoise_median, denoise_nlm
 from .pipeline import (
     STEP_LIBRARY,
     AdaptStep,
     AdaptationPipeline,
     default_fibsem_pipeline,
-    identity_pipeline,
 )
 from .readiness import READY_THRESHOLD, ReadinessReport, score_readiness
-from .resample import resample_isotropic, resize_image, resize_mask
 
 __all__ = [
     "AdaptStep",
@@ -26,19 +24,10 @@ __all__ = [
     "denoise_gaussian",
     "denoise_median",
     "denoise_nlm",
-    "equalize_hist",
-    "gamma_correct",
     "gray_to_multichannel",
-    "gray_to_rgb",
-    "identity_pipeline",
     "nominal_range",
-    "resample_isotropic",
-    "resize_image",
-    "resize_mask",
-    "rgb_to_gray",
     "robust_normalize",
     "score_readiness",
     "stretch_contrast",
     "to_float01",
-    "to_uint8",
 ]

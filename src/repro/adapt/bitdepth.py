@@ -2,8 +2,8 @@
 
 Foundation models expect 8-bit RGB; instruments produce 8/16/32-bit
 grayscale whose useful signal often occupies a narrow band of the dynamic
-range.  These functions map any supported dtype to float32 [0, 1] or uint8,
-either by the dtype's nominal range or robustly by percentiles.
+range.  These functions map any supported dtype to float32 [0, 1], either
+by the dtype's nominal range or robustly by percentiles.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..utils.validation import ensure_ndarray, ensure_range
 
-__all__ = ["to_float01", "to_uint8", "robust_normalize", "nominal_range"]
+__all__ = ["to_float01", "robust_normalize", "nominal_range"]
 
 
 def nominal_range(dtype: np.dtype) -> float:
@@ -57,12 +57,3 @@ def robust_normalize(image: np.ndarray, *, p_lo: float = 0.5, p_hi: float = 99.5
         return np.zeros_like(arr, dtype=np.float32)
     out = (arr - lo) / (hi - lo)
     return np.clip(out, 0.0, 1.0).astype(np.float32)
-
-
-def to_uint8(image: np.ndarray, *, robust: bool = True, p_lo: float = 0.5, p_hi: float = 99.5) -> np.ndarray:
-    """Convert any supported image to uint8 (what SAM-style models ingest)."""
-    if robust:
-        f = robust_normalize(image, p_lo=p_lo, p_hi=p_hi)
-    else:
-        f = to_float01(image)
-    return np.round(f * 255.0).astype(np.uint8)

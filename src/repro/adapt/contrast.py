@@ -1,4 +1,4 @@
-"""Contrast adaptation: stretch, gamma, and CLAHE.
+"""Contrast adaptation: stretch and CLAHE.
 
 All operate on float images in [0, 1] and return float32 in [0, 1].  CLAHE
 (contrast-limited adaptive histogram equalisation) is implemented from
@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ValidationError
 from ..utils.validation import ensure_2d, ensure_positive
 
-__all__ = ["stretch_contrast", "gamma_correct", "equalize_hist", "clahe"]
+__all__ = ["stretch_contrast", "clahe"]
 
 
 def _as01(image: np.ndarray) -> np.ndarray:
@@ -31,24 +31,6 @@ def stretch_contrast(image: np.ndarray, *, lo: float | None = None, hi: float | 
     if hi <= lo:
         return np.zeros_like(img)
     return np.clip((img - lo) / (hi - lo), 0.0, 1.0)
-
-
-def gamma_correct(image: np.ndarray, gamma: float = 1.0) -> np.ndarray:
-    """Power-law mapping ``out = in ** gamma`` (gamma < 1 brightens)."""
-    ensure_positive(gamma, "gamma")
-    return _as01(image) ** np.float32(gamma)
-
-
-def equalize_hist(image: np.ndarray, *, n_bins: int = 256) -> np.ndarray:
-    """Global histogram equalisation."""
-    img = _as01(image)
-    hist, edges = np.histogram(img, bins=n_bins, range=(0.0, 1.0))
-    cdf = np.cumsum(hist).astype(np.float64)
-    if cdf[-1] == 0:
-        return img
-    cdf /= cdf[-1]
-    idx = np.minimum((img * n_bins).astype(np.intp), n_bins - 1)
-    return cdf[idx].astype(np.float32)
 
 
 def clahe(

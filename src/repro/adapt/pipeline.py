@@ -23,7 +23,7 @@ from .bitdepth import robust_normalize, to_float01
 from .contrast import clahe, stretch_contrast
 from .denoise import denoise_bilateral, denoise_gaussian, denoise_median, denoise_nlm
 
-__all__ = ["AdaptStep", "AdaptationPipeline", "default_fibsem_pipeline", "identity_pipeline", "STEP_LIBRARY"]
+__all__ = ["AdaptStep", "AdaptationPipeline", "default_fibsem_pipeline", "STEP_LIBRARY"]
 
 AdaptFn = Callable[[np.ndarray], np.ndarray]
 
@@ -123,11 +123,6 @@ class AdaptationPipeline:
 
     def describe(self) -> dict:
         return {"name": self.name, "steps": [s.name for s in self.steps]}
-
-
-def identity_pipeline() -> AdaptationPipeline:
-    """A pipeline with no steps (ingest normalisation only)."""
-    return AdaptationPipeline((), name="identity")
 
 
 def default_fibsem_pipeline(*, denoise: str = "bilateral") -> AdaptationPipeline:

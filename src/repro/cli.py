@@ -476,13 +476,13 @@ def _segment_array(args, pipeline, arr: np.ndarray) -> None:
 
 def _segment_stream(args, pipeline) -> dict | None:
     """Out-of-core Mode B over a LazyVolume; returns the manifest's extra fields."""
-    from .io.integrity import IngestPolicy
+    from .io.integrity import IngestPolicy, budget_bytes
     from .zoo.batch import in_plane_pixel_size_nm
 
     ckpt_dir = args.checkpoint_dir or args.path.with_suffix(args.path.suffix + ".ckpt")
     policy = IngestPolicy(
         on_corrupt=args.on_corrupt,
-        memory_budget_bytes=int(args.memory_budget_mb * 1024 * 1024),
+        memory_budget_bytes=budget_bytes(args.memory_budget_mb),
     )
     result = pipeline.segment_volume_stream(
         args.path,
@@ -545,13 +545,10 @@ def _cmd_batch_dir(args) -> int:
         ensemble=ensemble,
         priority=args.priority,
     )
-    try:
-        if args.submit_only:
-            print(json.dumps(submit_batch(svc, args.path, args.task, **opts), indent=2))
-            return 0
-        report = run_batch(svc, args.path, args.task, timeout_s=args.timeout, **opts)
-    except ReproError as exc:
-        return _print_repro_error(exc)
+    if args.submit_only:
+        print(json.dumps(submit_batch(svc, args.path, args.task, **opts), indent=2))
+        return 0
+    report = run_batch(svc, args.path, args.task, timeout_s=args.timeout, **opts)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
 
@@ -587,19 +584,16 @@ def _cmd_batch(args) -> int:
 def _cmd_zoo(args) -> int:
     from .zoo import load_registry
 
-    try:
-        registry = load_registry(args.jobs_dir)
-        if args.zoo_command == "list":
-            doc = registry.describe()
-            if args.pixel_size_nm is not None:
-                doc["suggested"] = list(registry.suggest(args.pixel_size_nm))
-            print(json.dumps(doc, indent=2))
-            return 0
-        if args.zoo_command == "show":
-            print(json.dumps(registry.get(args.preset).describe(), indent=2))
-            return 0
-    except ReproError as exc:
-        return _print_repro_error(exc)
+    registry = load_registry(args.jobs_dir)
+    if args.zoo_command == "list":
+        doc = registry.describe()
+        if args.pixel_size_nm is not None:
+            doc["suggested"] = list(registry.suggest(args.pixel_size_nm))
+        print(json.dumps(doc, indent=2))
+        return 0
+    if args.zoo_command == "show":
+        print(json.dumps(registry.get(args.preset).describe(), indent=2))
+        return 0
     return 2
 
 
@@ -699,48 +693,45 @@ def _cmd_jobs(args) -> int:
     svc = JobService(args.jobs_dir)
     cmd = args.jobs_command
     if cmd == "submit":
-        try:
-            if args.kind == "segment_volume":
-                if args.path is None or args.prompt is None:
-                    print("segment_volume jobs need --path and --prompt", file=sys.stderr)
-                    return 2
-                opts = dict(
-                    temporal=not args.no_temporal,
-                    temporal_mode=args.temporal_mode,
-                    priority=args.priority,
-                )
-                if args.stream:
-                    job = svc.submit_segment_volume_path(
-                        args.path,
-                        args.prompt,
-                        on_corrupt=args.on_corrupt,
-                        memory_budget_mb=args.memory_budget_mb,
-                        **opts,
-                    )
-                else:
-                    from .io.formats import load_image_file
-
-                    job = svc.submit_segment_volume(load_image_file(args.path), args.prompt, **opts)
-            elif args.kind == "zoo_segment":
-                if args.path is None or args.preset is None:
-                    print("zoo_segment jobs need --path and --preset", file=sys.stderr)
-                    return 2
-                job, created = svc.submit_zoo_segment(
+        if args.kind == "segment_volume":
+            if args.path is None or args.prompt is None:
+                print("segment_volume jobs need --path and --prompt", file=sys.stderr)
+                return 2
+            opts = dict(
+                temporal=not args.no_temporal,
+                temporal_mode=args.temporal_mode,
+                priority=args.priority,
+            )
+            if args.stream:
+                job = svc.submit_segment_volume_path(
                     args.path,
-                    args.preset,
-                    mode=args.mode,
-                    stream=args.stream,
+                    args.prompt,
                     on_corrupt=args.on_corrupt,
                     memory_budget_mb=args.memory_budget_mb,
-                    priority=args.priority,
+                    **opts,
                 )
-                if not created:
-                    print(f"reusing live job for this (volume, preset, mode): {job.job_id}")
             else:
-                params = json.loads(args.params) if args.params else {}
-                job = svc.submit(args.kind, params, priority=args.priority)
-        except ReproError as exc:
-            return _print_repro_error(exc)
+                from .io.formats import load_image_file
+
+                job = svc.submit_segment_volume(load_image_file(args.path), args.prompt, **opts)
+        elif args.kind == "zoo_segment":
+            if args.path is None or args.preset is None:
+                print("zoo_segment jobs need --path and --preset", file=sys.stderr)
+                return 2
+            job, created = svc.submit_zoo_segment(
+                args.path,
+                args.preset,
+                mode=args.mode,
+                stream=args.stream,
+                on_corrupt=args.on_corrupt,
+                memory_budget_mb=args.memory_budget_mb,
+                priority=args.priority,
+            )
+            if not created:
+                print(f"reusing live job for this (volume, preset, mode): {job.job_id}")
+        else:
+            params = json.loads(args.params) if args.params else {}
+            job = svc.submit(args.kind, params, priority=args.priority)
         print(f"submitted {job.job_id} ({job.kind}, priority {job.priority})")
         if args.run:
             n = svc.runner.run_until_idle()
@@ -817,4 +808,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        return _print_repro_error(exc)

@@ -3,13 +3,10 @@
 from .boxes import (
     as_boxes,
     box_area,
-    box_center,
     box_iou,
-    box_to_mask,
     clip_boxes,
     mask_to_box,
     merge_overlapping,
-    nms,
     pad_box,
     random_boxes,
 )
@@ -17,12 +14,10 @@ from .hierarchy import SegmentNode, further_segment
 from .hitl import RectifyConfig, RectifySession, RectifyStep, SimulatedAnnotator
 from .multiobject import MultiClassResult, segment_multi
 from .propagation import PropagationConfig, propagate_volume
-from .uncertainty import UncertaintyAnnotator, mean_confidence, uncertainty_map
 from .masks import (
     clean_mask,
     component_containing,
     connected_components,
-    largest_component,
     mask_boundary,
     masks_iou,
     rle_decode,
@@ -44,7 +39,6 @@ __all__ = [
     "MultiClassResult",
     "PropagationConfig",
     "SliceResult",
-    "UncertaintyAnnotator",
     "SpatialHints",
     "TemporalConfig",
     "TextPrompt",
@@ -53,20 +47,16 @@ __all__ = [
     "ZenesisPipeline",
     "as_boxes",
     "box_area",
-    "box_center",
     "box_iou",
-    "box_to_mask",
     "clean_mask",
     "clip_boxes",
     "component_containing",
     "connected_components",
     "further_segment",
-    "largest_component",
     "mask_boundary",
     "mask_to_box",
     "masks_iou",
     "merge_overlapping",
-    "nms",
     "pad_box",
     "random_boxes",
     "refine_box_sequences",
@@ -74,7 +64,5 @@ __all__ = [
     "rle_encode",
     "propagate_volume",
     "segment_multi",
-    "mean_confidence",
     "stability_score",
-    "uncertainty_map",
 ]

@@ -1,7 +1,7 @@
 """Bounding-box operations (XYXY convention, x along columns).
 
 Vectorised over arrays of boxes shaped ``(N, 4)``.  Used by the grounding
-detector (NMS, merging), the HITL rectifier (random proposals, distances),
+detector (merging), the HITL rectifier (random proposals, distances),
 and the temporal heuristic (per-slice box statistics).
 """
 
@@ -15,14 +15,11 @@ from ..utils.rng import as_rng
 __all__ = [
     "as_boxes",
     "box_area",
-    "box_center",
     "box_iou",
     "clip_boxes",
     "pad_box",
-    "nms",
     "merge_overlapping",
     "mask_to_box",
-    "box_to_mask",
     "random_boxes",
 ]
 
@@ -45,12 +42,6 @@ def box_area(boxes) -> np.ndarray:
     """Areas of ``(N, 4)`` boxes."""
     b = as_boxes(boxes)
     return (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-
-
-def box_center(boxes) -> np.ndarray:
-    """Centres (x, y) of ``(N, 4)`` boxes, shape ``(N, 2)``."""
-    b = as_boxes(boxes)
-    return np.stack([(b[:, 0] + b[:, 2]) / 2.0, (b[:, 1] + b[:, 3]) / 2.0], axis=1)
 
 
 def box_iou(a, b) -> np.ndarray:
@@ -89,24 +80,6 @@ def pad_box(box, margin: float, image_shape: tuple[int, int] | None = None) -> n
     if image_shape is not None:
         b = clip_boxes(b, image_shape)[0]
     return b
-
-
-def nms(boxes, scores, *, iou_threshold: float = 0.5) -> np.ndarray:
-    """Greedy non-maximum suppression; returns kept indices, best first."""
-    b = as_boxes(boxes)
-    s = np.asarray(scores, dtype=np.float64)
-    if s.shape != (b.shape[0],):
-        raise ValidationError(f"scores shape {s.shape} != n_boxes {b.shape[0]}")
-    order = np.argsort(-s)
-    keep: list[int] = []
-    iou = box_iou(b, b)
-    suppressed = np.zeros(len(b), dtype=bool)
-    for i in order:
-        if suppressed[i]:
-            continue
-        keep.append(int(i))
-        suppressed |= iou[i] > iou_threshold
-    return np.asarray(keep, dtype=np.intp)
 
 
 def merge_overlapping(boxes, *, iou_threshold: float = 0.3) -> np.ndarray:
@@ -149,14 +122,6 @@ def mask_to_box(mask: np.ndarray) -> np.ndarray | None:
     if ys.size == 0:
         return None
     return np.array([xs.min(), ys.min(), xs.max() + 1, ys.max() + 1], dtype=np.float64)
-
-
-def box_to_mask(box, image_shape: tuple[int, int]) -> np.ndarray:
-    """Boolean mask of the pixels inside a box."""
-    b = clip_boxes(box, image_shape)[0]
-    mask = np.zeros(image_shape, dtype=bool)
-    mask[int(b[1]) : int(np.ceil(b[3])), int(b[0]) : int(np.ceil(b[2]))] = True
-    return mask
 
 
 def random_boxes(

@@ -1,7 +1,7 @@
 """Mask operations: RLE codec, components, boundaries, morphology, stability.
 
 The RLE codec matches the COCO-style column-major convention SAM tooling
-uses, so exported annotations interoperate.  Binary morphology is one pair
+uses, so the API's RLE masks interoperate.  Binary morphology is one pair
 of NumPy shift kernels, :func:`dilate` and :func:`erode`: every erosion,
 dilation, opening and closing in the package goes through them.  They
 match ``scipy.ndimage``'s default cross element with pixels outside the
@@ -29,7 +29,6 @@ __all__ = [
     "rle_decode",
     "label",
     "connected_components",
-    "largest_component",
     "component_containing",
     "dilate",
     "erode",
@@ -98,14 +97,6 @@ def connected_components(mask: np.ndarray, *, min_area: int = 1) -> list[np.ndar
     areas = np.bincount(labels.ravel())[1:]
     order = np.argsort(-areas)
     return [labels == (i + 1) for i in order if areas[i] >= min_area]
-
-
-def largest_component(mask: np.ndarray) -> np.ndarray:
-    """The largest connected component (empty mask passes through)."""
-    comps = connected_components(mask)
-    if not comps:
-        return ensure_mask(mask).copy()
-    return comps[0]
 
 
 def component_containing(mask: np.ndarray, point_yx: tuple[float, float]) -> np.ndarray | None:

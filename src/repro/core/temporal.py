@@ -28,7 +28,6 @@ __all__ = [
     "RefinementReport",
     "BoxRefiner",
     "refine_box_sequences",
-    "box_dimension_stats",
 ]
 
 
@@ -69,14 +68,6 @@ class RefinementReport:
             "n_replaced": self.n_replaced,
             "replacements": list(self.replacements),
         }
-
-
-def box_dimension_stats(boxes: np.ndarray) -> tuple[float, float]:
-    """Mean (width, height) of a box array; (0, 0) when empty."""
-    if len(boxes) == 0:
-        return 0.0, 0.0
-    b = as_boxes(boxes)
-    return float((b[:, 2] - b[:, 0]).mean()), float((b[:, 3] - b[:, 1]).mean())
 
 
 def _window_max_dims(history: list[np.ndarray], window: int) -> tuple[float, float] | None:

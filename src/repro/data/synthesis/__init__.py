@@ -6,7 +6,6 @@ from .artifacts import (
     add_poisson_gaussian_noise,
     apply_defocus,
     apply_drift,
-    apply_vignetting,
 )
 from .fibsem import CATALYST_KINDS, FibsemConfig, FibsemSample, synthesize_fibsem_volume
 from .modalities import synthesize_edx_map, synthesize_stm_topography, synthesize_xrd_pattern
@@ -39,7 +38,6 @@ __all__ = [
     "add_poisson_gaussian_noise",
     "apply_defocus",
     "apply_drift",
-    "apply_vignetting",
     "checkerboard",
     "disk_phantom",
     "needles_phantom",

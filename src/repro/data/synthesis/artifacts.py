@@ -10,7 +10,6 @@ the artifacts the paper blames for non-AI-readiness:
 * **Defocus** — Gaussian blur with per-slice varying sigma (the paper cites
   "variability in contrast caused by defocus and sample topography").
 * **Slice drift** — multiplicative brightness drift along Z.
-* **Vignetting** — radial fall-off from detector geometry.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "add_charging",
     "apply_defocus",
     "apply_drift",
-    "apply_vignetting",
 ]
 
 
@@ -114,16 +112,4 @@ def apply_drift(image: np.ndarray, *, gain: float = 1.0, offset: float = 0.0) ->
     img = ensure_2d(image, "image").astype(np.float64, copy=True)
     img *= gain
     img += offset
-    return _clip01(img)
-
-
-def apply_vignetting(image: np.ndarray, *, strength: float = 0.15) -> np.ndarray:
-    """Radial brightness fall-off: centre unchanged, corners darkened."""
-    img = ensure_2d(image, "image").astype(np.float64, copy=True)
-    ensure_range(strength, 0.0, 1.0, "strength")
-    h, w = img.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    r2 = ((yy - cy) / max(cy, 1)) ** 2 + ((xx - cx) / max(cx, 1)) ** 2
-    img *= 1.0 - strength * np.clip(r2 / 2.0, 0.0, 1.0)
     return _clip01(img)

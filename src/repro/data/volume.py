@@ -2,7 +2,7 @@
 
 Volumes are ordered (Z, Y, X).  FIB-SEM stacks are typically anisotropic —
 the milling step (Z) is coarser than the imaging pixel (Y, X) — which the
-container records as ``voxel_size_nm`` so the adaptation layer can resample.
+container records as ``voxel_size_nm`` and reports as ``anisotropy``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from .experiments import (
     run_all_tables,
     run_table,
 )
-from .report import comparison_table, markdown_table, paper_table
+from .report import comparison_table, paper_table
 
 __all__ = [
     "ALL_METRICS",
@@ -33,7 +33,6 @@ __all__ = [
     "comparison_table",
     "evaluate_benchmark",
     "evaluate_mask",
-    "markdown_table",
     "paper_table",
     "render_dashboard",
     "run_all_tables",

@@ -2,16 +2,16 @@
 
 Produces exactly the row structure of the paper's Tables 1-3 (sample kind ×
 accuracy/IoU/Dice, mean±std cells) as fixed-width text, plus a side-by-side
-comparison table and a markdown export for EXPERIMENTS.md.
+comparison table.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .evaluator import PAPER_METRICS, MethodEvaluation
 
-__all__ = ["paper_table", "comparison_table", "markdown_table"]
+__all__ = ["paper_table", "comparison_table"]
 
 _LABELS = {"accuracy": "Accuracy", "iou": "IOU", "dice": "Dice"}
 
@@ -52,21 +52,4 @@ def comparison_table(
                 cell = "-"
             row += f"{cell:>16}"
         lines.append(row)
-    return "\n".join(lines)
-
-
-def markdown_table(
-    evaluation: MethodEvaluation,
-    *,
-    metrics: Sequence[str] = PAPER_METRICS,
-    digits: int = 3,
-) -> str:
-    """Markdown export (EXPERIMENTS.md rows)."""
-    head = "| Sample | " + " | ".join(_LABELS.get(m, m) for m in metrics) + " |"
-    sep = "|" + "---|" * (len(metrics) + 1)
-    lines = [head, sep]
-    for kind in evaluation.kinds():
-        summary = evaluation.summary(kind, metrics)
-        cells = " | ".join(summary[m].format(digits) for m in metrics)
-        lines.append(f"| {kind.capitalize()} | {cells} |")
     return "\n".join(lines)

@@ -6,7 +6,6 @@ streams arbitrarily large volumes tile-by-tile, and
 model (checksums, retries, quarantine, degrade policies).
 """
 
-from .annotations import export_annotations, import_annotations
 from .formats import KNOWN_FORMATS, load_image_file, sniff_format
 from .integrity import (
     IngestPolicy,
@@ -29,7 +28,6 @@ from .png import decode_png, encode_png, read_png, write_png
 from .tiff import TiffPageInfo, read_tiff, read_tiff_pages, write_tiff
 from .volume_io import (
     export_volume_tiff,
-    import_volume_tiff,
     load_volume_bundle,
     save_volume_bundle,
 )
@@ -47,10 +45,7 @@ __all__ = [
     "TileStream",
     "decode_png",
     "encode_png",
-    "export_annotations",
-    "import_annotations",
     "export_volume_tiff",
-    "import_volume_tiff",
     "load_image_file",
     "load_sidecar",
     "load_volume_bundle",

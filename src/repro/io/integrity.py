@@ -20,8 +20,8 @@ happens when that read goes wrong on real instrument data.  The pieces:
 * **Retry** — transient ``OSError`` (NFS hiccup, USB re-enumeration) is
   retried with bounded exponential backoff before being treated as corrupt.
 * **Quarantine** — corrupt tile bytes are copied into a ``.bad/`` directory
-  beside the source (the PR 2 disk-cache convention) with a small report,
-  so the original evidence survives triage.
+  beside the source (the disk cache's convention) with a small report, so
+  the original evidence survives triage.
 * **Prefetch** — :class:`Prefetcher` reads ahead on a worker thread into a
   queue bounded by ``memory_budget_bytes``, and tracks the maximum bytes
   simultaneously resident so streaming tests can assert the ceiling
@@ -35,15 +35,16 @@ boundary without touching bytes on disk.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .lazy import LazyVolume, SliceDirectoryVolume
 __all__ = [
     "ON_CORRUPT",
     "IngestPolicy",
+    "budget_bytes",
     "TileStream",
     "Prefetcher",
     "sidecar_path",
@@ -69,6 +71,9 @@ _SIDECAR_NAME = ".sha256.json"
 #: The values :attr:`IngestPolicy.on_corrupt` accepts.
 ON_CORRUPT = ("fail", "skip", "degrade")
 
+#: Transient-read retry for one tile: 3 attempts, 0.05 s base delay.
+_TILE_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.05, max_delay_s=0.4, retry_on=(OSError,))
+
 
 @dataclass(frozen=True)
 class IngestPolicy:
@@ -76,33 +81,34 @@ class IngestPolicy:
 
     ``memory_budget_bytes`` bounds the decoded tiles simultaneously resident
     in the prefetch window — the knob that makes "volume ≫ RAM" safe.
+    Checksums are verified whenever a sidecar exists, and corrupt tiles are
+    always quarantined to ``.bad/`` beside the source.
     """
 
     on_corrupt: str = "fail"
-    max_attempts: int = 3
-    backoff_s: float = 0.05
     memory_budget_bytes: int = 64 * 1024 * 1024
-    verify_checksums: bool | None = None  # None: verify iff a sidecar exists
-    quarantine: bool = True
-    quarantine_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.on_corrupt not in ON_CORRUPT:
             raise ValidationError(
                 f"on_corrupt must be one of {ON_CORRUPT}, got {self.on_corrupt!r}"
             )
-        if self.max_attempts < 1:
-            raise ValidationError("max_attempts must be >= 1")
         if self.memory_budget_bytes < 1:
             raise ValidationError("memory_budget_bytes must be positive")
 
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            base_delay_s=self.backoff_s,
-            max_delay_s=max(self.backoff_s * 8, self.backoff_s),
-            retry_on=(OSError,),
+
+def budget_bytes(memory_budget_mb: float) -> int:
+    """A prefetch budget given in MiB, as whole bytes.
+
+    Rejects NaN, infinities and budgets under one byte, so a bad value
+    fails where it enters rather than as a one-tile window or a failed job.
+    """
+    n = float(memory_budget_mb) * 1024 * 1024
+    if not (math.isfinite(n) and n >= 1):
+        raise ValidationError(
+            f"memory_budget_mb must be finite and at least one byte, got {memory_budget_mb!r}"
         )
+    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +128,22 @@ def tile_checksum(tile_bytes: bytes) -> str:
     return sha256(tile_bytes).hexdigest()
 
 
-def write_sidecar(volume: LazyVolume, path: Path | str | None = None) -> Path:
-    """Checksum every tile of ``volume`` and write the sidecar manifest.
+def write_sidecar(volume: LazyVolume) -> Path:
+    """Checksum every tile of ``volume`` and write its sidecar manifest.
 
     One streaming pass; O(tile) memory.  Checksums are taken over the
     *decoded* native-order tile bytes, so they survive a lossless re-export
     between front ends (TIFF stack → slice directory → ``.npy``).
     """
-    if path is None:
-        if volume.source_path is None:
-            raise ValidationError("write_sidecar needs a path for in-memory volumes")
-        path = sidecar_path(volume.source_path)
+    if volume.source_path is None:
+        raise ValidationError("write_sidecar needs a volume read from a file or directory")
     manifest = {
         "algo": "sha256",
         "shape": [int(s) for s in volume.shape],
         "dtype": str(volume.dtype),
         "tiles": [tile_checksum(volume.tile_bytes(z)) for z in range(volume.n_tiles)],
     }
-    out = Path(path)
+    out = sidecar_path(volume.source_path)
     tmp = out.with_name(out.name + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=1))
     os.replace(tmp, out)
@@ -158,16 +162,17 @@ def load_sidecar(source: Path | str) -> dict[str, Any] | None:
     return manifest
 
 
-def verify_volume(
-    volume: LazyVolume, manifest: dict[str, Any] | None = None
-) -> dict[str, Any]:
+def _volume_sidecar(volume: LazyVolume) -> dict[str, Any] | None:
+    return None if volume.source_path is None else load_sidecar(volume.source_path)
+
+
+def verify_volume(volume: LazyVolume) -> dict[str, Any]:
     """Verify every tile of ``volume``; the ``repro io verify`` engine.
 
     Returns a report: per-tile status plus counts.  Never raises on corrupt
     tiles — verification's whole job is to enumerate them.
     """
-    if manifest is None and volume.source_path is not None:
-        manifest = load_sidecar(volume.source_path)
+    manifest = _volume_sidecar(volume)
     expected = manifest.get("tiles") if manifest else None
     tiles: list[dict[str, Any]] = []
     counts = {"ok": 0, "torn": 0, "flip": 0, "unreadable": 0}
@@ -225,26 +230,11 @@ class TileStream:
     structured :class:`CorruptTileError` propagates instead.
     """
 
-    def __init__(
-        self,
-        volume: LazyVolume,
-        policy: IngestPolicy | None = None,
-        *,
-        manifest: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, volume: LazyVolume, policy: IngestPolicy | None = None) -> None:
         self.volume = volume
         self.policy = policy or IngestPolicy()
-        if manifest is None and self.policy.verify_checksums is not False:
-            if volume.source_path is not None:
-                manifest = load_sidecar(volume.source_path)
-        if self.policy.verify_checksums is True and manifest is None:
-            raise ValidationError(
-                "verify_checksums=True but no checksum sidecar was found "
-                f"for {volume.source_path!r} (write one with `repro io checksum`)"
-            )
-        self.manifest = manifest
+        manifest = _volume_sidecar(volume)
         self._expected = manifest.get("tiles") if manifest else None
-        self._retry = self.policy.retry_policy()
         self.degraded: dict[int, str] = {}
         # A torn tail can drop whole trailing pages from the container's
         # index, so the volume opens "clean" but shorter than the sidecar
@@ -322,7 +312,7 @@ class TileStream:
             return self._substituted[z], self.degraded.get(z)
         start = time.perf_counter()
         try:
-            tile = self._retry.call(
+            tile = _TILE_RETRY.call(
                 lambda attempt: self._read_verified(z),
                 key=f"io-tile-{z}",
                 on_retry=lambda attempt, exc: self._on_retry(z, attempt, exc),
@@ -351,7 +341,7 @@ class TileStream:
         if isinstance(exc, RetryExhaustedError):
             cause = exc.__cause__
             err = CorruptTileError(
-                f"tile {z} unreadable after {self.policy.max_attempts} attempts: {cause}",
+                f"tile {z} unreadable after {_TILE_RETRY.max_attempts} attempts: {cause}",
                 kind="unreadable",
                 tile=z,
                 path=self.volume.source_path,
@@ -374,10 +364,6 @@ class TileStream:
     # -- quarantine -----------------------------------------------------------
 
     def _quarantine_root(self) -> Path | None:
-        if not self.policy.quarantine:
-            return None
-        if self.policy.quarantine_dir:
-            return Path(self.policy.quarantine_dir)
         if self.volume.source_path is None:
             return None
         src = Path(self.volume.source_path)
@@ -421,28 +407,20 @@ class TileStream:
 class Prefetcher:
     """Read tiles ahead on a worker thread, bounded by the memory budget.
 
-    Iterating yields ``(z, tile, degraded_reason)`` in order.  The window
-    (concurrent decoded tiles) is ``memory_budget_bytes // tile_nbytes``
-    clamped to [1, 32]; ``max_resident_bytes`` reports the high-water mark
-    of decoded tile bytes alive inside the prefetcher — the structural
-    number the larger-than-RAM test asserts against the budget.
+    Iterating yields ``(z, tile, degraded_reason)`` in order from ``start``
+    to the last tile.  The window (concurrent decoded tiles) is
+    ``memory_budget_bytes // tile_nbytes`` clamped to [1, 32];
+    ``max_resident_bytes`` reports the high-water mark of decoded tile bytes
+    alive inside the prefetcher — the structural number the larger-than-RAM
+    test asserts against the budget.
     """
 
     _DONE = object()
 
-    def __init__(
-        self,
-        stream: TileStream,
-        *,
-        start: int = 0,
-        stop: int | None = None,
-        skip: Callable[[int], bool] | None = None,
-    ) -> None:
+    def __init__(self, stream: TileStream, *, start: int = 0) -> None:
         self.stream = stream
         volume = stream.volume
         self.start = int(start)
-        self.stop = volume.n_tiles if stop is None else int(stop)
-        self.skip = skip
         budget = stream.policy.memory_budget_bytes
         tile_nbytes = max(1, volume.tile_nbytes)
         self.window = max(1, min(32, budget // tile_nbytes))
@@ -468,11 +446,9 @@ class Prefetcher:
 
     def _worker(self) -> None:
         try:
-            for z in range(self.start, self.stop):
+            for z in range(self.start, self.stream.volume.n_tiles):
                 if self._cancel.is_set():
                     return
-                if self.skip is not None and self.skip(z):
-                    continue
                 while not self._permits.acquire(timeout=0.2):
                     if self._cancel.is_set():
                         return

@@ -23,9 +23,9 @@ import numpy as np
 
 from ..errors import FormatError
 from ..resilience.events import record_event
-from .tiff import read_tiff, write_tiff
+from .tiff import write_tiff
 
-__all__ = ["save_volume_bundle", "load_volume_bundle", "export_volume_tiff", "import_volume_tiff"]
+__all__ = ["save_volume_bundle", "load_volume_bundle", "export_volume_tiff"]
 
 _BUNDLE_VERSION = 1
 
@@ -105,31 +105,3 @@ def export_volume_tiff(path, volume: np.ndarray, *, voxel_size_nm: tuple[float, 
         # pixels per centimetre = 1e7 nm/cm divided by nm per pixel
         resolution = (1e7 / voxel_size_nm[0], 1e7 / voxel_size_nm[1])
     write_tiff(path, np.asarray(volume), compress=compress, description=description, resolution=resolution)
-
-
-def import_volume_tiff(path) -> np.ndarray:
-    """Import a multi-page TIFF stack as a 3-D array (or 2-D for one page).
-
-    Malformed stacks raise :class:`FormatError` with the file quarantined
-    to ``.bad/``; structural errors never leak as raw ``struct.error``.
-    """
-    try:
-        return read_tiff(path)
-    except FormatError as exc:
-        # A file that *claims* to be a TIFF (valid magic) but fails to parse
-        # is damaged goods — quarantine it.  Wrong-format uploads (no magic)
-        # stay where they are; the user just picked the wrong file.
-        try:
-            with open(path, "rb") as fh:
-                magic = fh.read(4)
-        except OSError:
-            magic = b""
-        if magic in (b"II*\x00", b"MM\x00*"):
-            quarantine_file(path, f"corrupt TIFF structure: {exc}")
-        raise
-    except (struct.error, ValueError, EOFError, zlib.error, OSError) as exc:
-        quarantine_file(path, f"corrupt TIFF: {exc}")
-        raise FormatError(
-            f"{os.fspath(path)!r} is not a readable TIFF stack "
-            f"(quarantined to .bad/): {exc}"
-        ) from exc

@@ -57,6 +57,9 @@ from .store import JobStore
 
 __all__ = ["JobRunner", "JobGuard"]
 
+#: How long an idle worker waits before polling the queue again.
+_IDLE_POLL_S = 0.1
+
 
 class JobGuard:
     """Deadline-shaped cancellation token bound into ``request_scope``.
@@ -150,7 +153,6 @@ class JobRunner:
         store: JobStore,
         *,
         n_workers: int = 1,
-        poll_s: float = 0.1,
         tracer: Tracer | None = None,
     ) -> None:
         if n_workers < 1:
@@ -158,7 +160,6 @@ class JobRunner:
         self.scheduler = scheduler
         self.store = store
         self.n_workers = int(n_workers)
-        self.poll_s = float(poll_s)
         self.tracer = tracer  # spans of finished jobs are adopted here
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
@@ -234,10 +235,10 @@ class JobRunner:
                 job = self.scheduler.acquire(worker_id)
             except Exception:  # journal IO trouble: back off, keep serving
                 record_event("jobs.scheduler_errors")
-                self._stop.wait(self.poll_s * 5)
+                self._stop.wait(_IDLE_POLL_S * 5)
                 continue
             if job is None:
-                self._stop.wait(self.poll_s)
+                self._stop.wait(_IDLE_POLL_S)
                 continue
             self._execute(job, worker_id)
 
@@ -338,7 +339,7 @@ class JobRunner:
         preset-built config; when omitted, everything comes from the job
         params.
         """
-        from ..io.integrity import IngestPolicy
+        from ..io.integrity import IngestPolicy, budget_bytes
         from ..io.lazy import open_lazy_volume
 
         params = job.params
@@ -353,7 +354,7 @@ class JobRunner:
         if streamed:
             policy = IngestPolicy(
                 on_corrupt=str(params["on_corrupt"]),
-                memory_budget_bytes=max(1, int(float(params["memory_budget_mb"]) * 1024 * 1024)),
+                memory_budget_bytes=budget_bytes(params["memory_budget_mb"]),
             )
         registry = get_registry()
         span = tracer.begin("job.volume", source=job.input_path, temporal_mode=mode)

@@ -142,7 +142,6 @@ class JobScheduler:
         params: dict | None = None,
         *,
         priority: int = 0,
-        max_attempts: int | None = None,
         session_id: str | None = None,
         input_path: str | None = None,
     ) -> JobRecord:
@@ -161,7 +160,7 @@ class JobScheduler:
                 params=dict(params or {}),
                 priority=int(priority),
                 submit_seq=seq,
-                max_attempts=int(max_attempts if max_attempts is not None else self.retry_policy.max_attempts),
+                max_attempts=self.retry_policy.max_attempts,
                 created_at=now,
                 session_id=session_id,
                 input_path=input_path,

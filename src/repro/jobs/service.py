@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from ..core.driver import ENGINES
-from ..errors import JobError
-from ..io.integrity import ON_CORRUPT, sidecar_path
+from ..errors import JobError, ValidationError
+from ..io.integrity import ON_CORRUPT, budget_bytes, sidecar_path
 from ..io.lazy import open_lazy_volume
 from ..observability.trace import Tracer
 from ..resilience.events import record_event
@@ -34,6 +34,9 @@ from .scheduler import JobScheduler
 from .store import JobStore
 
 __all__ = ["JobService"]
+
+#: How often :meth:`JobService.wait` re-reads the journal.
+_WAIT_POLL_S = 0.05
 
 
 def _input_stem() -> str:
@@ -50,6 +53,14 @@ def _existing_source(path: Path | str) -> Path:
 def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
     if value not in allowed:
         raise JobError(f"unknown {what} {value!r}")
+
+
+def _check_budget(memory_budget_mb: float) -> float:
+    try:
+        budget_bytes(memory_budget_mb)
+    except ValidationError as exc:
+        raise JobError(str(exc)) from None
+    return float(memory_budget_mb)
 
 
 def _volume_params(prompt: str, temporal: bool, temporal_mode: str) -> dict:
@@ -109,7 +120,6 @@ class JobService:
         params: dict | None = None,
         *,
         priority: int = 0,
-        max_attempts: int | None = None,
         session_id: str | None = None,
         input_path: str | None = None,
     ) -> JobRecord:
@@ -118,7 +128,6 @@ class JobService:
             kind,
             params,
             priority=priority,
-            max_attempts=max_attempts,
             session_id=session_id,
             input_path=input_path,
         )
@@ -132,7 +141,6 @@ class JobService:
         temporal_mode: str = "meanbox",
         deadline_s: float | None = None,
         priority: int = 0,
-        max_attempts: int | None = None,
         session_id: str | None = None,
     ) -> JobRecord:
         """Snapshot the volume to durable storage and queue a Mode B job.
@@ -151,7 +159,6 @@ class JobService:
             "segment_volume",
             _with_deadline(params, deadline_s),
             priority=priority,
-            max_attempts=max_attempts,
             session_id=session_id,
             input_path=str(snap),
         )
@@ -167,7 +174,6 @@ class JobService:
         memory_budget_mb: float = 64.0,
         deadline_s: float | None = None,
         priority: int = 0,
-        max_attempts: int | None = None,
         session_id: str | None = None,
     ) -> JobRecord:
         """Queue a *streaming* Mode B job over an on-disk volume.
@@ -182,12 +188,13 @@ class JobService:
         src = _existing_source(path)
         params = _volume_params(prompt, temporal, temporal_mode)
         _check_choice(on_corrupt, ON_CORRUPT, "on_corrupt policy")
-        params.update(stream=True, on_corrupt=str(on_corrupt), memory_budget_mb=float(memory_budget_mb))
+        params.update(
+            stream=True, on_corrupt=str(on_corrupt), memory_budget_mb=_check_budget(memory_budget_mb)
+        )
         return self.submit(
             "segment_volume",
             _with_deadline(params, deadline_s),
             priority=priority,
-            max_attempts=max_attempts,
             session_id=session_id,
             input_path=str(self._snapshot_source(src)),
         )
@@ -206,7 +213,6 @@ class JobService:
         pixel_size_nm: float | None = None,
         deadline_s: float | None = None,
         priority: int = 0,
-        max_attempts: int | None = None,
         session_id: str | None = None,
     ) -> tuple[JobRecord, bool]:
         """Queue one zoo job for a volume; idempotent by content key.
@@ -227,6 +233,7 @@ class JobService:
         if mode not in ("best", "ensemble"):
             raise JobError(f"zoo mode must be 'best' or 'ensemble', got {mode!r}")
         _check_choice(on_corrupt, ON_CORRUPT, "on_corrupt policy")
+        memory_budget_mb = _check_budget(memory_budget_mb)
         if mode == "ensemble" and stream:
             raise JobError(
                 "ensemble mode needs per-slice detections for semantic verification "
@@ -269,7 +276,7 @@ class JobService:
             "source_name": src.name,
             "stream": bool(stream),
             "on_corrupt": str(on_corrupt),
-            "memory_budget_mb": float(memory_budget_mb),
+            "memory_budget_mb": memory_budget_mb,
         }
         if pixel_size_nm is not None:
             params["pixel_size_nm"] = float(pixel_size_nm)
@@ -279,7 +286,6 @@ class JobService:
             "zoo_segment",
             _with_deadline(params, deadline_s),
             priority=priority,
-            max_attempts=max_attempts,
             session_id=session_id,
             input_path=str(self._snapshot_source(src, opened=True)),
         )
@@ -343,7 +349,7 @@ class JobService:
         """Cancel a job: immediate when queued, cooperative when running."""
         return self.scheduler.cancel(job_id).public_view()
 
-    def wait(self, job_id: str, *, timeout_s: float = 60.0, poll_s: float = 0.05) -> dict:
+    def wait(self, job_id: str, *, timeout_s: float = 60.0) -> dict:
         """Block until the job is terminal (tests / CLI watch); returns status."""
         t0 = time.monotonic()
         while True:
@@ -354,7 +360,7 @@ class JobService:
                 return rec.public_view()
             if time.monotonic() - t0 > timeout_s:
                 raise JobError(f"timed out waiting {timeout_s}s for job {job_id} ({rec.state})")
-            time.sleep(poll_s)
+            time.sleep(_WAIT_POLL_S)
 
     # -- operator verbs --------------------------------------------------------
 

@@ -1,46 +1,29 @@
 """Segmentation metrics: confusion, overlap, boundary, and aggregation."""
 
 from .aggregate import MetricSummary, bootstrap_ci, summarize, summarize_records
-from .boundary import boundary_f1, hausdorff_distance
+from .boundary import boundary_f1
 from .confusion import (
     ConfusionCounts,
     accuracy,
     confusion_counts,
-    f1_score,
     precision,
     recall,
     specificity,
 )
-from .overlap import dice, dice_to_iou, iou, iou_to_dice
-from .volumetric import (
-    ParticleStats,
-    particle_statistics,
-    slice_profile_correlation,
-    volumetric_dice,
-    volumetric_iou,
-)
+from .overlap import dice, iou
 
 __all__ = [
     "ConfusionCounts",
     "MetricSummary",
-    "ParticleStats",
     "accuracy",
     "bootstrap_ci",
     "boundary_f1",
     "confusion_counts",
     "dice",
-    "dice_to_iou",
-    "f1_score",
-    "hausdorff_distance",
     "iou",
-    "iou_to_dice",
     "precision",
     "recall",
     "specificity",
-    "particle_statistics",
-    "slice_profile_correlation",
     "summarize",
     "summarize_records",
-    "volumetric_dice",
-    "volumetric_iou",
 ]

@@ -1,4 +1,4 @@
-"""Boundary-aware metrics: Hausdorff distance (incl. HD95) and boundary F1.
+"""Boundary-aware metric: boundary F1.
 
 Complement the overlap metrics: two masks with equal IoU can have very
 different boundary quality, which matters for morphology measurements
@@ -7,38 +7,12 @@ different boundary quality, which matters for morphology measurements
 
 from __future__ import annotations
 
-import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from ..core.masks import mask_boundary
 from ..utils.validation import ensure_mask
 
-__all__ = ["hausdorff_distance", "boundary_f1"]
-
-
-def _boundary_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from each boundary pixel of ``a`` to the boundary of ``b``."""
-    dist_to_b = distance_transform_edt(~mask_boundary(b))
-    return dist_to_b[mask_boundary(a)]
-
-
-def hausdorff_distance(pred, gt, *, percentile: float = 100.0) -> float:
-    """(Percentile-)Hausdorff distance between mask boundaries, in pixels.
-
-    ``percentile=95`` gives the robust HD95 variant.  Returns ``inf`` when
-    exactly one mask is empty, 0.0 when both are.
-    """
-    p = ensure_mask(pred, name="pred")
-    g = ensure_mask(gt, shape=p.shape, name="gt")
-    if not p.any() and not g.any():
-        return 0.0
-    if not p.any() or not g.any():
-        return float("inf")
-    d_pg = _boundary_distances(p, g)
-    d_gp = _boundary_distances(g, p)
-    if percentile >= 100.0:
-        return float(max(d_pg.max(), d_gp.max()))
-    return float(max(np.percentile(d_pg, percentile), np.percentile(d_gp, percentile)))
+__all__ = ["boundary_f1"]
 
 
 def boundary_f1(pred, gt, *, tolerance_px: float = 2.0) -> float:

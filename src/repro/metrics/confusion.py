@@ -8,7 +8,7 @@ import numpy as np
 
 from ..utils.validation import ensure_mask
 
-__all__ = ["ConfusionCounts", "confusion_counts", "accuracy", "precision", "recall", "specificity", "f1_score"]
+__all__ = ["ConfusionCounts", "confusion_counts", "accuracy", "precision", "recall", "specificity"]
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,3 @@ def recall(pred, gt) -> float:
 def specificity(pred, gt) -> float:
     """TN / (TN + FP)."""
     return confusion_counts(pred, gt).specificity
-
-
-def f1_score(pred, gt) -> float:
-    """Harmonic mean of precision and recall (== Dice for boolean masks)."""
-    return confusion_counts(pred, gt).f1

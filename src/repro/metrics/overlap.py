@@ -6,7 +6,7 @@ import numpy as np
 
 from ..utils.validation import ensure_mask
 
-__all__ = ["iou", "dice", "iou_to_dice", "dice_to_iou"]
+__all__ = ["iou", "dice"]
 
 
 def iou(pred, gt) -> float:
@@ -29,13 +29,3 @@ def dice(pred, gt) -> float:
     if denom == 0:
         return 1.0
     return 2.0 * inter / denom
-
-
-def iou_to_dice(value: float) -> float:
-    """Convert an IoU value to the equivalent Dice value (same masks)."""
-    return 2.0 * value / (1.0 + value) if value >= 0 else 0.0
-
-
-def dice_to_iou(value: float) -> float:
-    """Convert a Dice value to the equivalent IoU value (same masks)."""
-    return value / (2.0 - value) if value >= 0 else 0.0

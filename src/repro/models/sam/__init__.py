@@ -5,7 +5,7 @@ from .automatic import SamAutomaticMaskGenerator
 from .image_encoder import ImageEncoderViT
 from .mask_decoder import DecoderOutput, MaskDecoder
 from .model import Sam, SamConfig, SamPredictor
-from .prompt_encoder import POINT_LABEL_NEGATIVE, POINT_LABEL_POSITIVE, PromptEncoder
+from .prompt_encoder import PromptEncoder
 
 __all__ = [
     "AnalyticContext",
@@ -15,8 +15,6 @@ __all__ = [
     "ImageEncoderViT",
     "MaskDecoder",
     "MaskHypothesis",
-    "POINT_LABEL_NEGATIVE",
-    "POINT_LABEL_POSITIVE",
     "PromptEncoder",
     "Sam",
     "SamAutomaticMaskGenerator",

@@ -14,10 +14,7 @@ from scipy.ndimage import zoom
 from ...errors import PromptError
 from ..nn import Linear, ParamFactory, RandomFourierPositionEncoding
 
-__all__ = ["PromptEncoder", "POINT_LABEL_POSITIVE", "POINT_LABEL_NEGATIVE"]
-
-POINT_LABEL_POSITIVE = 1
-POINT_LABEL_NEGATIVE = 0
+__all__ = ["PromptEncoder"]
 
 
 class PromptEncoder:

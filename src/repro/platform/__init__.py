@@ -2,7 +2,7 @@
 
 from .api import ApiHandler
 from .render import render_comparison_figure, render_slice_bundle, save_figure
-from .server import PlatformServer, make_server
+from .server import PlatformServer
 from .session import Session, SessionStore
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "PlatformServer",
     "Session",
     "SessionStore",
-    "make_server",
     "render_comparison_figure",
     "render_slice_bundle",
     "save_figure",

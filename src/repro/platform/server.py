@@ -43,7 +43,7 @@ from ..resilience.serving import AdmissionGate, ServerLifecycle
 from .api import ApiHandler
 from .session import SessionStore
 
-__all__ = ["make_server", "PlatformServer"]
+__all__ = ["PlatformServer"]
 
 #: Default request-body cap: generous for base64 volume uploads, small
 #: enough that one bad client cannot balloon resident memory.
@@ -368,8 +368,3 @@ class PlatformServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def make_server(host: str = "127.0.0.1", port: int = 8765, **kwargs) -> PlatformServer:
-    """Convenience constructor used by the run-server example."""
-    return PlatformServer(host=host, port=port, **kwargs)

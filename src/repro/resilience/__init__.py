@@ -24,7 +24,7 @@ checkpoints, what degrades, and what raises.
 
 from .checkpoint import CheckpointManager
 from .events import event_count, record_event
-from .faults import FaultPlan, FaultRule, fault_crash_exit_code, get_fault_plan
+from .faults import FaultPlan, FaultRule, get_fault_plan
 from .policy import Deadline, RetryPolicy
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "FaultRule",
     "RetryPolicy",
     "event_count",
-    "fault_crash_exit_code",
     "get_fault_plan",
     "record_event",
 ]

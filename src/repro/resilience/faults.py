@@ -66,14 +66,10 @@ from ..errors import ValidationError
 from ..utils.rng import GLOBAL_SEED, derive_seed, make_rng
 from .events import record_event
 
-__all__ = ["FaultRule", "FaultPlan", "get_fault_plan", "fault_crash_exit_code"]
+__all__ = ["FaultRule", "FaultPlan", "get_fault_plan"]
 
 #: Exit code used by injected hard-crash faults (the docker OOM-kill code).
 CRASH_EXIT_CODE = 137
-
-
-def fault_crash_exit_code() -> int:
-    return CRASH_EXIT_CODE
 
 
 def _parse_value(raw: str) -> int | float | str:

@@ -7,7 +7,6 @@ from .validation import (
     ensure_2d,
     ensure_3d,
     ensure_box,
-    ensure_in,
     ensure_mask,
     ensure_ndarray,
     ensure_positive,
@@ -23,7 +22,6 @@ __all__ = [
     "ensure_2d",
     "ensure_3d",
     "ensure_box",
-    "ensure_in",
     "ensure_mask",
     "ensure_ndarray",
     "ensure_positive",

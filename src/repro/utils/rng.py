@@ -11,7 +11,6 @@ sequence, so adding a new consumer never perturbs existing streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -71,16 +70,3 @@ def as_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return make_rng(rng)
-
-
-def stable_choice(rng: np.random.Generator, items: Iterable, size: int) -> list:
-    """Choose ``size`` items without replacement, preserving input order.
-
-    Used by the HITL simulator to sample candidate boxes reproducibly while
-    keeping the (deterministic) ranking order of the remaining pipeline.
-    """
-    seq = list(items)
-    if size >= len(seq):
-        return seq
-    idx = rng.choice(len(seq), size=size, replace=False)
-    return [seq[i] for i in sorted(int(i) for i in idx)]

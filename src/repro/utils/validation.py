@@ -6,8 +6,6 @@ so the platform layer can surface them verbatim in API responses.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import ValidationError
@@ -17,7 +15,6 @@ __all__ = [
     "ensure_2d",
     "ensure_3d",
     "ensure_finite",
-    "ensure_in",
     "ensure_positive",
     "ensure_range",
     "ensure_box",
@@ -74,13 +71,6 @@ def ensure_finite(value, name: str = "array") -> np.ndarray:
                 f"of {arr.size} elements)"
             )
     return arr
-
-
-def ensure_in(value, options: Sequence, name: str = "value"):
-    """Require ``value`` to be one of ``options``."""
-    if value not in options:
-        raise ValidationError(f"{name} must be one of {sorted(map(str, options))}, got {value!r}")
-    return value
 
 
 def ensure_positive(value, name: str = "value", *, strict: bool = True):

@@ -2,7 +2,7 @@
 
 from .colormap import LABEL_COLORS, apply_colormap, gray_to_rgb_u8, label_color
 from .contact_sheet import contact_sheet
-from .overlay import draw_boxes, extract_segment, overlay_boundary, overlay_mask
+from .overlay import draw_boxes, extract_segment, overlay_mask
 from .plots import Canvas, bar_chart, draw_text
 
 __all__ = [
@@ -16,6 +16,5 @@ __all__ = [
     "extract_segment",
     "gray_to_rgb_u8",
     "label_color",
-    "overlay_boundary",
     "overlay_mask",
 ]

@@ -1,7 +1,7 @@
-"""Overlay rendering: masks, boundaries, and boxes on grayscale images.
+"""Overlay rendering: masks and boxes on grayscale images.
 
-Mirrors the platform UI's visualisation modes: translucent mask fill,
-highlighted segment boundaries, and DINO bounding-box outlines.
+Mirrors the platform UI's visualisation modes: translucent mask fill and
+DINO bounding-box outlines.
 """
 
 from __future__ import annotations
@@ -9,11 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.boxes import as_boxes
-from ..core.masks import dilate, mask_boundary
 from ..utils.validation import ensure_mask
 from .colormap import gray_to_rgb_u8, label_color
 
-__all__ = ["overlay_mask", "overlay_boundary", "draw_boxes", "extract_segment"]
+__all__ = ["overlay_mask", "draw_boxes", "extract_segment"]
 
 
 def _as_rgb(image: np.ndarray) -> np.ndarray:
@@ -38,24 +37,6 @@ def overlay_mask(
     rgb_f = rgb.astype(np.float32)
     rgb_f[m] = (1.0 - alpha) * rgb_f[m] + alpha * c
     return np.round(rgb_f).astype(np.uint8)
-
-
-def overlay_boundary(
-    image: np.ndarray,
-    mask: np.ndarray,
-    *,
-    color: tuple[int, int, int] | None = None,
-    label_index: int = 0,
-    thickness: int = 1,
-) -> np.ndarray:
-    """Draw the mask's boundary (optionally thickened) over the image."""
-    rgb = _as_rgb(image)
-    m = ensure_mask(mask, shape=rgb.shape[:2])
-    boundary = mask_boundary(m)
-    if thickness > 1:
-        boundary = dilate(boundary, thickness - 1)
-    rgb[boundary] = color if color is not None else label_color(label_index)
-    return rgb
 
 
 def draw_boxes(

@@ -31,6 +31,7 @@ from ..cache import array_content_key
 from ..core.pipeline import ZenesisConfig
 from ..errors import ZooError
 from ..jobs.runner import _memo_pipeline
+from ..metrics.overlap import iou
 from ..observability.metrics import get_registry
 from .registry import TaskPreset
 
@@ -139,20 +140,13 @@ def ensemble_variants(
     return configs
 
 
-def _pair_iou(a: np.ndarray, b: np.ndarray) -> float:
-    union = int(np.logical_or(a, b).sum())
-    if union == 0:
-        return 1.0  # two empty masks agree perfectly
-    return float(np.logical_and(a, b).sum() / union)
-
-
 def member_weights(masks: list[np.ndarray]) -> list[float]:
     """Consensus weight per member: mean pairwise IoU against the others."""
     if len(masks) == 1:
         return [1.0]
     weights = []
     for i, mask in enumerate(masks):
-        ious = [_pair_iou(mask, other) for j, other in enumerate(masks) if j != i]
+        ious = [iou(mask, other) for j, other in enumerate(masks) if j != i]
         weights.append(float(np.mean(ious)))
     return weights
 

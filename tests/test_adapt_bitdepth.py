@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.adapt.bitdepth import nominal_range, robust_normalize, to_float01, to_uint8
+from repro.adapt.bitdepth import nominal_range, robust_normalize, to_float01
 from repro.errors import ValidationError
 
 
@@ -60,16 +60,3 @@ class TestRobustNormalize:
     def test_bad_percentiles(self):
         with pytest.raises(ValidationError):
             robust_normalize(np.zeros((4, 4)), p_lo=60, p_hi=40)
-
-
-class TestToUint8:
-    def test_range(self, rng):
-        arr = rng.integers(0, 65535, (16, 16)).astype(np.uint16)
-        out = to_uint8(arr)
-        assert out.dtype == np.uint8
-        assert out.max() >= 250
-
-    def test_non_robust_path(self):
-        arr = np.array([[0, 65535]], dtype=np.uint16)
-        out = to_uint8(arr, robust=False)
-        assert out[0, 0] == 0 and out[0, 1] == 255

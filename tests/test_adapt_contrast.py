@@ -1,9 +1,9 @@
-"""Tests for contrast operators: stretch, gamma, equalisation, CLAHE."""
+"""Tests for contrast operators: stretch and CLAHE."""
 
 import numpy as np
 import pytest
 
-from repro.adapt.contrast import clahe, equalize_hist, gamma_correct, stretch_contrast
+from repro.adapt.contrast import clahe, stretch_contrast
 from repro.errors import ValidationError
 
 
@@ -25,37 +25,6 @@ class TestStretch:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError):
             stretch_contrast(np.full((4, 4), 7.0))
-
-
-class TestGamma:
-    def test_identity(self):
-        img = np.random.default_rng(0).random((8, 8)).astype(np.float32)
-        assert np.allclose(gamma_correct(img, 1.0), img, atol=1e-6)
-
-    def test_brightens(self):
-        img = np.full((4, 4), 0.25)
-        assert gamma_correct(img, 0.5).mean() > 0.25
-
-    def test_invalid_gamma(self):
-        with pytest.raises(Exception):
-            gamma_correct(np.zeros((4, 4)), 0.0)
-
-
-class TestEqualize:
-    def test_flattens_histogram(self, rng):
-        # A skewed image becomes closer to uniform.
-        img = (rng.random((64, 64)) ** 3).astype(np.float32)
-        out = equalize_hist(img)
-        hist, _ = np.histogram(out, bins=10, range=(0, 1))
-        skew_before, _ = np.histogram(img, bins=10, range=(0, 1))
-        assert hist.std() < skew_before.std()
-
-    def test_monotone(self, rng):
-        img = rng.random((32, 32)).astype(np.float32)
-        out = equalize_hist(img)
-        order_in = np.argsort(img.ravel())
-        sorted_out = out.ravel()[order_in]
-        assert (np.diff(sorted_out) >= -1e-6).all()
 
 
 class TestClahe:

@@ -1,62 +1,16 @@
-"""Tests for resampling, channel adaptation, pipelines, and readiness."""
+"""Tests for channel adaptation, pipelines, and readiness."""
 
 import numpy as np
 import pytest
 
-from repro.adapt.channels import gray_to_multichannel, gray_to_rgb, rgb_to_gray
-from repro.adapt.pipeline import AdaptationPipeline, default_fibsem_pipeline, identity_pipeline
+from repro.adapt.channels import gray_to_multichannel
+from repro.adapt.pipeline import AdaptationPipeline, default_fibsem_pipeline
 from repro.adapt.readiness import READY_THRESHOLD, score_readiness
-from repro.adapt.resample import resample_isotropic, resize_image, resize_mask
 from repro.data.image import ScientificImage
-from repro.data.volume import ScientificVolume
 from repro.errors import ValidationError
 
 
-class TestResample:
-    def test_resize_exact_shape(self, rng):
-        img = rng.random((37, 53)).astype(np.float32)
-        out = resize_image(img, (64, 64))
-        assert out.shape == (64, 64)
-
-    def test_resize_downscale(self, rng):
-        img = rng.random((64, 64)).astype(np.float32)
-        out = resize_image(img, (17, 23))
-        assert out.shape == (17, 23)
-
-    def test_resize_preserves_mean_roughly(self, rng):
-        img = rng.random((32, 32)).astype(np.float32)
-        out = resize_image(img, (64, 64))
-        assert out.mean() == pytest.approx(img.mean(), abs=0.05)
-
-    def test_resize_mask_binary(self):
-        mask = np.zeros((20, 20), dtype=bool)
-        mask[5:15, 5:15] = True
-        out = resize_mask(mask, (40, 40))
-        assert out.dtype == bool
-        assert out.mean() == pytest.approx(mask.mean(), abs=0.1)
-
-    def test_isotropic_resample(self):
-        vol = ScientificVolume(
-            np.random.default_rng(0).random((4, 16, 16)).astype(np.float32),
-            voxel_size_nm=(20.0, 5.0, 5.0),
-        )
-        out = resample_isotropic(vol)
-        assert out.shape[0] == 16  # 4 slices * 4x anisotropy
-        assert out.anisotropy == pytest.approx(1.0)
-
-    def test_isotropic_needs_voxel_size(self):
-        vol = ScientificVolume(np.zeros((2, 4, 4), dtype=np.float32))
-        with pytest.raises(ValidationError):
-            resample_isotropic(vol)
-
-
 class TestChannels:
-    def test_gray_to_rgb(self, rng):
-        img = rng.random((8, 8)).astype(np.float32)
-        out = gray_to_rgb(img)
-        assert out.shape == (8, 8, 3)
-        assert np.array_equal(out[..., 0], out[..., 2])
-
     def test_multichannel_distinct(self, rng):
         img = rng.random((32, 32)).astype(np.float32)
         out = gray_to_multichannel(img)
@@ -64,20 +18,11 @@ class TestChannels:
         assert not np.allclose(out[..., 0], out[..., 1])
         assert not np.allclose(out[..., 1], out[..., 2])
 
-    def test_rgb_to_gray_weights(self):
-        img = np.zeros((2, 2, 3), dtype=np.float32)
-        img[..., 1] = 1.0  # pure green
-        assert rgb_to_gray(img)[0, 0] == pytest.approx(0.587)
-
-    def test_rgb_to_gray_passthrough_2d(self, rng):
-        img = rng.random((4, 4)).astype(np.float32)
-        assert np.array_equal(rgb_to_gray(img), img)
-
 
 class TestAdaptationPipeline:
     def test_identity(self, rng):
         img = rng.random((16, 16)).astype(np.float32)
-        out = identity_pipeline().run(img)
+        out = AdaptationPipeline.from_spec([]).run(img)
         assert np.allclose(out, img)
 
     def test_from_spec(self, rng):

@@ -110,6 +110,22 @@ class TestSegment:
         assert main([*base, "--resume"]) == 0
         assert event_count("checkpoint.resumed_slices") > before
 
+    @pytest.mark.parametrize(
+        "extra, error_type",
+        [
+            (["--memory-budget-mb", "0"], "ValidationError"),
+            (["--memory-budget-mb", "nan"], "ValidationError"),
+            ([], "FormatError"),
+        ],
+        ids=["zero_budget", "nan_budget", "missing_input"],
+    )
+    def test_stream_errors_print_the_error_record(self, volume_file, capsys, extra, error_type):
+        path = volume_file if extra else volume_file.parent / "missing.tif"
+        rc = main(["segment", str(path), "catalyst particles", "--stream", *extra])
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["ok"] is False and record["type"] == error_type
+
 
 class TestBatch:
     def test_batch_runs(self, volume_file, tmp_path, capsys):

@@ -6,13 +6,10 @@ import pytest
 from repro.core.boxes import (
     as_boxes,
     box_area,
-    box_center,
     box_iou,
-    box_to_mask,
     clip_boxes,
     mask_to_box,
     merge_overlapping,
-    nms,
     pad_box,
     random_boxes,
 )
@@ -34,10 +31,6 @@ class TestAsBoxes:
 class TestGeometry:
     def test_area(self):
         assert box_area([[0, 0, 4, 5]])[0] == 20
-
-    def test_center(self):
-        c = box_center([[0, 0, 4, 6]])[0]
-        assert c.tolist() == [2.0, 3.0]
 
     def test_iou_disjoint(self):
         assert box_iou([[0, 0, 2, 2]], [[5, 5, 7, 7]])[0, 0] == 0.0
@@ -74,22 +67,6 @@ class TestClipPad:
         assert out.tolist() == [0, 0, 10, 10]
 
 
-class TestNms:
-    def test_suppresses_overlaps(self):
-        boxes = [[0, 0, 10, 10], [1, 1, 11, 11], [50, 50, 60, 60]]
-        keep = nms(boxes, [0.9, 0.8, 0.7], iou_threshold=0.5)
-        assert list(keep) == [0, 2]
-
-    def test_keeps_best_first(self):
-        boxes = [[0, 0, 10, 10], [1, 1, 11, 11]]
-        keep = nms(boxes, [0.5, 0.9], iou_threshold=0.5)
-        assert list(keep) == [1]
-
-    def test_scores_shape_checked(self):
-        with pytest.raises(ValidationError):
-            nms([[0, 0, 1, 1]], [0.5, 0.6])
-
-
 class TestMerge:
     def test_transitive_merge(self):
         # a-b overlap, b-c overlap, a-c don't: all three merge into one.
@@ -114,10 +91,6 @@ class TestMaskConversions:
 
     def test_mask_to_box_empty(self):
         assert mask_to_box(np.zeros((5, 5), dtype=bool)) is None
-
-    def test_box_to_mask_roundtrip(self):
-        m = box_to_mask([3, 2, 8, 5], (10, 10))
-        assert mask_to_box(m).tolist() == [3, 2, 8, 5]
 
 
 class TestRandomBoxes:

@@ -15,7 +15,6 @@ from repro.core.masks import (
     dilate,
     erode,
     label,
-    largest_component,
     mask_boundary,
     masks_iou,
     rle_decode,
@@ -70,12 +69,6 @@ class TestComponents:
 
     def test_empty(self):
         assert connected_components(np.zeros((4, 4), dtype=bool)) == []
-
-    def test_largest_component(self):
-        m = np.zeros((10, 10), dtype=bool)
-        m[0:2, 0:2] = True
-        m[5:9, 5:9] = True
-        assert largest_component(m).sum() == 16
 
     def test_component_containing(self):
         m = np.zeros((10, 10), dtype=bool)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.temporal import (
     RefinementReport,
     TemporalConfig,
-    box_dimension_stats,
     refine_box_sequences,
 )
 from repro.errors import ValidationError
@@ -24,15 +23,6 @@ class TestConfig:
     def test_factor_validated(self):
         with pytest.raises(ValidationError):
             TemporalConfig(size_factor=0.9)
-
-
-class TestDimensionStats:
-    def test_means(self):
-        w, h = box_dimension_stats(np.array([[0, 0, 10, 4], [0, 0, 20, 8]]))
-        assert (w, h) == (15.0, 6.0)
-
-    def test_empty(self):
-        assert box_dimension_stats(np.zeros((0, 4))) == (0.0, 0.0)
 
 
 class TestRefine:

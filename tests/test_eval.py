@@ -15,7 +15,7 @@ from repro.eval.experiments import (
     evaluate_benchmark,
     run_table,
 )
-from repro.eval.report import comparison_table, markdown_table, paper_table
+from repro.eval.report import comparison_table, paper_table
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +77,6 @@ class TestReports:
     def test_comparison_table(self, otsu_eval):
         table = comparison_table({"otsu": otsu_eval}, metric="iou")
         assert "otsu" in table
-
-    def test_markdown_table(self, otsu_eval):
-        md = markdown_table(otsu_eval)
-        assert md.startswith("| Sample |")
-        assert "| Crystalline |" in md
 
 
 class TestDashboard:

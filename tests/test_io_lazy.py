@@ -252,61 +252,67 @@ class TestSidecar:
 
 
 class TestTileStream:
-    def _stream(self, tiff_path, policy, **kw):
+    def _stream(self, tiff_path, policy):
         volume = open_lazy_volume(tiff_path)
-        return TileStream(volume, policy, **kw)
+        return TileStream(volume, policy)
 
     def test_fail_policy_raises_structured(self, tiff_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=1")
-        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="fail", quarantine=False))
+        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="fail"))
         stream.fetch(0)
         with pytest.raises(CorruptTileError) as exc:
             stream.fetch(1)
         assert exc.value.kind == "torn"
+        assert (tiff_path.parent / ".bad" / "v.tif.tile00001.torn.json").is_file()
 
     def test_degrade_uses_salvage_and_records(self, vol, tiff_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=1")
-        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade", quarantine=False))
+        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade"))
         tile, reason = stream.fetch(1)
         assert reason == "degrade:torn"
         assert stream.degraded == {1: "degrade:torn"}
+        assert stream.quarantined == [str(tiff_path.parent / ".bad" / "v.tif.tile00001.torn.json")]
         assert np.array_equal(tile[: len(tile) // 2], vol[1][: len(tile) // 2])
 
     def test_skip_substitutes_zeros(self, tiff_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=2")
-        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="skip", quarantine=False))
+        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="skip"))
         tile, reason = stream.fetch(2)
         assert reason == "skip:torn"
         assert not tile.any()
+        assert (tiff_path.parent / ".bad" / "v.tif.tile00002.torn.json").is_file()
 
     def test_flip_detected_only_with_sidecar(self, tiff_path, monkeypatch):
         with open_lazy_volume(tiff_path) as lazy:
             write_sidecar(lazy)
         monkeypatch.setenv("REPRO_FAULTS", "io_flip@slice=1")
-        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade", quarantine=False))
+        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade"))
         _, reason = stream.fetch(1)
         assert reason == "degrade:flip"
+        assert (tiff_path.parent / ".bad" / "v.tif.tile00001.flip.json").is_file()
 
     def test_transient_errors_are_retried(self, vol, tiff_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "io_transient@slice=0")
-        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="fail", backoff_s=0.0))
+        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="fail"))
         tile, reason = stream.fetch(0)
         assert reason is None
         assert np.array_equal(tile, vol[0])
+        assert not (tiff_path.parent / ".bad").exists()
 
     def test_substituted_tile_is_stable_across_passes(self, tiff_path, monkeypatch):
         """The second pass of a two-pass run sees identical bytes."""
         monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=1")  # fires once
-        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade", quarantine=False))
+        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade"))
         first, reason = stream.fetch(1)
         assert reason == "degrade:torn"
         second, reason2 = stream.fetch(1)
         assert reason2 == "degrade:torn"
         assert np.array_equal(first, second)
+        assert len(stream.quarantined) == 1  # the pinned substitute is not re-quarantined
 
     def test_quarantine_writes_report(self, tiff_path, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=1")
-        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade", quarantine=True))
+        stream = self._stream(tiff_path, IngestPolicy(on_corrupt="degrade"))
         stream.fetch(1)
         assert len(stream.quarantined) == 1
         report_path = stream.quarantined[0]
@@ -331,16 +337,10 @@ class TestPrefetcher:
             assert np.array_equal(tile, vol[z])
         assert fetcher.max_resident_bytes <= budget
 
-    def test_skip_callable_resumes(self, tiff_path):
-        volume = open_lazy_volume(tiff_path)
-        stream = TileStream(volume, IngestPolicy())
-        done = {0, 2}
-        out = list(Prefetcher(stream, skip=lambda z: z in done))
-        assert [z for z, _, _ in out] == [1, 3]
-
     def test_reader_errors_propagate(self, tiff_path, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "io_torn@slice=3")
         volume = open_lazy_volume(tiff_path)
-        stream = TileStream(volume, IngestPolicy(on_corrupt="fail", quarantine=False))
+        stream = TileStream(volume, IngestPolicy(on_corrupt="fail"))
         with pytest.raises(CorruptTileError):
             list(Prefetcher(stream))
+        assert (tiff_path.parent / ".bad" / "v.tif.tile00003.torn.json").is_file()

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.io.tiff import read_tiff_pages
+from repro.io.tiff import read_tiff, read_tiff_pages
 from repro.io.volume_io import (
     export_volume_tiff,
-    import_volume_tiff,
     load_volume_bundle,
     save_volume_bundle,
 )
@@ -50,7 +49,7 @@ class TestTiffExport:
         vol = rng.integers(0, 65535, (4, 6, 6)).astype(np.uint16)
         p = tmp_path / "v.tif"
         export_volume_tiff(p, vol, voxel_size_nm=(5.0, 5.0), description="test export")
-        back = import_volume_tiff(p)
+        back = read_tiff(p)
         assert np.array_equal(back, vol)
 
     def test_voxel_size_becomes_resolution(self, rng, tmp_path):
@@ -77,24 +76,3 @@ class TestQuarantine:
         assert any(f.name.startswith("b.npz") for f in bad.iterdir())
         reasons = list(bad.glob("*.reason"))
         assert reasons and reasons[0].read_text()
-
-    def test_corrupt_tiff_import_quarantined(self, rng, tmp_path):
-        vol = rng.integers(0, 255, (2, 6, 6)).astype(np.uint8)
-        p = tmp_path / "v.tif"
-        export_volume_tiff(p, vol)
-        data = bytearray(p.read_bytes())
-        struct_off = len(data) - 10  # clobber the IFD tail
-        data[struct_off:] = b"\xff" * 10
-        p.write_bytes(bytes(data[: len(data) * 2 // 3]))
-        with pytest.raises(FormatError):
-            import_volume_tiff(p)
-        # It really was a TIFF (magic intact) -> moved aside for forensics.
-        assert not p.exists()
-        assert (tmp_path / ".bad").exists()
-
-    def test_wrong_format_upload_not_quarantined(self, tmp_path):
-        p = tmp_path / "notatiff.tif"
-        p.write_bytes(b"PK\x03\x04 this is a zip, not a tiff")
-        with pytest.raises(FormatError):
-            import_volume_tiff(p)
-        assert p.exists()  # merely mis-labelled uploads stay put

@@ -304,8 +304,9 @@ class TestJobScheduler:
 
     def test_attempts_exhausted_goes_terminal_failed(self, tmp_path):
         clock = FakeClock()
-        sched = _plain_scheduler(tmp_path, clock, lease_ttl_s=5.0)
-        job = sched.submit("evaluate", max_attempts=2)
+        policy = RetryPolicy(max_attempts=2, base_delay_s=0.1, jitter=0.0)
+        sched = _plain_scheduler(tmp_path, clock, lease_ttl_s=5.0, retry_policy=policy)
+        job = sched.submit("evaluate")
         for _ in range(2):
             clock.advance(10.0)
             acquired = sched.acquire("w")
@@ -488,7 +489,13 @@ class TestRejectedSubmit:
 
     @pytest.mark.parametrize(
         "kwargs, match",
-        [({"temporal_mode": "bogus"}, "temporal_mode"), ({"on_corrupt": "bogus"}, "on_corrupt")],
+        [
+            ({"temporal_mode": "bogus"}, "temporal_mode"),
+            ({"on_corrupt": "bogus"}, "on_corrupt"),
+            ({"memory_budget_mb": -5.0}, "memory_budget_mb"),
+            ({"memory_budget_mb": 0.0}, "memory_budget_mb"),
+            ({"memory_budget_mb": float("nan")}, "memory_budget_mb"),
+        ],
     )
     def test_path_submit(self, tmp_path, kwargs, match):
         from repro.io.tiff import write_tiff
@@ -516,6 +523,9 @@ class TestRejectedSubmit:
             ({"mode": "bogus"}, "zoo mode"),
             ({"on_corrupt": "bogus"}, "on_corrupt"),
             ({"mode": "ensemble", "stream": True}, "streaming"),
+            ({"memory_budget_mb": -5.0}, "memory_budget_mb"),
+            ({"memory_budget_mb": 0.0}, "memory_budget_mb"),
+            ({"memory_budget_mb": float("nan")}, "memory_budget_mb"),
         ],
     )
     def test_zoo_submit(self, tmp_path, kwargs, match):
@@ -619,8 +629,8 @@ class TestJobExecution:
         assert "cancel_requested" in kinds
 
     def test_bad_input_fails_with_structured_error(self, tmp_path):
-        svc = JobService(tmp_path / "jobs")
-        job = svc.submit("segment_volume", {"prompt": PROMPT}, max_attempts=1)  # no input_path
+        svc = JobService(tmp_path / "jobs", retry_policy=RetryPolicy(max_attempts=1))
+        job = svc.submit("segment_volume", {"prompt": PROMPT})  # no input_path
         svc.runner.run_until_idle()
         res = svc.result(job.job_id)
         assert res["state"] == FAILED
@@ -654,8 +664,8 @@ class TestJobExecution:
         ],
     )
     def test_failure_record(self, tmp_path, exc, state, has_traceback):
-        svc = JobService(tmp_path / "jobs")
-        job = svc.submit("evaluate", {}, max_attempts=2)
+        svc = JobService(tmp_path / "jobs", retry_policy=RetryPolicy(max_attempts=2))
+        job = svc.submit("evaluate", {})
 
         def boom(*args):
             raise exc

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.boxes import as_boxes, box_area, box_iou, merge_overlapping, nms
+from repro.core.boxes import as_boxes, box_area, box_iou, merge_overlapping
 from repro.core.masks import rle_decode, rle_encode, masks_iou, stability_score
 from repro.io.png import decode_png, encode_png
 from repro.metrics.confusion import confusion_counts
@@ -136,19 +136,6 @@ class TestBoxProperties:
     def test_merge_never_increases_count(self, boxes):
         b = as_boxes(boxes)
         assert len(merge_overlapping(b)) <= len(b)
-
-    @SETTINGS
-    @given(boxes=_boxes, data=st.data())
-    def test_nms_kept_boxes_nonoverlapping(self, boxes, data):
-        b = as_boxes(boxes)
-        scores = data.draw(
-            st.lists(st.floats(0, 1), min_size=len(b), max_size=len(b))
-        )
-        keep = nms(b, scores, iou_threshold=0.5)
-        kept = b[keep]
-        m = box_iou(kept, kept)
-        np.fill_diagonal(m, 0.0)
-        assert (m <= 0.5 + 1e-9).all()
 
     @SETTINGS
     @given(boxes=_boxes)

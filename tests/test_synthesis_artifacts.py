@@ -9,7 +9,6 @@ from repro.data.synthesis.artifacts import (
     add_poisson_gaussian_noise,
     apply_defocus,
     apply_drift,
-    apply_vignetting,
 )
 
 
@@ -96,8 +95,3 @@ class TestDefocusDriftVignette:
     def test_drift_clips(self, flat):
         out = apply_drift(flat, gain=3.0)
         assert out.max() <= 1.0
-
-    def test_vignetting_darkens_corners(self, flat):
-        out = apply_vignetting(flat, strength=0.3)
-        assert out[0, 0] < out[24, 24]
-        assert out[24, 24] == pytest.approx(0.5, abs=0.01)

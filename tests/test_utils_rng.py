@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import GLOBAL_SEED, as_rng, derive_seed, make_rng, spawn_rng
-from repro.utils.rng import stable_choice
 
 
 class TestDeriveSeed:
@@ -73,16 +72,3 @@ class TestAsRng:
 
     def test_int_coerced(self):
         assert isinstance(as_rng(5), np.random.Generator)
-
-
-class TestStableChoice:
-    def test_preserves_order(self):
-        out = stable_choice(make_rng(0), range(100), 10)
-        assert out == sorted(out)
-
-    def test_size_ge_length_returns_all(self):
-        assert stable_choice(make_rng(0), [1, 2, 3], 10) == [1, 2, 3]
-
-    def test_no_duplicates(self):
-        out = stable_choice(make_rng(0), range(50), 20)
-        assert len(set(out)) == 20

@@ -9,7 +9,6 @@ from repro.utils.validation import (
     ensure_3d,
     ensure_box,
     ensure_finite,
-    ensure_in,
     ensure_mask,
     ensure_ndarray,
     ensure_positive,
@@ -48,13 +47,6 @@ class TestEnsure2d3d:
 
 
 class TestEnsureScalars:
-    def test_ensure_in_accepts(self):
-        assert ensure_in("a", ("a", "b")) == "a"
-
-    def test_ensure_in_rejects(self):
-        with pytest.raises(ValidationError):
-            ensure_in("c", ("a", "b"))
-
     def test_positive_strict(self):
         ensure_positive(1e-9)
         with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.viz.colormap import LABEL_COLORS, apply_colormap, gray_to_rgb_u8, label_color
 from repro.viz.contact_sheet import contact_sheet
-from repro.viz.overlay import draw_boxes, extract_segment, overlay_boundary, overlay_mask
+from repro.viz.overlay import draw_boxes, extract_segment, overlay_mask
 from repro.viz.plots import Canvas, bar_chart, draw_text
 
 
@@ -42,14 +42,6 @@ class TestOverlay:
         out = overlay_mask(img, mask, color=(255, 0, 0), alpha=0.5)
         assert out[5, 5, 0] > out[5, 5, 2]  # red-shifted inside
         assert (out[0, 0] == out[0, 0, 0]).all()  # gray outside
-
-    def test_boundary_overlay(self):
-        img = np.full((16, 16), 0.5, dtype=np.float32)
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[4:12, 4:12] = True
-        out = overlay_boundary(img, mask, color=(0, 255, 0))
-        assert (out[4, 6] == (0, 255, 0)).all()
-        assert (out[8, 8] != (0, 255, 0)).any()
 
     def test_draw_boxes_outline(self):
         img = np.zeros((20, 20), dtype=np.float32)
