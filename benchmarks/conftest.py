@@ -60,6 +60,35 @@ FULL_RUN_GOLDEN = {
 }
 
 
+#: The harsher acquisition: stronger illumination gradient, charging, gain
+#: drift and particle intensity spread than the defaults, on the default seed.
+HARSHER_ACQUISITION = {
+    "illumination_gradient": 0.30,
+    "charging_strength": 0.10,
+    "drift_gain": (0.8, 1.2),
+    "needle_value_jitter": 0.12,
+    "blob_value_jitter": 0.10,
+}
+
+#: The held-out quality set: ``make_benchmark_dataset`` keywords per case.
+#: No table, figure or bench input is drawn from these, so a change tuned on
+#: those runs is judged here on scenes it has not seen.
+HELDOUT_SETS = {
+    "seed1": {"seed": 1},
+    "seed2": {"seed": 2},
+    "seed3": {"seed": 3},
+    "harsher": HARSHER_ACQUISITION,
+}
+
+#: Zenesis mean IoU per case and kind (2 kinds × 10 slices at 256² each).
+HELDOUT_GOLDEN = {
+    "seed1": {"crystalline": 0.733018, "amorphous": 0.875171},
+    "seed2": {"crystalline": 0.660548, "amorphous": 0.877896},
+    "seed3": {"crystalline": 0.688077, "amorphous": 0.893947},
+    "harsher": {"crystalline": 0.640119, "amorphous": 0.749637},
+}
+
+
 def assert_full_run_golden(ev: MethodEvaluation) -> None:
     """Every accuracy/IoU/Dice mean of ``ev`` equals the pinned full run."""
     for kind, golden in FULL_RUN_GOLDEN[ev.method].items():

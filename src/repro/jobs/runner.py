@@ -57,7 +57,11 @@ from .store import JobStore
 
 __all__ = ["JobRunner", "JobGuard"]
 
-#: How long an idle worker waits before polling the queue again.
+#: Longest an idle worker waits before polling the queue again.  A
+#: transition in this process (a submit, a requeue) wakes it at once through
+#: the store's change signal; the poll is for what raises none: jobs a peer
+#: process journaled into the same directory, an elapsed retry backoff, an
+#: expired lease.
 _IDLE_POLL_S = 0.1
 
 
@@ -208,6 +212,7 @@ class JobRunner:
         peer) reclaims and resumes it from its checkpoint shards.
         """
         self._stop.set()
+        self.store.notify_change()  # wake idle workers to see the stop flag
         deadline = Deadline(max(timeout_s, 1e-9), clock=time.monotonic)
         for t in self._threads:
             t.join(timeout=deadline.remaining())
@@ -231,6 +236,9 @@ class JobRunner:
 
     def _worker_loop(self, worker_id: str) -> None:
         while not self._stop.is_set():
+            # Read before acquire: a transition between an empty acquire and
+            # the wait then moves the generation, and the wait returns at once.
+            generation = self.store.generation
             try:
                 job = self.scheduler.acquire(worker_id)
             except Exception:  # journal IO trouble: back off, keep serving
@@ -238,7 +246,7 @@ class JobRunner:
                 self._stop.wait(_IDLE_POLL_S * 5)
                 continue
             if job is None:
-                self._stop.wait(_IDLE_POLL_S)
+                self.store.wait_for_change(generation, _IDLE_POLL_S)
                 continue
             self._execute(job, worker_id)
 

@@ -35,7 +35,10 @@ from .store import JobStore
 
 __all__ = ["JobService"]
 
-#: How often :meth:`JobService.wait` re-reads the journal.
+#: Longest :meth:`JobService.wait` goes without re-reading the journal.  A
+#: transition in this process wakes it at once through the store's change
+#: signal; the poll is for what raises none: transitions journaled by a
+#: peer process, an expired lease.
 _WAIT_POLL_S = 0.05
 
 
@@ -353,6 +356,7 @@ class JobService:
         """Block until the job is terminal (tests / CLI watch); returns status."""
         t0 = time.monotonic()
         while True:
+            generation = self.store.generation
             self.store.refresh()
             self.scheduler.reclaim_expired()
             rec = self.store.get(job_id)
@@ -360,7 +364,7 @@ class JobService:
                 return rec.public_view()
             if time.monotonic() - t0 > timeout_s:
                 raise JobError(f"timed out waiting {timeout_s}s for job {job_id} ({rec.state})")
-            time.sleep(_WAIT_POLL_S)
+            self.store.wait_for_change(generation, _WAIT_POLL_S)
 
     # -- operator verbs --------------------------------------------------------
 

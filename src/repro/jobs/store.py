@@ -31,6 +31,12 @@ Durability contract:
   append so two writers' bytes never fuse into one corrupt line.  Compaction
   and GC belong to the coordinator only.
 
+Change signal: every :meth:`upsert` bumps an in-process generation counter
+and notifies one condition, so a thread waiting for work or for a terminal
+state (:meth:`wait_for_change`) wakes on the transition itself instead of a
+poll.  Lines appended by other processes raise no signal; their readers
+still find them by polling :meth:`refresh`.
+
 Fault injection: a ``journal_torn`` rule in ``REPRO_FAULTS`` makes an
 append write half its line and hard-exit — a power cut mid-write — so the
 chaos suite can exercise torn-tail recovery end to end (conditions:
@@ -79,6 +85,8 @@ class JobStore:
         self.compact_every = int(compact_every)
         self._clock = clock
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
+        self._generation = 0  # bumped by every in-process transition
         self._jobs: dict[str, JobRecord] = {}
         self._events: dict[str, list[dict]] = {}
         self._seq = 0  # submit-order sequence (FIFO tie-break)
@@ -299,6 +307,7 @@ class JobStore:
             record.updated_at = self._clock()
             self._jobs[record.job_id] = record
             self._append({"t": "job", "job": record.to_dict()})
+            self.notify_change()
             return record
 
     def get(self, job_id: str) -> JobRecord:
@@ -332,6 +341,29 @@ class JobStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._jobs)
+
+    # -- change signal --------------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """Counter of in-process transitions; read it before checking state."""
+        with self._lock:
+            return self._generation
+
+    def notify_change(self) -> None:
+        """Bump the generation and wake every :meth:`wait_for_change`."""
+        with self._changed:
+            self._generation += 1
+            self._changed.notify_all()
+
+    def wait_for_change(self, generation: int, timeout_s: float) -> None:
+        """Block until the generation moves past ``generation`` or the timeout.
+
+        The timeout is the poll for what raises no signal, such as
+        transitions journaled by another process sharing the directory.
+        """
+        with self._changed:
+            self._changed.wait_for(lambda: self._generation != generation, timeout_s)
 
     # -- progress events ------------------------------------------------------
 

@@ -755,6 +755,148 @@ class TestJobExecution:
             assert seqs == list(range(1, final_cursor + 1))  # and complete
 
 
+# -- waking on transitions -----------------------------------------------------
+
+_SMALL_JOB = {"size": 32, "n_slices": 1}
+
+
+def _count_idle(monkeypatch, svc: JobService) -> threading.Semaphore:
+    """Released once per empty acquire, so a test can act on idle workers."""
+    idle = threading.Semaphore(0)
+    real_acquire = svc.scheduler.acquire
+
+    def acquire(worker_id):
+        job = real_acquire(worker_id)
+        if job is None:
+            idle.release()
+        return job
+
+    monkeypatch.setattr(svc.scheduler, "acquire", acquire)
+    return idle
+
+
+def _await_idle(idle: threading.Semaphore, n_workers: int) -> None:
+    for _ in range(n_workers):
+        assert idle.acquire(timeout=5.0), "a worker never found the queue empty"
+
+
+def _running_events(svc: JobService, job_id: str) -> list[dict]:
+    events = svc.events(job_id)["events"]
+    return [e for e in events if e["kind"] == "state" and e["state"] == RUNNING]
+
+
+class TestWake:
+    """Workers and waiters wake on in-process transitions, not on a poll.
+
+    The poll constants are raised to 60 s, so only the store's change
+    signal can make these tests finish in time.
+    """
+
+    @pytest.fixture
+    def slow_polls(self, monkeypatch):
+        from repro.jobs import runner as runner_mod
+        from repro.jobs import service as service_mod
+
+        monkeypatch.setattr(runner_mod, "_IDLE_POLL_S", 60.0)
+        monkeypatch.setattr(service_mod, "_WAIT_POLL_S", 60.0)
+
+    def test_upsert_wakes_a_waiter(self, tmp_path):
+        store = JobStore(tmp_path / "jobs")
+        generation = store.generation
+        job_id, seq = store.new_job_id()
+        woke = threading.Event()
+
+        def waiter() -> None:
+            store.wait_for_change(generation, 60.0)
+            woke.set()
+
+        t = threading.Thread(target=waiter, daemon=True)
+        t.start()
+        store.upsert(JobRecord(job_id=job_id, kind="evaluate", submit_seq=seq))
+        assert woke.wait(5.0)
+        assert store.generation == generation + 1
+
+    def test_submit_wakes_idle_worker(self, tmp_path, monkeypatch):
+        from repro.jobs import runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "_IDLE_POLL_S", 60.0)
+        svc = JobService(tmp_path / "jobs")
+        idle = _count_idle(monkeypatch, svc)
+        svc.start()
+        try:
+            _await_idle(idle, 1)
+            job = svc.submit("synthesize", _SMALL_JOB)
+            assert svc.wait(job.job_id, timeout_s=5.0)["state"] == SUCCEEDED
+        finally:
+            svc.stop()
+
+    def test_wait_returns_on_terminal_transition(self, tmp_path, monkeypatch, slow_polls):
+        svc = JobService(tmp_path / "jobs")
+        job = svc.submit("synthesize", _SMALL_JOB)
+        checked = threading.Event()
+        real_reclaim = svc.scheduler.reclaim_expired
+
+        def reclaim_expired():
+            checked.set()  # the waiter is in its first check
+            return real_reclaim()
+
+        monkeypatch.setattr(svc.scheduler, "reclaim_expired", reclaim_expired)
+        status: dict = {}
+        t = threading.Thread(
+            target=lambda: status.update(svc.wait(job.job_id, timeout_s=60.0)), daemon=True
+        )
+        t.start()
+        assert checked.wait(5.0)
+        time.sleep(0.05)  # let the waiter find the job still queued
+        assert svc.runner.run_until_idle() == 1
+        t.join(5.0)
+        assert not t.is_alive(), "wait() did not return within 5 s of the terminal transition"
+        assert status["state"] == SUCCEEDED
+
+    def test_peer_submit_found_by_poll(self, tmp_path):
+        svc = JobService(tmp_path / "jobs").start()
+        try:
+            peer = JobService(tmp_path / "jobs")  # no workers: journal only
+            job = peer.submit("synthesize", _SMALL_JOB)
+            assert svc.wait(job.job_id, timeout_s=30.0)["state"] == SUCCEEDED
+            [running] = _running_events(svc, job.job_id)
+            # The peer's line raises no signal here; the idle poll finds it.
+            assert running["ts"] - job.created_at < 1.0
+        finally:
+            svc.stop()
+
+    def test_stop_wakes_idle_runner(self, tmp_path, monkeypatch, slow_polls):
+        svc = JobService(tmp_path / "jobs", n_workers=2)
+        idle = _count_idle(monkeypatch, svc)
+        svc.start()
+        _await_idle(idle, 2)
+        t0 = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - t0 < 0.25
+        assert event_count("jobs.abandoned_on_stop") == 0
+
+    @pytest.mark.parametrize("n_workers,n_jobs", [(2, 1), (4, 6)])
+    def test_woken_submit_leased_once(self, tmp_path, monkeypatch, slow_polls, n_workers, n_jobs):
+        """Every idle worker wakes on each submit; one lease per job still holds,
+        also with more workers than cores and a short switch interval."""
+        svc = JobService(tmp_path / "jobs", n_workers=n_workers)
+        idle = _count_idle(monkeypatch, svc)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc.start()
+        try:
+            _await_idle(idle, n_workers)
+            jobs = [svc.submit("synthesize", {**_SMALL_JOB, "seed": i}) for i in range(n_jobs)]
+            for job in jobs:
+                assert svc.wait(job.job_id, timeout_s=5.0)["state"] == SUCCEEDED
+        finally:
+            svc.stop()
+            sys.setswitchinterval(switch)
+        for job in jobs:
+            assert svc.store.get(job.job_id).attempt == 1
+            assert len(_running_events(svc, job.job_id)) == 1
+
+
 # -- real process death --------------------------------------------------------
 
 
